@@ -74,7 +74,7 @@ def _render(payload: dict, fmt: str) -> str:
 def _complex_for(scene: AffineScene, spec: str):
     if spec == "derham":
         return build_de_rham(scene)
-    if spec.startswith("jet"):
+    if spec in ("jet0", "jet1", "jet2"):
         return build_jet_complex(scene, int(spec[3:]))
     raise SpencerlabError(f"unknown complex {spec!r} (use derham, jet0, jet1, jet2)")
 
@@ -266,10 +266,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args):
+    """Reject option values that no command can run with (exit 1)."""
+    if getattr(args, "r_max", 1) < 1:
+        raise SpencerlabError(f"--r-max must be at least 1, got {args.r_max}")
+    if getattr(args, "n", None) is not None and args.n < 1:
+        raise SpencerlabError(f"--n must be at least 1, got {args.n}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         scene, opts = load_scene(args.scene)
         payload = {
             "command": args.command,

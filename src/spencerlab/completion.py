@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .complexes import GradedComplex, HomologyTable, build_de_rham, build_koszul, homology_table
+from .complexes import GradedComplex, build_de_rham, build_koszul, homology_table
 from .errors import InternalInvariantError, SceneError
-from .linalg import LinearMap, rank_kernel_image, rref
+from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve
 from .modules import PresentedModule
 from .rings import AffineScene, Ideal, Polynomial, WeightedRing, mono_mul
 
@@ -184,59 +184,44 @@ class Tower:
             tuple(range(upper.dim)), tuple(range(lower.dim)), cols
         )
 
-    def stage_homology_table(self, r: int, bound: int) -> HomologyTable:
-        return homology_table(self.stage(r), bound)
-
 
 class _HomologySpace:
-    """ker/im at one piece, with chosen cycle representatives."""
+    """ker/im at one piece, with chosen cycle representatives.
+
+    Cycles are reduced modulo the boundary span, the column span of the
+    incoming differential, as a quotient piece over the column indices.
+    """
 
     def __init__(self, cx: GradedComplex, i: int, d: int):
         out_map = cx.differential(i, d)
         in_map = cx.differential(i - cx.direction, d)
         _, kernel, _ = rank_kernel_image(out_map)
-        _, _, image = rank_kernel_image(in_map)
-        self.ncols = len(out_map.source_basis)
-        rows = [list(v) for v in image]
-        self._b_rref, self._b_piv = rref(rows) if rows else ([], [])
+        boundaries = [
+            dict(enumerate(in_map.column(j))) for j in range(len(in_map.source_basis))
+        ]
+        self._cycles_mod_b = GradedPiece(range(len(out_map.source_basis)), boundaries)
         self.reps = []
-        reduced = []
+        self._solve_cols = []
         for v in kernel:
-            w = self._mod_boundaries(list(v))
+            w = self._mod_boundaries(v)
             if any(w):
                 self.reps.append(tuple(v))
-                reduced.append(w)
-                # keep `reduced` an independent echelon set for express()
-        self._solve_cols = [self._mod_boundaries(list(rep)) for rep in self.reps]
+                self._solve_cols.append(w)
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
-    def _mod_boundaries(self, vec: list) -> list:
-        for row, p in zip(self._b_rref, self._b_piv):
-            f = vec[p]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return vec
+    def _mod_boundaries(self, vec) -> tuple:
+        """Coordinates of a chain's normal form modulo the boundaries."""
+        return self._cycles_mod_b.coords(dict(enumerate(vec)))
 
     def express(self, vec) -> tuple:
         """Coordinates of a cycle's class in the chosen representatives."""
-        w = self._mod_boundaries(list(vec))
-        k = len(self._solve_cols)
-        if k == 0:
-            if any(w):
-                raise InternalInvariantError("class outside the homology space")
-            return ()
-        rows = [[self._solve_cols[j][i] for j in range(k)] + [w[i]]
-                for i in range(self.ncols)]
-        rr, piv = rref(rows)
-        if k in piv:
+        sol = solve(self._solve_cols, self._mod_boundaries(vec))
+        if sol is None:
             raise InternalInvariantError("class outside the homology space")
-        sol = [Fraction(0)] * k
-        for row, p in zip(rr, piv):
-            sol[p] = row[k]
-        return tuple(sol)
+        return sol
 
 
 # -- limits ---------------------------------------------------------------------
@@ -332,9 +317,7 @@ def tower_limit(tower: Tower, bound: int, weight_lo: int | None = None) -> Limit
                     stable_val: dict = {}
                     for r in range(1, R - 1):
                         comp = trans[r - 1]
-                        img = []
-                        rank, _, _ = rank_kernel_image(comp)
-                        img.append(rank)
+                        img = [ranks[r - 1]]
                         for k in range(r + 1, R):
                             comp = comp.compose(trans[k - 1])
                             rank, _, _ = rank_kernel_image(comp)

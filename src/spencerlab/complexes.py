@@ -90,6 +90,7 @@ class GradedComplex:
         self.mul_fn = mul_fn or (lambda i, lbl, mono: (mono_mul(lbl[0], mono),) + lbl[1:])
         self._pieces: dict = {}
         self._diffs: dict = {}
+        self._ranks: dict = {}
 
     def piece(self, i: int, d: int) -> GradedPiece:
         key = (i, d)
@@ -162,6 +163,13 @@ class GradedComplex:
                 )
         return self._diffs[key]
 
+    def rank(self, i: int, d: int) -> int:
+        """Rank of the differential at (i, d), eliminated once per complex."""
+        key = (i, d)
+        if key not in self._ranks:
+            self._ranks[key], _, _ = rank_kernel_image(self.differential(i, d))
+        return self._ranks[key]
+
     def check_dd_zero(self, i: int, d: int):
         first = self.differential(i, d)
         second = self.differential(i + self.direction, d)
@@ -171,10 +179,9 @@ class GradedComplex:
             )
 
     def homology_dim(self, i: int, d: int) -> int:
-        out_rank, _, _ = rank_kernel_image(self.differential(i, d))
-        in_rank, _, _ = rank_kernel_image(self.differential(i - self.direction, d))
-        dim = self.piece(i, d).dim
-        h = dim - out_rank - in_rank
+        out_rank = self.rank(i, d)
+        in_rank = self.rank(i - self.direction, d)
+        h = self.piece(i, d).dim - out_rank - in_rank
         if h < 0:
             raise InternalInvariantError(
                 f"{self.name}: negative homology dimension at (i={i}, d={d})"
@@ -206,18 +213,6 @@ class HomologyTable:
             if v:
                 out[str(i)][str(d)] = v
         return out
-
-    def agrees_with(self, other: "HomologyTable") -> list:
-        """Mismatched (i, d) cells over the common weight window."""
-        lo = max(self.weight_lo, other.weight_lo)
-        hi = min(self.weight_hi, other.weight_hi)
-        cells = sorted(set(self.indices) | set(other.indices))
-        bad = []
-        for i in cells:
-            for d in range(lo, hi + 1):
-                if self.dim(i, d) != other.dim(i, d):
-                    bad.append((i, d))
-        return bad
 
 
 def homology_table(

@@ -1,8 +1,11 @@
 """Exact rational linear algebra on labeled bases.
 
-The elimination core is fraction-free (Bareiss) on integer rows after
-clearing denominators, normalized to a rational RREF at the end; this
-keeps intermediate entries small without ever leaving exact arithmetic.
+The elimination core is an incremental sparse Gauss–Jordan over exact
+rationals.  Rows are held as ``{column: Fraction}`` dicts, so no work is
+spent on zero entries; each incoming row is reduced against the pivot
+rows found so far, scaled to a leading 1, and its pivot column is cleared
+from the earlier pivot rows.  A row space has exactly one RREF, so the
+result does not depend on the order of the rows.
 
 :class:`GradedPiece` is the quotient-space workhorse used by every graded
 construction: an ambient labeled basis, a relation span in RREF, and a
@@ -13,94 +16,100 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from .errors import InternalInvariantError
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
-def _clear_row(row):
-    den = 1
-    for c in row:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+
+def _sub_scaled(acc: dict, f, row: dict) -> None:
+    """acc -= f * row on sparse vectors, dropping entries that cancel."""
+    for j, b in row.items():
+        v = acc.get(j, _ZERO) - f * b
+        if v:
+            acc[j] = v
+        else:
+            del acc[j]
+
+
+def _eliminate(acc: dict, pivot_rows: dict) -> dict:
+    """Normal form of a sparse vector modulo RREF rows, in place.
+
+    ``pivot_rows`` maps each pivot column to its row without the leading 1.
+    Such a row has no entry in any other pivot column, so one pass in
+    ascending pivot order clears them all.
+    """
+    for p in sorted(c for c in acc if c in pivot_rows):
+        _sub_scaled(acc, acc.pop(p), pivot_rows[p])
+    return acc
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    work = [_clear_row(r) for r in rows if any(c != 0 for c in r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+    """Reduced row echelon form and pivot column indices.
+
+    ``rows`` are dense and of equal length; the nonzero RREF rows come back
+    dense, in pivot order.
+    """
+    ncols = len(rows[0]) if rows else 0
+    pivot_rows: dict = {}
+    for row in rows:
+        acc = _eliminate({j: v for j, v in enumerate(row) if v}, pivot_rows)
+        if not acc:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        piv = work[r][c]
-        # One-step Bareiss update on every lower row; divisions are exact
-        # (Sylvester identity) only if no row is ever skipped.
-        for i in range(r + 1, len(work)):
-            wi, wr = work[i], work[r]
-            fic = wi[c]
-            for j in range(c, ncols):
-                wi[j] = (wi[j] * piv - fic * wr[j]) // prev
-        pivots.append(c)
-        prev = piv
-        r += 1
-        if r == len(work):
-            break
-    # Back substitution over Fractions for a genuine RREF; rows are kept
-    # sparse during elimination since relation matrices mostly are.
-    sparse = []
-    for i, c in enumerate(pivots):
-        piv = work[i][c]
-        sparse.append({j: Fraction(v, piv) for j, v in enumerate(work[i]) if v})
-    for i in reversed(range(len(sparse))):
-        c = pivots[i]
-        for k in range(i):
-            f = sparse[k].get(c)
-            if not f:
-                continue
-            rk = sparse[k]
-            for j, b in sparse[i].items():
-                val = rk.get(j, Fraction(0)) - f * b
-                if val:
-                    rk[j] = val
-                elif j in rk:
-                    del rk[j]
+        # pivoting on the leftmost entry keeps every pivot row zero left of
+        # its pivot, so the pivots found are those of the RREF
+        lead = min(acc)
+        inv = _ONE / acc.pop(lead)
+        new = {j: v * inv for j, v in acc.items()}
+        for prow in pivot_rows.values():
+            f = prow.pop(lead, None)
+            if f is not None:
+                _sub_scaled(prow, f, new)
+        pivot_rows[lead] = new
+    pivots = sorted(pivot_rows)
     out = []
-    for row in sparse:
-        dense = [Fraction(0)] * ncols
-        for j, v in row.items():
+    for p in pivots:
+        dense = [_ZERO] * ncols
+        dense[p] = _ONE
+        for j, v in pivot_rows[p].items():
             dense[j] = v
         out.append(dense)
     return out, pivots
 
 
+def solve(columns, target) -> tuple | None:
+    """Coefficients x with sum_j x[j] * columns[j] == target, or None.
+
+    ``columns`` and ``target`` are dense vectors of one length; None means
+    the target lies outside the column span.  Free coefficients are 0.
+    """
+    k = len(columns)
+    if not k:
+        return None if any(target) else ()
+    rows = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
+    rr, pivots = rref(rows)
+    if k in pivots:
+        return None
+    sol = [_ZERO] * k
+    for row, p in zip(rr, pivots):
+        sol[p] = row[k]
+    return tuple(sol)
+
+
 def _kernel_from_rref(rref_rows, pivots, ncols):
-    pivot_of_col = {c: i for i, c in enumerate(pivots)}
-    free = [c for c in range(ncols) if c not in pivot_of_col]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for c, i in pivot_of_col.items():
-            vec[c] = -rref_rows[i][f]
-        basis.append(tuple(vec))
-    return basis
+    """Canonical RREF null space: per free column, 1 there, 0 at the other free ones."""
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = {f: [_ZERO] * ncols for f in free}
+    for f, vec in basis.items():
+        vec[f] = _ONE
+    for row, c in zip(rref_rows, pivots):
+        for f in free:
+            v = row[f]
+            if v:
+                basis[f][c] = -v
+    return [tuple(vec) for vec in basis.values()]
 
 
 @dataclass(frozen=True)
@@ -144,9 +153,9 @@ class LinearMap:
         return len(self.target_basis), len(self.source_basis)
 
     def apply(self, vec) -> tuple:
+        support = [(j, x) for j, x in enumerate(vec) if x]
         return tuple(
-            sum((row[j] * vec[j] for j in range(len(vec)) if vec[j]), Fraction(0))
-            for row in self.matrix
+            sum((row[j] * x for j, x in support), Fraction(0)) for row in self.matrix
         )
 
     def column(self, j: int) -> tuple:
@@ -156,8 +165,23 @@ class LinearMap:
         """self ∘ first."""
         if first.target_basis != self.source_basis:
             raise InternalInvariantError("composition basis mismatch")
-        cols = [self.apply(first.column(j)) for j in range(len(first.source_basis))]
-        return LinearMap.from_columns(first.source_basis, self.target_basis, cols)
+        # sparse product: column k of self is only read where first has an
+        # entry in row k, and only its nonzero entries are multiplied
+        self_cols: list = [[] for _ in self.source_basis]
+        for i, row in enumerate(self.matrix):
+            for k, a in enumerate(row):
+                if a:
+                    self_cols[k].append((i, a))
+        out = [[_ZERO] * len(first.source_basis) for _ in self.target_basis]
+        for k, row in enumerate(first.matrix):
+            col = self_cols[k]
+            if not col:
+                continue
+            for j, b in enumerate(row):
+                if b:
+                    for i, a in col:
+                        out[i][j] += a * b
+        return LinearMap(first.source_basis, self.target_basis, tuple(map(tuple, out)))
 
     def add(self, other: LinearMap) -> LinearMap:
         rows = tuple(
@@ -199,8 +223,7 @@ class LinearMap:
 def rank_kernel_image(m: LinearMap):
     """Rank, kernel basis (source coordinates), image basis (target coordinates)."""
     nrows, ncols = m.shape
-    rows = [list(r) for r in m.matrix]
-    rr, pivots = rref(rows) if rows else ([], [])
+    rr, pivots = rref(list(m.matrix))
     rank = len(pivots)
     kernel = _kernel_from_rref(rr, pivots, ncols) if ncols else []
     image = [m.column(j) for j in pivots]
@@ -269,25 +292,13 @@ class GradedPiece:
                 j = self._index[lbl]
             except KeyError:
                 raise InternalInvariantError(f"label {lbl!r} outside ambient basis")
-            acc[j] = acc.get(j, Fraction(0)) + Fraction(c)
-        # pivots are eliminated in ascending order; RREF rows only touch
-        # non-pivot columns beyond their own pivot, so one pass suffices
-        for p in self._pivots:
-            f = acc.get(p)
-            if not f:
-                continue
-            del acc[p]
-            for j, b in self._sparse_rows[p].items():
-                val = acc.get(j, Fraction(0)) - f * b
-                if val:
-                    acc[j] = val
-                elif j in acc:
-                    del acc[j]
+            acc[j] = acc.get(j, _ZERO) + Fraction(c)
+        _eliminate(acc, self._sparse_rows)
         return {self.ambient[j]: v for j, v in acc.items() if v}
 
     def coords(self, vec: dict) -> tuple:
         red = self.reduce(vec)
-        return tuple(red.get(lbl, Fraction(0)) for lbl in self.basis)
+        return tuple(red.get(lbl, _ZERO) for lbl in self.basis)
 
     def is_relation(self, vec: dict) -> bool:
         return not self.reduce(vec)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import SceneError
-from .linalg import GradedPiece, LinearMap, rank_kernel_image, rref
+from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve
 from .rings import INHOMOGENEOUS, AffineScene, Polynomial, mono_mul
 
 
@@ -192,21 +192,10 @@ class DerivationSpace:
         """Coordinates of a tangent coefficient tuple in this basis."""
         scene, t = self.scene, self.weight
         cols = [_derivation_dense(scene, t, b) for b in self.basis]
-        target = _derivation_dense(scene, t, coeffs)
-        if not self.basis:
-            if any(target):
-                raise SceneError("vector is not in the derivation space")
-            return ()
-        rows = [[cols[j][i] for j in range(len(cols))] + [target[i]]
-                for i in range(len(target))]
-        rr, pivots = rref(rows)
-        k = len(cols)
-        if k in pivots:
+        sol = solve(cols, _derivation_dense(scene, t, coeffs))
+        if sol is None:
             raise SceneError("vector is not in the derivation space")
-        sol = [Fraction(0)] * k
-        for row, p in zip(rr, pivots):
-            sol[p] = row[k]
-        return tuple(sol)
+        return sol
 
 
 def _derivation_dense(scene: AffineScene, t: int, coeffs) -> list:

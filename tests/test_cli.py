@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from spencerlab.cli import main
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
@@ -220,3 +222,34 @@ def test_determinism_across_processes_and_hash_seeds():
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+
+BAD_INPUTS = [
+    ("complete", "cusp.scene", "--r-max", "0"),
+    ("complete", "cusp.scene", "--r-max", "-2"),
+    ("derived-complete", "cusp.scene", "--r-max", "0"),
+    ("independence", "cusp.scene", "--extended-scene", "cusp_a3.scene", "--r-max", "0"),
+    ("euler-certify", "a2.scene", "--complex", "jetx"),
+    ("euler-certify", "a2.scene", "--complex", "jet"),
+    ("euler-certify", "a2.scene", "--complex", "jet3"),
+    ("filtered-spencer", "a2.scene", "--n", "0", "--p", "1"),
+    ("filtered-spencer", "a2.scene", "--n", "-1", "--p", "1"),
+    ("filtered-spencer", "a2.scene", "--p", "0"),
+    ("kashiwara", "cusp.scene", "--p", "-1"),
+    ("derham", "missing.scene"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def test_input_errors_exit_1_without_traceback(argv):
+    argv = [scene_path(a) if a.endswith(".scene") else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "spencerlab.cli", *argv, "--degree-bound", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
