@@ -18,13 +18,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
-from .complexes import GradedComplex, build_de_rham, build_koszul, homology_table
+from .complexes import (
+    GradedComplex,
+    build_de_rham,
+    build_koszul,
+    homology_table,
+    induced_map,
+)
 from .errors import InternalInvariantError, SceneError
 from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve
 from .modules import PresentedModule
-from .rings import AffineScene, Ideal, Polynomial, WeightedRing, mono_mul
+from .rings import AffineScene, Ideal, Polynomial, mono_mul
 
 
 def ideal_power_generators(ideal: Ideal, r: int) -> tuple:
@@ -48,7 +54,7 @@ def module_as_complex(module: PresentedModule) -> GradedComplex:
         return tuple(module.piece(d).ambient)
 
     def relations(i, d):
-        return _module_relation_vectors(module, d)
+        return list(module.piece(d).relation_rows())
 
     def diff(i, d, label):
         return {}
@@ -66,27 +72,6 @@ def module_as_complex(module: PresentedModule) -> GradedComplex:
         scene=module.scene,
         meta={},
     )
-
-
-def _module_relation_vectors(module: PresentedModule, d: int) -> list:
-    ring = module.scene.ring
-    rels = []
-    for rel in module._all_relations():
-        deg = None
-        for (label, w), p in zip(module.generators, rel):
-            if not p.is_zero():
-                deg = p.weighted_degree() + w
-                break
-        if deg is None:
-            continue
-        for m in ring.monomials_of_weight(d - deg):
-            vec: dict = {}
-            for (label, _w), p in zip(module.generators, rel):
-                for mp, c in p.terms.items():
-                    key = (mono_mul(m, mp), label)
-                    vec[key] = vec.get(key, Fraction(0)) + c
-            rels.append(vec)
-    return rels
 
 
 # -- towers --------------------------------------------------------------------
@@ -128,27 +113,13 @@ class Tower:
         key = (r, i, d)
         if key not in self._trans_cache:
             fn = self.transition_fns[r - 1]
-            upper = self.stage(r + 1)
-            lower = self.stage(r)
-            src = upper.piece(i, d)
-            tgt = lower.piece(i, d)
-
-            def apply(vec):
-                out: dict = {}
-                for lbl, c in vec.items():
-                    for lbl2, c2 in fn(i, d, lbl).items():
-                        out[lbl2] = out.get(lbl2, Fraction(0)) + c * c2
-                return {k: v for k, v in out.items() if v}
-
-            if i in upper.indices:
-                for rel in upper.relations_fn(i, d):
-                    if not tgt.is_relation(apply(rel)):
-                        raise InternalInvariantError(
-                            f"{self.name}: transition {r+1}->{r} not well "
-                            f"defined at (i={i}, d={d})"
-                        )
-            cols = [tgt.coords(apply({lbl: Fraction(1)})) for lbl in src.basis]
-            self._trans_cache[key] = LinearMap.from_columns(src.basis, tgt.basis, cols)
+            self._trans_cache[key] = induced_map(
+                self.stage(r + 1).piece(i, d),
+                self.stage(r).piece(i, d),
+                lambda lbl: fn(i, d, lbl),
+                f"{self.name}: transition {r+1}->{r} not well defined "
+                f"at (i={i}, d={d})",
+            )
         return self._trans_cache[key]
 
     def verify_chain_map(self, r: int, i: int, d: int):
@@ -350,6 +321,16 @@ def _identity_transition(i, d, label):
     return {label: Fraction(1)}
 
 
+def _surjection_tower(name: str, stages: list, ideal: Ideal, kind: str) -> Tower:
+    """Tower whose transitions are the natural surjections, identity on labels."""
+    return Tower(
+        name=name,
+        stages=stages,
+        transition_fns=[_identity_transition] * (len(stages) - 1),
+        meta={"ideal": ideal, "kind": kind},
+    )
+
+
 def _require_completable(ideal: Ideal):
     if ideal.is_trivial:
         raise SceneError("completion needs a nonzero ideal")
@@ -360,14 +341,10 @@ def adic_tower(module: PresentedModule, ideal: Ideal, depth: int, bound: int) ->
 
     Along the zero ideal the tower is constant (M itself at every stage).
     """
+    name = f"adic({module.name})"
     if ideal.is_trivial:
-        cx = module_as_complex(module)
-        return Tower(
-            name=f"adic({module.name})",
-            stages=[cx] * depth,
-            transition_fns=[_identity_transition] * (depth - 1),
-            meta={"ideal": ideal, "kind": "adic"},
-        )
+        stages = [module_as_complex(module)] * depth
+        return _surjection_tower(name, stages, ideal, "adic")
     ring = module.scene.ring
     stages = []
     for r in range(1, depth + 1):
@@ -384,16 +361,7 @@ def adic_tower(module: PresentedModule, ideal: Ideal, depth: int, bound: int) ->
             name=f"{module.name}/I^{r}",
         )
         stages.append(module_as_complex(staged))
-
-    def identity_transition(i, d, label):
-        return {label: Fraction(1)}
-
-    return Tower(
-        name=f"adic({module.name})",
-        stages=stages,
-        transition_fns=[identity_transition] * (depth - 1),
-        meta={"ideal": ideal, "kind": "adic"},
-    )
+    return _surjection_tower(name, stages, ideal, "adic")
 
 
 def completed_complex(cx: GradedComplex, ideal: Ideal, depth: int, bound: int) -> Tower:
@@ -407,14 +375,9 @@ def completed_complex(cx: GradedComplex, ideal: Ideal, depth: int, bound: int) -
     stage here is an honest complex.  Transitions are the natural
     surjections in both cases.  Along the zero ideal the tower is constant.
     """
-    identity_transition = _identity_transition
+    name = f"completed({cx.name})"
     if ideal.is_trivial:
-        return Tower(
-            name=f"completed({cx.name})",
-            stages=[cx] * depth,
-            transition_fns=[identity_transition] * (depth - 1),
-            meta={"ideal": ideal, "kind": "completed"},
-        )
+        return _surjection_tower(name, [cx] * depth, ideal, "completed")
     ring = ideal.generators[0].ring
 
     if cx.kind == "derham":
@@ -428,12 +391,7 @@ def completed_complex(cx: GradedComplex, ideal: Ideal, depth: int, bound: int) -
             stage.name = f"{cx.name} on V(I^{r})"
             stage.meta["stage"] = r
             stages.append(stage)
-        return Tower(
-            name=f"completed({cx.name})",
-            stages=stages,
-            transition_fns=[identity_transition] * (depth - 1),
-            meta={"ideal": ideal, "kind": "completed-derham"},
-        )
+        return _surjection_tower(name, stages, ideal, "completed-derham")
 
     if cx.kind == "jet" and cx.meta.get("r", 0) >= 1:
         raise SceneError(
@@ -472,13 +430,7 @@ def completed_complex(cx: GradedComplex, ideal: Ideal, depth: int, bound: int) -
                 mul_fn=cx.mul_fn,
             )
         )
-
-    return Tower(
-        name=f"completed({cx.name})",
-        stages=stages,
-        transition_fns=[identity_transition] * (depth - 1),
-        meta={"ideal": ideal, "kind": "completed"},
-    )
+    return _surjection_tower(name, stages, ideal, "completed")
 
 
 def koszul_power_tower(
@@ -705,28 +657,9 @@ def embedding_independence(
     def ambient_scene(s):
         return AffineScene(s.ring, Ideal(()))
 
-    lim_small = _stabilized_limits(build_de_rham(ambient_scene(small)), small.ideal, depth, bound)
-    lim_big = _stabilized_limits(build_de_rham(ambient_scene(big)), big.ideal, depth, bound)
-    cells = sorted(set(lim_small.entries) | set(lim_big.entries))
-    for cell in cells:
-        a = lim_small.entries.get(cell)
-        b = lim_big.entries.get(cell)
-        da = a["lim"] if a and a["stabilized"] else (0 if a is None else None)
-        db = b["lim"] if b and b["stabilized"] else (0 if b is None else None)
-        if da is None or db is None:
-            report.unstabilized.append(cell)
-        elif da != db:
-            report.derham_mismatches.append(cell)
-    report.derham_equal = not report.derham_mismatches
-
-    if spencer_order is not None:
-        report.spencer_equal = True
-        lim_s = _stabilized_limits(
-            filtered_spencer(small.ring, spencer_order), small.ideal, depth, bound
-        )
-        lim_b = _stabilized_limits(
-            filtered_spencer(big.ring, spencer_order), big.ideal, depth, bound
-        )
+    def compare(cx_small, cx_big, mismatches):
+        lim_s = _stabilized_limits(cx_small, small.ideal, depth, bound)
+        lim_b = _stabilized_limits(cx_big, big.ideal, depth, bound)
         for cell in sorted(set(lim_s.entries) | set(lim_b.entries)):
             a = lim_s.entries.get(cell)
             b = lim_b.entries.get(cell)
@@ -735,6 +668,18 @@ def embedding_independence(
             if da is None or db is None:
                 report.unstabilized.append(cell)
             elif da != db:
-                report.spencer_mismatches.append(cell)
-                report.spencer_equal = False
+                mismatches.append(cell)
+        return not mismatches
+
+    report.derham_equal = compare(
+        build_de_rham(ambient_scene(small)),
+        build_de_rham(ambient_scene(big)),
+        report.derham_mismatches,
+    )
+    if spencer_order is not None:
+        report.spencer_equal = compare(
+            filtered_spencer(small.ring, spencer_order),
+            filtered_spencer(big.ring, spencer_order),
+            report.spencer_mismatches,
+        )
     return report

@@ -13,7 +13,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .complexes import GradedComplex, HomologyTable, homology_table, subset_weight
+from .complexes import (
+    GradedComplex,
+    HomologyTable,
+    _multi_indices,
+    homology_table,
+    subset_weight,
+)
 from .errors import BudgetExceeded, InternalInvariantError, SceneError
 from .rings import AffineScene, Ideal, Polynomial, WeightedRing, mono_mul
 
@@ -50,34 +56,15 @@ class WeylAlgebra:
             raise BudgetExceeded(f"operator order {sum(b)} exceeds bound {self.order_bound}")
         return DiffOperator(self, {(tuple(a), tuple(b)): Fraction(coeff)})
 
-    def term_weight(self, a: tuple, b: tuple) -> int:
-        return self.ring.mono_weight(a) - self.ring.mono_weight(b)
-
     def basis_of_weight(self, d: int, max_order: int | None = None) -> tuple:
         """All (a, b) with |b| <= max_order and weight d, sorted."""
         p = self.order_bound if max_order is None else max_order
         out = []
-        for b in _bounded_multi_indices(self.nvars, p):
+        for b in _multi_indices(self.nvars, p):
             wa = d + self.ring.mono_weight(b)
             for a in self.ring.monomials_of_weight(wa):
                 out.append((a, b))
         return tuple(sorted(out))
-
-
-def _bounded_multi_indices(n: int, total: int):
-    if total < 0:
-        return []
-    out = []
-
-    def walk(prefix, rest):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for e in range(rest + 1):
-            walk(prefix + [e], rest - e)
-
-    walk([], total)
-    return sorted(out)
 
 
 class DiffOperator:
@@ -335,7 +322,7 @@ def kashiwara_quotient(
         relations = []
         for g in ideal.generators:
             e = g.weighted_degree()
-            for b in _bounded_multi_indices(ring.nvars, p):
+            for b in _multi_indices(ring.nvars, p):
                 wa = d + ring.mono_weight(b) - e
                 for m in ring.monomials_of_weight(wa):
                     relations.append(

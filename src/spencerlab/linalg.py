@@ -302,3 +302,11 @@ class GradedPiece:
 
     def is_relation(self, vec: dict) -> bool:
         return not self.reduce(vec)
+
+    def relation_rows(self):
+        """The RREF relation rows as ambient vectors; they span the relations."""
+        amb = self.ambient
+        for p in self._pivots:
+            row = {amb[p]: _ONE}
+            row.update((amb[j], v) for j, v in self._sparse_rows[p].items())
+            yield row

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .complexes import insert_sign
 from .errors import SceneError
 from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve
 from .rings import INHOMOGENEOUS, AffineScene, Polynomial, mono_mul
@@ -86,12 +87,6 @@ class PresentedModule:
             if len(degs) > 1:
                 raise SceneError("relation is not weight-homogeneous")
 
-    def gen_weight(self, label) -> int:
-        for lbl, w in self.generators:
-            if lbl == label:
-                return w
-        raise KeyError(label)
-
     def _all_relations(self):
         ring = self.scene.ring
         rels = list(self.relations)
@@ -104,10 +99,6 @@ class PresentedModule:
 
     def piece(self, d: int) -> GradedPiece:
         return _module_piece(self, d)
-
-    def mul_into_ambient(self, label, p: Polynomial) -> dict:
-        """p * (generator) as an ambient vector at weight w(label) + deg p."""
-        return {(m, label): c for m, c in p.terms.items()}
 
 
 @lru_cache(maxsize=None)
@@ -162,16 +153,10 @@ def omega_module(scene: AffineScene, i: int = 1) -> PresentedModule:
             for j in range(n):
                 if j in T:
                     continue
-                sign, S = _insert_sorted(j, T)
+                sign, S = insert_sign(j, T)
                 rel[S] = rel[S] + g.partial_derivative(j).scale(sign)
             rels.append(tuple(rel[S] for S, _ in gens))
     return PresentedModule(scene, tuple(gens), tuple(rels), name=f"omega{i}")
-
-
-def _insert_sorted(j: int, S: tuple) -> tuple[int, tuple]:
-    before = sum(1 for s in S if s < j)
-    out = tuple(sorted(S + (j,)))
-    return (-1) ** before, out
 
 
 # -- derivation modules ------------------------------------------------------
@@ -259,19 +244,12 @@ def derivation_space(scene: AffineScene, t: int) -> DerivationSpace:
 
 def _normalize(coeffs, ring):
     """Scale a coefficient tuple to primitive integers, first sign positive."""
-    nums, dens = [], []
-    for p in coeffs:
-        for c in p.terms.values():
-            nums.append(abs(c.numerator))
-            dens.append(c.denominator)
-    if not nums:
+    dens = [c.denominator for p in coeffs for c in p.terms.values()]
+    if not dens:
         return coeffs
     den_l = 1
     for dv in dens:
         den_l = den_l * dv // gcd(den_l, dv)
-    g = 0
-    for nv in nums:
-        g = gcd(g, nv * (den_l // 1))
     scale = Fraction(den_l, 1)
     scaled = [p.scale(scale) for p in coeffs]
     g = 0

@@ -232,12 +232,6 @@ class Polynomial:
             res[dm] = res.get(dm, Fraction(0)) + c * e
         return Polynomial(self.ring, res)
 
-    def graded_parts(self) -> dict[int, "Polynomial"]:
-        parts: dict[int, dict] = {}
-        for m, c in self.terms.items():
-            parts.setdefault(self.ring.mono_weight(m), {})[m] = c
-        return {d: Polynomial(self.ring, t) for d, t in sorted(parts.items())}
-
     # -- printing ---------------------------------------------------------
 
     def sorted_terms(self):
@@ -425,9 +419,6 @@ class Ideal:
     def is_trivial(self) -> bool:
         return not self.generators
 
-    def ring_or(self, ring: WeightedRing) -> WeightedRing:
-        return self.generators[0].ring if self.generators else ring
-
 
 @dataclass(frozen=True)
 class AffineScene:
@@ -449,9 +440,6 @@ class AffineScene:
     @property
     def nvars(self) -> int:
         return self.ring.nvars
-
-    def generator_degrees(self) -> tuple[int, ...]:
-        return tuple(g.weighted_degree() for g in self.ideal.generators)
 
 
 def scene(variables, weights, generators=()) -> AffineScene:

@@ -213,7 +213,7 @@ def test_criterion_10_structural_suite(capsys):
     assert len(SCENE_FILES) >= 12
     for name in SCENE_FILES:
         s, _opts = load_scene(os.path.join(scenes_dir, name))
-        # d∘d = 0, Euler characteristic, rank-nullity are hard assertions
+        # d∘d = 0 and rank-nullity are hard assertions
         # inside these calls; weight bound kept modest for the big scenes
         bound = 6 if s.ring.nvars >= 3 else 8
         homology_table(build_de_rham(s), bound)

@@ -16,8 +16,8 @@ from spencerlab.completion import (
     module_as_complex,
     tower_limit,
 )
-from spencerlab.errors import SceneError
-from spencerlab.modules import free_module, graded_component_basis
+from spencerlab.errors import InternalInvariantError, SceneError
+from spencerlab.modules import PresentedModule, free_module, graded_component_basis
 from spencerlab.rings import AffineScene, Ideal, parse_polynomial, scene
 
 
@@ -93,6 +93,22 @@ def _constant_tower(stage_complex, depth, identity=True):
         [stage_complex] * depth,
         [fn] * (depth - 1),
     )
+
+
+def test_transition_not_well_defined_raises(a1):
+    # stage 2 = O/(x) -> stage 1 = O/(x^2) under the identity sends the
+    # relation x to the nonzero class of x
+    x = parse_polynomial("x", a1.ring)
+
+    def quotient(p):
+        return module_as_complex(PresentedModule(a1, (("1", 0),), ((p,),), name=str(p)))
+
+    def identity(i, d, label):
+        return {label: Fraction(1)}
+
+    t = Tower("bad", [quotient(x**2), quotient(x)], [identity])
+    with pytest.raises(InternalInvariantError, match="not well defined"):
+        t.transition_matrix(1, 0, 1)
 
 
 def test_constant_tower_limits(a1):

@@ -259,6 +259,22 @@ def test_graded_piece_reduce():
     assert not piece.is_relation({"c": F(1)})
 
 
+@given(_sparse_matrices(6, 8, 0.4))
+def test_relation_rows_rebuild_the_same_piece(matrix):
+    ambient = tuple(f"e{j}" for j in range(len(matrix[0])))
+    relations = [{ambient[j]: v for j, v in enumerate(row)} for row in matrix]
+    piece = GradedPiece(ambient, relations)
+    rows = list(piece.relation_rows())
+    assert len(rows) == len(ambient) - piece.dim
+    rebuilt = GradedPiece(ambient, rows)
+    assert rebuilt.basis == piece.basis
+    # reduce is linear, so agreeing on every unit vector is agreeing everywhere
+    for lbl in ambient:
+        assert rebuilt.reduce({lbl: F(1)}) == piece.reduce({lbl: F(1)})
+    for rel in relations:
+        assert rebuilt.is_relation(rel)
+
+
 def test_inverse_roundtrip():
     m = LinearMap(("a", "b"), ("a", "b"), ((F(2), F(1)), (F(1), F(1))))
     inv = m.inverse()
