@@ -1,7 +1,8 @@
 """Batch command line: scene files in, JSON (or plain tables) out.
 
 Exit codes: 0 success, 1 input error, 2 resource budget exceeded,
-3 internal invariant violation (a bug: d∘d != 0 or similar).
+3 internal invariant violation (a bug: d∘d != 0 or similar) or any other
+unexpected exception, reported in one line without a traceback.
 Identical inputs produce byte-identical JSON (sorted keys throughout).
 """
 
@@ -296,6 +297,9 @@ def main(argv=None) -> int:
         return 1
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a bug outside the checked invariants
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -61,24 +61,22 @@ def subset_weight(ring, S: tuple) -> int:
 def induced_map(src: GradedPiece, tgt: GradedPiece, fn, error: str) -> LinearMap:
     """Matrix of an ambient-label operator between two quotient pieces.
 
-    ``fn(label) -> dict over target ambient labels`` is extended linearly.
-    Raises ``InternalInvariantError(error)`` unless the operator maps every
-    relation row of ``src`` into the relation span of ``tgt``; the rows span
-    the source relations, so this is exactly well-definedness on the
-    quotients.
+    ``fn(label) -> dict over target ambient labels`` is extended linearly
+    and evaluated once per ambient label of ``src``: each one is a pivot of
+    a relation row or a basis label.  Raises ``InternalInvariantError(error)``
+    unless the operator maps every relation row of ``src`` into the relation
+    span of ``tgt``; the rows span the source relations, so this is exactly
+    well-definedness on the quotients.
     """
-
-    def apply(vec):
-        out: dict = {}
-        for label, c in vec.items():
-            for lbl, cc in fn(label).items():
-                out[lbl] = out.get(lbl, 0) + c * cc
-        return out
-
+    image = {lbl: fn(lbl) for lbl in src.ambient}
     for row in src.relation_rows():
-        if not tgt.is_relation(apply(row)):
+        out: dict = {}
+        for label, c in row.items():
+            for lbl, cc in image[label].items():
+                out[lbl] = out.get(lbl, 0) + c * cc
+        if not tgt.is_relation(out):
             raise InternalInvariantError(error)
-    cols = [tgt.coords(fn(lbl)) for lbl in src.basis]
+    cols = [tgt.coords(image[lbl]) for lbl in src.basis]
     return LinearMap.from_columns(src.basis, tgt.basis, cols)
 
 

@@ -2,30 +2,35 @@
 
 On a weighted cone the Euler field Xi = sum w_i x_i d_i is tangent to the
 cone and its Lie derivative acts on every weight-d homogeneous element as
-multiplication by d.  Together with the Cartan identity
-L = d∘iota + iota∘d this yields an explicit contracting homotopy
-h = iota ∘ L^{-1} in positive form degrees wherever L is bijective, and a
-per-piece certificate that homology vanishes there.
+multiplication by d.  Every certificate here takes the Cartan operator
+L = d∘iota + iota∘d of a contraction iota; where L is bijective,
+h = iota ∘ L^{-1} is an explicit contracting homotopy, and a per-piece
+certificate records that homology vanishes there.  The certificate never
+builds a Lie derivative: :func:`cartan_check` is what ties L to it.
 
-For jet complexes the form-slot contraction does not change the jet
-order, so the homotopy is driven instead by the delta-slot contraction
-(raise the delta exponent while contracting the form slot).  Its Cartan
-operator dι + ιd is upper triangular in the delta filtration with
-diagonal entries (form degree + delta degree), hence invertible in
-positive form degrees; the certificate then has the same shape
-h = iota ∘ L^{-1} with that operator as L.  Which flavor certified each
-piece is recorded in the certificate.
+On form complexes iota is the contraction with the derivation, and the
+Cartan identity L = L_xi is checked piece by piece; for the Euler field
+the certificate also checks L = d·id.  For jet complexes the form-slot
+contraction does not change the jet order, so the homotopy is driven
+instead by the delta-slot contraction (raise the delta exponent while
+contracting the form slot).  Its Cartan operator is upper triangular in
+the delta filtration with diagonal entries (form degree + delta degree),
+hence invertible in positive form degrees; :func:`cartan_check` checks
+that shape on ambient labels and that the Euler Lie action is weight·id.
+Which flavor certified each piece is recorded in the certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .complexes import (
     GradedComplex,
     _multi_indices,
     divided_derivative,
+    insert_sign,
     remove_sign,
     subset_weight,
 )
@@ -57,6 +62,11 @@ class Derivation:
         if len(weights) > 1:
             raise SceneError("derivation is not weight-homogeneous")
         object.__setattr__(self, "_weight", weights.pop() if weights else 0)
+        # Jacobian d(xi_s)/dx_k, read by every Lie derivative of a form label
+        object.__setattr__(self, "_jacobian", tuple(
+            tuple(c.partial_derivative(k) for k in range(ring.nvars))
+            for c in self.coefficients
+        ))
         for g in self.scene.ideal.generators:
             if not in_ideal_degreewise(self.scene, self.apply(g)):
                 raise SceneError(
@@ -112,16 +122,6 @@ def euler_derivation(scene: AffineScene) -> Derivation:
     return xi
 
 
-def _permutation_sign(seq) -> int:
-    sign = 1
-    seq = list(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
-
-
 # -- ambient-level operator formulas ------------------------------------------
 
 def _form_lie(xi: Derivation, label) -> dict:
@@ -131,17 +131,15 @@ def _form_lie(xi: Derivation, label) -> dict:
     for mm, c in xi.apply(xi.scene.ring.monomial(m)).terms.items():
         out[(mm, S)] = out.get((mm, S), Fraction(0)) + c
     for t, s in enumerate(S):
-        dxi = xi.coefficients[s]
-        for k in range(len(label[0])):
-            coeff = dxi.partial_derivative(k)
+        # dx_s at slot t becomes d(xi_s) = sum_k (d xi_s / dx_k) dx_k
+        outer, rest = remove_sign(t, S)
+        for k, coeff in enumerate(xi._jacobian[s]):
             if coeff.is_zero():
                 continue
-            slots = list(S)
-            slots[t] = k
-            if len(set(slots)) < len(slots):
+            inner, Snew = insert_sign(k, rest)
+            if inner is None:
                 continue
-            sign = _permutation_sign(slots)
-            Snew = tuple(sorted(slots))
+            sign = outer * inner
             for mm, c in coeff.terms.items():
                 key = (mono_mul(m, mm), Snew)
                 out[key] = out.get(key, Fraction(0)) + sign * c
@@ -254,14 +252,8 @@ def interior_product_matrix(
     if cx.kind == "jet":
         def fn(lbl):
             S, c, beta = lbl
-            out: dict = {}
-            for t, s in enumerate(S):
-                sign, rest = remove_sign(t, S)
-                prod = xi.scene.ring.monomial(c) * xi.coefficients[s]
-                for mm, cc in prod.terms.items():
-                    key = (rest, mm, beta)
-                    out[key] = out.get(key, Fraction(0)) + sign * cc
-            return out
+            return {(rest, mm, beta): cc
+                    for (mm, rest), cc in _form_contraction(xi, (c, S)).items()}
 
         return cx.induced((i, d), (i - 1, d + xi.weight), fn,
                           what="interior product")
@@ -276,13 +268,19 @@ def jet_contraction_matrix(cx: GradedComplex, i: int, d: int) -> LinearMap:
     return cx.induced((i, d), (i - 1, d), _jet_contraction, what="jet contraction")
 
 
-def _homotopy_L(cx: GradedComplex, iota, i: int, d: int) -> LinearMap:
-    """d∘iota + iota∘d with the weight-preserving contraction iota(i, d)."""
-    down = cx.differential(i - 1, d).compose(iota(i, d))
-    if i + 1 in cx.indices and cx.piece(i + 1, d).dim and cx.piece(i, d).dim:
-        up = iota(i + 1, d).compose(cx.differential(i, d))
-        return down.add(up)
-    return down
+def _cartan_operator(cx: GradedComplex, op, i: int, d: int, shift: int = 0) -> LinearMap:
+    """d∘op + op∘d from the piece (i, d) to the piece (i, d + shift).
+
+    ``op(j, e)`` maps the piece (j, e) to the piece (j - 1, e + shift).
+    The op∘d term is left out where the piece (i + 1, d) is zero, so
+    ``op`` is never asked to descend from a zero piece.
+    """
+    total = LinearMap.zero(cx.piece(i, d).basis, cx.piece(i, d + shift).basis)
+    if i - 1 in cx.indices:
+        total = total.add(cx.differential(i - 1, d + shift).compose(op(i, d)))
+    if cx.piece(i + 1, d).dim:
+        total = total.add(op(i + 1, d).compose(cx.differential(i, d)))
+    return total
 
 
 # -- reports -------------------------------------------------------------------
@@ -324,30 +322,14 @@ def cartan_check(xi: Derivation, cx: GradedComplex, bound: int) -> CartanReport:
     """
     if _is_form_complex(cx):
         report = CartanReport(cx.name, str(xi), bound, "L = d∘iota + iota∘d")
-        t = xi.weight
+        iota = cache(lambda i, d: interior_product_matrix(xi, cx, i, d))
         for d in range(cx.weight_floor, bound + 1):
             for i in cx.indices:
                 if cx.piece(i, d).dim == 0:
                     continue
                 lie = lie_derivative_matrix(xi, cx, i, d)
-                parts = []
-                if i >= 1:
-                    parts.append(
-                        cx.differential(i - 1, d + t).compose(
-                            interior_product_matrix(xi, cx, i, d)
-                        )
-                    )
-                if i + 1 in cx.indices:
-                    parts.append(
-                        interior_product_matrix(xi, cx, i + 1, d).compose(
-                            cx.differential(i, d)
-                        )
-                    )
-                both = LinearMap.zero(lie.source_basis, lie.target_basis)
-                for p in parts:
-                    both = both.add(p)
                 report.checked.append((i, d))
-                if both.matrix != lie.matrix:
+                if _cartan_operator(cx, iota, i, d, xi.weight).matrix != lie.matrix:
                     report.violations.append((i, d))
         return report
 
@@ -428,35 +410,35 @@ def acyclicity_certificate(
 ) -> AcyclicityCertificate:
     """Certify H^i_d = 0 for i >= 1, d <= bound via h = iota∘L^{-1}.
 
-    Every certified piece records three exact matrix facts: L is
-    bijective there, d∘h + h∘d is the identity, and the independently
-    computed homology dimension is zero.
+    L = d∘iota + iota∘d is the Cartan operator of the flavor's
+    contraction; no Lie derivative is built here (:func:`cartan_check`
+    ties L to it).  Every certified piece records three exact matrix
+    facts: L is bijective there, d∘h + h∘d is the identity, and the
+    independently computed homology dimension is zero.
     """
     if _is_form_complex(cx):
-        flavor = "euler-contraction"
-        iota = lambda ii, dd: interior_product_matrix(xi, cx, ii, dd)
-        lie = lambda ii, dd: lie_derivative_matrix(xi, cx, ii, dd)
         if xi.weight != 0:
             raise SceneError("acyclicity certificates need a weight-zero derivation")
+        flavor = "euler-contraction"
+        iota = cache(lambda i, d: interior_product_matrix(xi, cx, i, d))
     elif cx.kind == "jet":
         flavor = "jet-contraction"
-        iota = lambda ii, dd: jet_contraction_matrix(cx, ii, dd)
-
-        def lie(ii, dd):
-            return _homotopy_L(cx, iota, ii, dd)
+        iota = cache(lambda i, d: jet_contraction_matrix(cx, i, d))
     else:
         raise SceneError(f"certificates unsupported on kind {cx.kind!r}")
 
+    euler = flavor == "euler-contraction" and xi.is_euler()
     cert = AcyclicityCertificate(cx.name, str(xi), bound, flavor)
     positive = [i for i in cx.indices if i >= 1]
     for d in range(cx.weight_floor, bound + 1):
         # L must be invertible on every nonzero piece entering the identity.
         L_inv: dict = {}
         for i in positive:
-            if cx.piece(i, d).dim == 0:
+            piece = cx.piece(i, d)
+            if piece.dim == 0:
                 continue
             try:
-                L = lie(i, d)
+                L = _cartan_operator(cx, iota, i, d)
             except InternalInvariantError:
                 # The contraction does not descend to this quotient piece
                 # (jets of order >= 2 on singular scenes); refuse honestly.
@@ -464,40 +446,25 @@ def acyclicity_certificate(
                     ((i, d), "contraction not well defined on the quotient")
                 )
                 continue
-            if flavor == "euler-contraction" and xi.is_euler():
-                expected = LinearMap.identity(cx.piece(i, d).basis).scale(d)
-                if L.matrix != expected.matrix:
-                    cert.refused.append(((i, d), "Euler Lie action is not weight·id"))
-                    continue
-                if d == 0:
-                    cert.refused.append(((i, d), "L singular: weight 0"))
-                    continue
+            if euler and L.matrix != LinearMap.identity(piece.basis).scale(d).matrix:
+                cert.refused.append(((i, d), "Euler Lie action is not weight·id"))
+                continue
             rank, _, _ = rank_kernel_image(L)
-            if rank != cx.piece(i, d).dim:
+            if rank != piece.dim:
                 cert.refused.append(((i, d), "L singular"))
                 continue
             L_inv[i] = L.inverse()
+        h = {i: iota(i, d).compose(inv) for i, inv in L_inv.items()}
         for i in positive:
-            dim = cx.piece(i, d).dim
-            if dim == 0:
+            if cx.piece(i, d).dim == 0:
                 cert.certified[(i, d)] = 0
                 continue
             if i not in L_inv:
                 continue  # already refused above
-            h_i = iota(i, d).compose(L_inv[i])
-            dh = cx.differential(i - 1, d).compose(h_i)
-            if i + 1 in cx.indices and cx.piece(i + 1, d).dim:
-                if i + 1 not in L_inv:
-                    cert.refused.append(
-                        ((i, d), f"L singular at form degree {i + 1}")
-                    )
-                    continue
-                h_up = iota(i + 1, d).compose(L_inv[i + 1])
-                hd = h_up.compose(cx.differential(i, d))
-                total = dh.add(hd)
-            else:
-                total = dh
-            if not total.is_identity():
+            if cx.piece(i + 1, d).dim and i + 1 not in L_inv:
+                cert.refused.append(((i, d), f"L singular at form degree {i + 1}"))
+                continue
+            if not _cartan_operator(cx, lambda j, _e: h[j], i, d).is_identity():
                 cert.refused.append(((i, d), "d∘h + h∘d != id"))
                 continue
             hdim = cx.homology_dim(i, d)

@@ -253,3 +253,19 @@ def test_input_errors_exit_1_without_traceback(argv):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert proc.stderr.startswith("error: ")
+
+
+def test_unexpected_exception_exits_3_in_one_line(monkeypatch, capsys):
+    import spencerlab.cli as cli
+
+    def broken(scene, opts, args):
+        return 1 // 0
+
+    monkeypatch.setitem(cli.COMMANDS, "milnor", broken)
+    code = main(["milnor", scene_path("cusp.scene")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("internal error: ZeroDivisionError: ")

@@ -32,6 +32,9 @@ COMMANDS = (
     ("complete", "--r-max", "3"),
     ("derived-complete", "--r-max", "3"),
     ("euler-certify",),
+    ("euler-certify", "--complex", "jet0"),
+    ("euler-certify", "--complex", "jet1"),
+    ("euler-certify", "--complex", "jet2"),
     ("kashiwara", "--p", "1"),
     ("spencer", "--module", "omega1"),
     ("filtered-spencer", "--p", "1"),

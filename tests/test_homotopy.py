@@ -1,11 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from spencerlab.complexes import build_de_rham, build_jet_complex, homology_table
+from spencerlab.complexes import (
+    GradedComplex,
+    build_de_rham,
+    build_jet_complex,
+    homology_table,
+)
 from spencerlab.errors import SceneError
 from spencerlab.homotopy import (
     Derivation,
+    _form_lie,
     acyclicity_certificate,
     cartan_check,
     contraction_pairing,
@@ -120,7 +128,58 @@ def test_interior_product_refuses_degree_zero(cusp):
         interior_product_matrix(xi, dr, 0, 4)
 
 
+def _inversion_sign(seq) -> int:
+    """Sign of the permutation sorting ``seq``, by counting inversions."""
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
+
+
+@given(st.data())
+def test_form_lie_sign_matches_inversion_count(data):
+    # xi = x_k d_s has d(xi_s) = dx_k, so L_xi(dx_S) replaces dx_s at its
+    # slot t by dx_k and sorts the slots: sign of that permutation, or 0
+    # when dx_k already occurs elsewhere in S
+    n = data.draw(st.integers(1, 5))
+    weights = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    S = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    t = data.draw(st.integers(0, len(S) - 1))
+    k = data.draw(st.integers(0, n - 1))
+    s = scene([f"x{j}" for j in range(n)], weights)
+    coeffs = [s.ring.zero()] * n
+    coeffs[S[t]] = s.ring.var(k)
+    one = (0,) * n
+    slots = list(S)
+    slots[t] = k
+    expected = {}
+    if len(set(slots)) == len(slots):
+        expected[(one, tuple(sorted(slots)))] = _inversion_sign(slots)
+    assert _form_lie(Derivation(s, tuple(coeffs)), (one, S)) == expected
+
+
 # -- Cartan and certificates --------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])  # jet order 0 is the de Rham complex
+def test_each_operator_is_built_once_per_call(monkeypatch, cusp, a2, r):
+    built = []
+    induced = GradedComplex.induced
+
+    def spy(self, src_pos, tgt_pos, fn, what="map"):
+        built.append((src_pos, tgt_pos, what))
+        return induced(self, src_pos, tgt_pos, fn, what)
+
+    monkeypatch.setattr(GradedComplex, "induced", spy)
+    for s in (cusp, a2):
+        cx = build_jet_complex(s, r)
+        xi = euler_derivation(s)
+        for run in (cartan_check, acyclicity_certificate):
+            built.clear()
+            run(xi, cx, 8)
+            assert built and len(built) == len(set(built)), run.__name__
 
 
 def test_cartan_plane(a2):
