@@ -28,7 +28,7 @@ from .complexes import (
     induced_map,
 )
 from .errors import InternalInvariantError, SceneError
-from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve
+from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve_columns
 from .modules import PresentedModule
 from .rings import AffineScene, Ideal, Polynomial, mono_mul
 
@@ -128,7 +128,7 @@ class Tower:
         j = i + upper.direction
         left = self.transition_matrix(r, j, d).compose(upper.differential(i, d))
         right = lower.differential(i, d).compose(self.transition_matrix(r, i, d))
-        if left.matrix != right.matrix:
+        if left != right:
             raise InternalInvariantError(
                 f"{self.name}: transition {r+1}->{r} is not a chain map at "
                 f"(i={i}, d={d})"
@@ -140,42 +140,56 @@ class Tower:
             self._hom_cache[key] = _HomologySpace(self.stage(r), i, d)
         return self._hom_cache[key]
 
+    def cell_dim(self, r: int, i: int, d: int) -> int:
+        """Number of chosen homology representatives of stage r at (i, d).
+
+        d∘d = 0 through (i, d) is checked first; then a zero
+        ``homology_dim``, read off the stage's cached ranks, means every
+        cycle is a boundary, and no homology space is built.
+        """
+        stage = self.stage(r)
+        stage.check_dd_zero(i - stage.direction, d)
+        if stage.homology_dim(i, d) == 0:
+            return 0
+        return self.homology_space(r, i, d).dim
+
     def homology_transition(self, r: int, i: int, d: int) -> LinearMap:
         """Induced map on homology H(stage r+1) -> H(stage r) at (i, d).
 
         The chain-map property is re-verified here; without it the
-        induced map would be meaningless.
+        induced map would be meaningless.  The images of all upper
+        representatives are expressed in one elimination.
         """
         self.verify_chain_map(r, i, d)
+        n_upper, n_lower = self.cell_dim(r + 1, i, d), self.cell_dim(r, i, d)
+        if not (n_upper and n_lower):
+            return LinearMap.zero(range(n_upper), range(n_lower))
         upper = self.homology_space(r + 1, i, d)
-        lower = self.homology_space(r, i, d)
         tmat = self.transition_matrix(r, i, d)
-        cols = [lower.express(tmat.apply(rep)) for rep in upper.reps]
-        return LinearMap.from_columns(
-            tuple(range(upper.dim)), tuple(range(lower.dim)), cols
+        cols = self.homology_space(r, i, d).express(
+            [tmat.apply(rep) for rep in upper.reps]
         )
+        return LinearMap.from_sparse_columns(range(n_upper), range(n_lower), cols)
 
 
 class _HomologySpace:
     """ker/im at one piece, with chosen cycle representatives.
 
     Cycles are reduced modulo the boundary span, the column span of the
-    incoming differential, as a quotient piece over the column indices.
+    incoming differential, as a quotient piece over the column indices
+    whose relations are that differential's sparse columns.
     """
 
     def __init__(self, cx: GradedComplex, i: int, d: int):
         out_map = cx.differential(i, d)
         in_map = cx.differential(i - cx.direction, d)
         _, kernel, _ = rank_kernel_image(out_map)
-        boundaries = [
-            dict(enumerate(in_map.column(j))) for j in range(len(in_map.source_basis))
-        ]
-        self._cycles_mod_b = GradedPiece(range(len(out_map.source_basis)), boundaries)
+        self._cycles_mod_b = GradedPiece(range(len(out_map.source_basis)), in_map.columns)
         self.reps = []
         self._solve_cols = []
         for v in kernel:
             w = self._mod_boundaries(v)
-            if any(w):
+            if w:
                 self.reps.append(tuple(v))
                 self._solve_cols.append(w)
 
@@ -183,16 +197,19 @@ class _HomologySpace:
     def dim(self) -> int:
         return len(self.reps)
 
-    def _mod_boundaries(self, vec) -> tuple:
-        """Coordinates of a chain's normal form modulo the boundaries."""
-        return self._cycles_mod_b.coords(dict(enumerate(vec)))
+    def _mod_boundaries(self, vec) -> dict:
+        """Sparse coordinates of a chain's normal form modulo the boundaries."""
+        return self._cycles_mod_b.sparse_coords(dict(enumerate(vec)))
 
-    def express(self, vec) -> tuple:
-        """Coordinates of a cycle's class in the chosen representatives."""
-        sol = solve(self._solve_cols, self._mod_boundaries(vec))
-        if sol is None:
+    def express(self, vecs) -> list:
+        """Sparse coordinates of cycles' classes in the chosen representatives.
+
+        All cycles are expressed in one elimination.
+        """
+        sols = solve_columns(self._solve_cols, [self._mod_boundaries(v) for v in vecs])
+        if None in sols:
             raise InternalInvariantError("class outside the homology space")
-        return sol
+        return sols
 
 
 # -- limits ---------------------------------------------------------------------
@@ -249,6 +266,11 @@ def tower_limit(tower: Tower, bound: int, weight_lo: int | None = None) -> Limit
     on finite-dimensional pieces) and that stable value is confirmed on at
     least the last two stages.  Then lim is the stable image dimension and
     lim^1 = 0; otherwise the cell reports not stabilized.
+
+    Each stage's cell dimension comes from :meth:`Tower.cell_dim`: after
+    d∘d = 0 is checked through the cell, a zero ``homology_dim`` read off
+    the stage's cached ranks is the cell's dimension, and a homology space
+    with representatives is built only for the other cells.
     """
     lo = tower.weight_floor if weight_lo is None else weight_lo
     report = LimitReport(
@@ -257,7 +279,7 @@ def tower_limit(tower: Tower, bound: int, weight_lo: int | None = None) -> Limit
     R = tower.depth
     for d in range(lo, bound + 1):
         for i in tower.indices:
-            dims = [tower.homology_space(r, i, d).dim for r in range(1, R + 1)]
+            dims = [tower.cell_dim(r, i, d) for r in range(1, R + 1)]
             stabilized = False
             lim = lim1 = r0 = None
             if not any(dims):

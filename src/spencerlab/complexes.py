@@ -76,8 +76,8 @@ def induced_map(src: GradedPiece, tgt: GradedPiece, fn, error: str) -> LinearMap
                 out[lbl] = out.get(lbl, 0) + c * cc
         if not tgt.is_relation(out):
             raise InternalInvariantError(error)
-    cols = [tgt.coords(image[lbl]) for lbl in src.basis]
-    return LinearMap.from_columns(src.basis, tgt.basis, cols)
+    cols = [tgt.sparse_coords(image[lbl]) for lbl in src.basis]
+    return LinearMap.from_sparse_columns(src.basis, tgt.basis, cols)
 
 
 class GradedComplex:
@@ -116,6 +116,7 @@ class GradedComplex:
         self._pieces: dict = {}
         self._diffs: dict = {}
         self._ranks: dict = {}
+        self._dd_checked: set = set()
 
     def piece(self, i: int, d: int) -> GradedPiece:
         key = (i, d)
@@ -169,12 +170,16 @@ class GradedComplex:
         return self._ranks[key]
 
     def check_dd_zero(self, i: int, d: int):
+        """Raise unless d∘d = 0 from (i, d); each pair is composed once per complex."""
+        if (i, d) in self._dd_checked:
+            return
         first = self.differential(i, d)
         second = self.differential(i + self.direction, d)
         if not second.compose(first).is_zero():
             raise InternalInvariantError(
                 f"{self.name}: d∘d != 0 at (i={i}, d={d})"
             )
+        self._dd_checked.add((i, d))
 
     def homology_dim(self, i: int, d: int) -> int:
         out_rank = self.rank(i, d)

@@ -128,8 +128,14 @@ def _form_lie(xi: Derivation, label) -> dict:
     """Lie derivative on a form label (monomial, S), as an ambient vector."""
     m, S = label
     out: dict = {}
-    for mm, c in xi.apply(xi.scene.ring.monomial(m)).terms.items():
-        out[(mm, S)] = out.get((mm, S), Fraction(0)) + c
+    # xi(x^m) = sum_i m_i xi_i x^(m - e_i): one exponent shift per variable
+    for i, e in enumerate(m):
+        if not e:
+            continue
+        shifted = m[:i] + (e - 1,) + m[i + 1:]
+        for mm, c in xi.coefficients[i].terms.items():
+            key = (mono_mul(shifted, mm), S)
+            out[key] = out.get(key, Fraction(0)) + e * c
     for t, s in enumerate(S):
         # dx_s at slot t becomes d(xi_s) = sum_k (d xi_s / dx_k) dx_k
         outer, rest = remove_sign(t, S)
@@ -329,7 +335,7 @@ def cartan_check(xi: Derivation, cx: GradedComplex, bound: int) -> CartanReport:
                     continue
                 lie = lie_derivative_matrix(xi, cx, i, d)
                 report.checked.append((i, d))
-                if _cartan_operator(cx, iota, i, d, xi.weight).matrix != lie.matrix:
+                if _cartan_operator(cx, iota, i, d, xi.weight) != lie:
                     report.violations.append((i, d))
         return report
 
@@ -369,7 +375,7 @@ def cartan_check(xi: Derivation, cx: GradedComplex, bound: int) -> CartanReport:
                     continue
                 lie = lie_derivative_matrix(xi, cx, i, d)
                 expected = LinearMap.identity(cx.piece(i, d).basis).scale(d)
-                if xi.is_euler() and lie.matrix != expected.matrix:
+                if xi.is_euler() and lie != expected:
                     report.violations.append((i, d))
         return report
 
@@ -446,7 +452,7 @@ def acyclicity_certificate(
                     ((i, d), "contraction not well defined on the quotient")
                 )
                 continue
-            if euler and L.matrix != LinearMap.identity(piece.basis).scale(d).matrix:
+            if euler and L != LinearMap.identity(piece.basis).scale(d):
                 cert.refused.append(((i, d), "Euler Lie action is not weight·id"))
                 continue
             rank, _, _ = rank_kernel_image(L)

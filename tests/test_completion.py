@@ -1,8 +1,10 @@
+import os
 from fractions import Fraction
 
 import pytest
 
-from spencerlab.complexes import build_de_rham, build_koszul, homology_table
+from spencerlab import linalg
+from spencerlab.complexes import GradedComplex, build_de_rham, build_koszul, homology_table
 from spencerlab.completion import (
     Tower,
     adic_tower,
@@ -16,9 +18,11 @@ from spencerlab.completion import (
     module_as_complex,
     tower_limit,
 )
+from spencerlab.diffops import filtered_spencer
 from spencerlab.errors import InternalInvariantError, SceneError
 from spencerlab.modules import PresentedModule, free_module, graded_component_basis
 from spencerlab.rings import AffineScene, Ideal, parse_polynomial, scene
+from spencerlab.scenes import load_scene
 
 
 def line_data():
@@ -324,3 +328,86 @@ def test_derived_completion_two_generators():
         a, b = classical.entries[(0, d)], rep.entries[(0, d)]
         if a["stabilized"] and b["stabilized"]:
             assert a["lim"] == b["lim"]
+
+
+# -- homology transitions and zero cells ----------------------------------------------
+
+
+def test_homology_transition_eliminates_once(node, monkeypatch):
+    amb = AffineScene(node.ring, Ideal(()))
+    tower = koszul_power_tower(amb, node.ideal, 3)
+    r, i, d = 2, 0, 4
+    # build everything the transition reads, so only its own solve is left
+    assert tower.cell_dim(r + 1, i, d) == 5 and tower.cell_dim(r, i, d) == 5
+    tower.transition_matrix(r, i, d)
+    calls = []
+    kernel = linalg._gauss_jordan
+
+    def spy(rows):
+        calls.append(1)
+        return kernel(rows)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", spy)
+    t = tower.homology_transition(r, i, d)
+    assert t.shape == (5, 5)
+    assert len(calls) == 1
+
+
+def _one_cell_complex(name, differential):
+    """e2 -> e1 -> e0 in weight 0, each arrow ``differential`` times the unit."""
+    return GradedComplex(
+        name=name,
+        kind="synthetic",
+        direction=-1,
+        indices=(0, 1, 2),
+        ambient_fn=lambda i, d: (("e", i),) if d == 0 else (),
+        relations_fn=lambda i, d: [],
+        diff_fn=lambda i, d, lbl: {("e", i - 1): Fraction(differential)},
+    )
+
+
+def test_tower_stage_with_nonzero_dd_raises():
+    # stage 2's differential squares to the unit; the zero transition is a
+    # chain map, so only the d∘d check can catch it
+    good, bad = _one_cell_complex("good", 0), _one_cell_complex("bad", 1)
+    tower = Tower("dd", [good, bad], [lambda i, d, lbl: {}])
+    with pytest.raises(InternalInvariantError, match=r"^bad: d∘d != 0 at \(i=2, d=0\)$"):
+        tower_limit(tower, 0, weight_lo=0)
+
+
+SCENES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenes")
+
+
+def _corpus_towers(depth, bound):
+    """The towers of complete, derived-complete and independence (--p 1) per scene."""
+    for name in sorted(os.listdir(SCENES)):
+        if not name.endswith(".scene"):
+            continue
+        sc, _ = load_scene(os.path.join(SCENES, name))
+        if sc.ideal.is_trivial:
+            continue
+        amb = AffineScene(sc.ring, Ideal(()))
+        yield name, completed_complex(build_de_rham(amb), sc.ideal, depth, bound)
+        yield name, koszul_power_tower(amb, sc.ideal, depth)
+        yield name, completed_complex(filtered_spencer(sc.ring, 1), sc.ideal, depth, bound)
+
+
+def test_rank_derived_zero_cells_have_no_homology():
+    depth, bound = 3, 6
+    zero = nonzero = 0
+    for name, tower in _corpus_towers(depth, bound):
+        for r in range(1, depth + 1):
+            stage = tower.stage(r)
+            for i in tower.indices:
+                for d in range(min(tower.weight_floor, 0), bound + 1):
+                    dim = tower.cell_dim(r, i, d)
+                    if stage.homology_dim(i, d):
+                        nonzero += 1
+                        assert dim == tower.homology_space(r, i, d).dim > 0, (name, r, i, d)
+                        continue
+                    zero += 1
+                    # no homology space was built for the zero cell, and one
+                    # built now has no representatives
+                    assert dim == 0 and (r, i, d) not in tower._hom_cache, (name, r, i, d)
+                    assert tower.homology_space(r, i, d).dim == 0, (name, r, i, d)
+    assert zero and nonzero

@@ -4,7 +4,14 @@ from math import gcd
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spencerlab.linalg import GradedPiece, LinearMap, rank_kernel_image, rref, solve
+from spencerlab.linalg import (
+    GradedPiece,
+    LinearMap,
+    rank_kernel_image,
+    rref,
+    solve,
+    solve_columns,
+)
 
 F = Fraction
 
@@ -280,3 +287,145 @@ def test_inverse_roundtrip():
     inv = m.inverse()
     assert m.compose(inv).is_identity()
     assert inv.compose(m).is_identity()
+
+
+# -- dense oracle for the sparse maps ------------------------------------------
+# The dense row-major LinearMap operations, kept as an independent oracle for
+# the sparse-column storage.
+
+
+def _dense_apply(rows, vec):
+    support = [(j, x) for j, x in enumerate(vec) if x]
+    return tuple(sum((row[j] * x for j, x in support), F(0)) for row in rows)
+
+
+def _dense_compose(outer, first, ncols):
+    """outer ∘ first as dense rows; ``ncols`` is first's source dimension."""
+    out = [[F(0)] * ncols for _ in outer]
+    for i, row in enumerate(outer):
+        for k, a in enumerate(row):
+            for j in range(ncols):
+                out[i][j] += a * first[k][j]
+    return tuple(map(tuple, out))
+
+
+def _dense_add(ra, rb):
+    return tuple(tuple(a + b for a, b in zip(x, y)) for x, y in zip(ra, rb))
+
+
+def _dense_scale(rows, c):
+    return tuple(tuple(F(c) * a for a in row) for row in rows)
+
+
+def _dense_is_zero(rows):
+    return all(all(a == 0 for a in row) for row in rows)
+
+
+def _dense_is_identity(rows, ncols):
+    return len(rows) == ncols and all(
+        a == (1 if i == j else 0) for i, row in enumerate(rows) for j, a in enumerate(row)
+    )
+
+
+def _sparse_dense(rows, cols, fill, unit=False):
+    """Dense rows of shape rows x cols (either may be 0), about ``fill`` set.
+
+    With ``unit`` the drawn cells overwrite an identity matrix instead of a
+    zero one, so square draws are sometimes exactly the identity.
+    """
+    if not rows or not cols:
+        return st.just([[F(0)] * cols for _ in range(rows)])
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), entries)
+
+    def dense(triples):
+        matrix = [[F(int(unit and i == j)) for j in range(cols)] for i in range(rows)]
+        for i, j, v in triples:
+            matrix[i][j] = v
+        return matrix
+
+    return st.lists(cells, max_size=int(rows * cols * fill) + 1).map(dense)
+
+
+@st.composite
+def _map_family(draw):
+    """A: k -> m, B: n -> k, C: k -> m, S: k -> k, a vector and a scalar."""
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    fill = draw(st.sampled_from([0.0, 0.2, 0.6]))
+    a = draw(_sparse_dense(m, k, fill))
+    b = draw(_sparse_dense(k, n, fill))
+    c = draw(st.one_of(st.just(a), _sparse_dense(m, k, fill)))
+    sq = draw(_sparse_dense(k, k, fill, unit=draw(st.booleans())))
+    vec = draw(st.lists(entries, min_size=k, max_size=k))
+    scalar = draw(st.one_of(st.just(F(0)), entries))
+    return (m, k, n), a, b, c, sq, vec, scalar
+
+
+@given(_map_family())
+def test_sparse_maps_match_dense_oracle(family):
+    (m, k, n), a, b, c, sq, vec, scalar = family
+    src = tuple(f"s{j}" for j in range(n))
+    mid = tuple(range(k))
+    tgt = tuple(f"t{i}" for i in range(m))
+    A, B, C = LinearMap(mid, tgt, a), LinearMap(src, mid, b), LinearMap(mid, tgt, c)
+    S = LinearMap(mid, mid, sq)
+    dense_a = tuple(map(tuple, a))
+    assert A.matrix == dense_a and A.shape == (m, k)
+    assert A.compose(B).matrix == _dense_compose(a, b, n)
+    assert A.add(C).matrix == _dense_add(a, c)
+    assert A.scale(scalar).matrix == _dense_scale(a, scalar)
+    assert A.apply(vec) == _dense_apply(a, vec)
+    cols = [tuple(row[j] for row in a) for j in range(k)]
+    assert [A.column(j) for j in range(k)] == cols
+    assert A.is_zero() == _dense_is_zero(a)
+    assert A.add(A.scale(-1)).is_zero()
+    assert S.is_identity() == _dense_is_identity(sq, k)
+    assert (A == C) == (A.matrix == C.matrix)
+    assert (A.add(C) == C.add(A)) and hash(A.add(C)) == hash(C.add(A))
+    # the builders agree with the dense constructor
+    assert LinearMap.from_columns(mid, tgt, cols) == A
+    sparse = [{i: row[j] for i, row in enumerate(a)} for j in range(k)]
+    assert LinearMap.from_sparse_columns(mid, tgt, sparse) == A
+    assert all(0 not in col.values() for col in A.compose(B).columns)
+
+
+@st.composite
+def _solve_family(draw):
+    """Columns with dependent copies, and targets of which the first is outside the span."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 4))
+    base = draw(_sparse_dense(k, n, 0.5))
+    # dependent columns: multiples and sums of drawn ones
+    extra = []
+    picks = st.lists(st.integers(0, 10), min_size=1, max_size=2)
+    for pick in draw(st.lists(picks, max_size=3)) if base else ():
+        extra.append([2 * sum((base[p % k][i] for p in pick), F(0)) for i in range(n)])
+    # a last row that no column reaches
+    columns = [list(col) + [F(0)] for col in base + extra]
+    targets = [[F(0)] * n + [F(1)]]
+    width = len(columns)
+    for coeffs in draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=3)):
+        targets.append(
+            [sum((x * col[i] for x, col in zip(coeffs, columns)), F(0)) for i in range(n + 1)]
+        )
+    targets += draw(st.lists(st.lists(entries, min_size=n + 1, max_size=n + 1), max_size=2))
+    return columns, targets
+
+
+@given(_solve_family())
+def test_batched_solve_equals_per_target_solve(family):
+    columns, targets = family
+    k = len(columns)
+
+    def sparse(vec):
+        return {i: v for i, v in enumerate(vec) if v}
+
+    batched = solve_columns([sparse(c) for c in columns], [sparse(t) for t in targets])
+    assert len(batched) == len(targets)
+    assert batched[0] is None  # its last entry lies in a row no column reaches
+    for target, got in zip(targets, batched):
+        want = solve(columns, target)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and tuple(got.get(j, F(0)) for j in range(k)) == want
+            assert all(got.values())
