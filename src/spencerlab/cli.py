@@ -50,10 +50,6 @@ def _ambient(scene: AffineScene) -> AffineScene:
     return AffineScene(scene.ring, Ideal(()))
 
 
-def _table_json(table) -> dict:
-    return table.table_json()
-
-
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -82,11 +78,11 @@ def _complex_for(scene: AffineScene, spec: str):
 
 def cmd_derham(scene, opts, args):
     table = homology_table(build_de_rham(scene), args.degree_bound)
-    return {"tables": _table_json(table)}
+    return {"tables": table.table_json()}
 
 def cmd_jet(scene, opts, args):
     table = homology_table(build_jet_complex(scene, args.r), args.degree_bound)
-    return {"r": args.r, "tables": _table_json(table)}
+    return {"r": args.r, "tables": table.table_json()}
 
 
 def cmd_spencer(scene, opts, args):
@@ -94,13 +90,13 @@ def cmd_spencer(scene, opts, args):
         args.module
     ]
     table = pushforward_point(kind, scene, args.degree_bound)
-    return {"module": args.module, "tables": _table_json(table)}
+    return {"module": args.module, "tables": table.table_json()}
 
 
 def cmd_koszul(scene, opts, args):
     elements = [parse_polynomial(e, scene.ring) for e in args.elements]
     table = homology_table(build_koszul(scene, elements), args.degree_bound)
-    return {"elements": list(args.elements), "tables": _table_json(table)}
+    return {"elements": list(args.elements), "tables": table.table_json()}
 
 
 def cmd_filtered_spencer(scene, opts, args):
@@ -113,7 +109,7 @@ def cmd_filtered_spencer(scene, opts, args):
         )
     cx = filtered_spencer(ring, args.p)
     table = homology_table(cx, args.degree_bound)
-    return {"n": ring.nvars, "p": args.p, "tables": _table_json(table)}
+    return {"n": ring.nvars, "p": args.p, "tables": table.table_json()}
 
 
 def cmd_kashiwara(scene, opts, args):

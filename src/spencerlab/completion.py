@@ -175,38 +175,35 @@ class Tower:
 class _HomologySpace:
     """ker/im at one piece, with chosen cycle representatives.
 
-    Cycles are reduced modulo the boundary span, the column span of the
-    incoming differential, as a quotient piece over the column indices
-    whose relations are that differential's sparse columns.
+    The cycles come from the stage's cached sparse kernel of the outgoing
+    differential, so that differential is eliminated once for its rank
+    and its kernel.  They are reduced modulo the boundary span, the column
+    span of the incoming differential, as a quotient piece over the column
+    indices whose relations are that differential's sparse columns.
     """
 
     def __init__(self, cx: GradedComplex, i: int, d: int):
-        out_map = cx.differential(i, d)
         in_map = cx.differential(i - cx.direction, d)
-        _, kernel, _ = rank_kernel_image(out_map)
-        self._cycles_mod_b = GradedPiece(range(len(out_map.source_basis)), in_map.columns)
+        self._cycles_mod_b = GradedPiece(range(cx.piece(i, d).dim), in_map.columns)
         self.reps = []
         self._solve_cols = []
-        for v in kernel:
-            w = self._mod_boundaries(v)
+        for v in cx.homology_cycles(i, d):
+            w = self._cycles_mod_b.sparse_coords(v)
             if w:
-                self.reps.append(tuple(v))
+                self.reps.append(v)
                 self._solve_cols.append(w)
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
-    def _mod_boundaries(self, vec) -> dict:
-        """Sparse coordinates of a chain's normal form modulo the boundaries."""
-        return self._cycles_mod_b.sparse_coords(dict(enumerate(vec)))
-
     def express(self, vecs) -> list:
         """Sparse coordinates of cycles' classes in the chosen representatives.
 
         All cycles are expressed in one elimination.
         """
-        sols = solve_columns(self._solve_cols, [self._mod_boundaries(v) for v in vecs])
+        mod_b = self._cycles_mod_b.sparse_coords
+        sols = solve_columns(self._solve_cols, [mod_b(v) for v in vecs])
         if None in sols:
             raise InternalInvariantError("class outside the homology space")
         return sols
@@ -286,10 +283,7 @@ def tower_limit(tower: Tower, bound: int, weight_lo: int | None = None) -> Limit
                 stabilized, lim, lim1, r0 = True, 0, 0, 1
             else:
                 trans = [tower.homology_transition(r, i, d) for r in range(1, R)]
-                ranks = []
-                for t in trans:
-                    rank, _, _ = rank_kernel_image(t)
-                    ranks.append(rank)
+                ranks = [rank_kernel_image(t)[0] for t in trans]
                 iso = [
                     dims[r - 1] == dims[r] and ranks[r - 1] == dims[r]
                     for r in range(1, R)
@@ -313,8 +307,7 @@ def tower_limit(tower: Tower, bound: int, weight_lo: int | None = None) -> Limit
                         img = [ranks[r - 1]]
                         for k in range(r + 1, R):
                             comp = comp.compose(trans[k - 1])
-                            rank, _, _ = rank_kernel_image(comp)
-                            img.append(rank)
+                            img.append(rank_kernel_image(comp)[0])
                         if len(img) >= 2 and img[-1] == img[-2]:
                             stable_val[r] = img[-1]
                     good = sorted(stable_val)

@@ -115,7 +115,7 @@ class GradedComplex:
         self.mul_fn = mul_fn or (lambda i, lbl, mono: (mono_mul(lbl[0], mono),) + lbl[1:])
         self._pieces: dict = {}
         self._diffs: dict = {}
-        self._ranks: dict = {}
+        self._eliminated: dict = {}  # (i, d) -> (rank, sparse kernel basis or [])
         self._dd_checked: set = set()
 
     def piece(self, i: int, d: int) -> GradedPiece:
@@ -162,12 +162,25 @@ class GradedComplex:
                 )
         return self._diffs[key]
 
-    def rank(self, i: int, d: int) -> int:
-        """Rank of the differential at (i, d), eliminated once per complex."""
+    def _elimination(self, i: int, d: int) -> tuple:
+        """Rank and sparse kernel of the differential at (i, d), eliminated once."""
         key = (i, d)
-        if key not in self._ranks:
-            self._ranks[key], _, _ = rank_kernel_image(self.differential(i, d))
-        return self._ranks[key]
+        if key not in self._eliminated:
+            self._eliminated[key] = rank_kernel_image(self.differential(i, d))
+        return self._eliminated[key]
+
+    def rank(self, i: int, d: int) -> int:
+        return self._elimination(i, d)[0]
+
+    def homology_cycles(self, i: int, d: int) -> list:
+        """Cycles to draw homology representatives from at (i, d).
+
+        The canonical sparse kernel basis of the differential, or none when
+        the homology there is zero.
+        """
+        if self.homology_dim(i, d) == 0:
+            return []
+        return self._elimination(i, d)[1]
 
     def check_dd_zero(self, i: int, d: int):
         """Raise unless d∘d = 0 from (i, d); each pair is composed once per complex."""
@@ -189,6 +202,10 @@ class GradedComplex:
             raise InternalInvariantError(
                 f"{self.name}: negative homology dimension at (i={i}, d={d})"
             )
+        if h == 0:
+            # every cycle is a boundary, so no representative is ever drawn
+            # from this kernel; dropping it keeps the cache to nonzero cells
+            self._eliminated[i, d] = (out_rank, [])
         return h
 
 

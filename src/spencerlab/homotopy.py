@@ -455,8 +455,7 @@ def acyclicity_certificate(
             if euler and L != LinearMap.identity(piece.basis).scale(d):
                 cert.refused.append(((i, d), "Euler Lie action is not weight·id"))
                 continue
-            rank, _, _ = rank_kernel_image(L)
-            if rank != piece.dim:
+            if rank_kernel_image(L)[0] != piece.dim:
                 cert.refused.append(((i, d), "L singular"))
                 continue
             L_inv[i] = L.inverse()
@@ -556,13 +555,8 @@ def contraction_pairing(
         if not source:
             continue
         index = {lbl: k for k, lbl in enumerate(target)}
-        cols = []
-        for lbl, sign in columns:
-            vec = [Fraction(0)] * len(target)
-            vec[index[lbl]] = Fraction(sign)
-            cols.append(tuple(vec))
-        themap = LinearMap.from_columns(tuple(source), tuple(target), cols)
-        rank, _, _ = rank_kernel_image(themap)
-        if rank != len(source):
+        cols = [{index[lbl]: Fraction(sign)} for lbl, sign in columns]
+        themap = LinearMap.from_sparse_columns(source, target, cols)
+        if rank_kernel_image(themap)[0] != len(source):
             report.failures.append(d)
     return report

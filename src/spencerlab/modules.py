@@ -16,7 +16,7 @@ from math import gcd
 
 from .complexes import insert_sign
 from .errors import SceneError
-from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve
+from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve_columns
 from .rings import INHOMOGENEOUS, AffineScene, Polynomial, mono_mul
 
 
@@ -175,20 +175,27 @@ class DerivationSpace:
 
     def express(self, coeffs) -> tuple:
         """Coordinates of a tangent coefficient tuple in this basis."""
-        scene, t = self.scene, self.weight
-        cols = [_derivation_dense(scene, t, b) for b in self.basis]
-        sol = solve(cols, _derivation_dense(scene, t, coeffs))
+        scene = self.scene
+        weights = [self.weight + w for w in scene.ring.weights]
+        cols = [_stacked_coords(scene, b, weights) for b in self.basis]
+        (sol,) = solve_columns(cols, [_stacked_coords(scene, coeffs, weights)])
         if sol is None:
             raise SceneError("vector is not in the derivation space")
-        return sol
+        return tuple(sol.get(j, Fraction(0)) for j in range(self.dim))
 
 
-def _derivation_dense(scene: AffineScene, t: int, coeffs) -> list:
-    out = []
-    for i in range(scene.ring.nvars):
-        piece = o_piece(scene, t + scene.ring.weights[i])
-        red = reduce_poly(scene, coeffs[i]) if coeffs[i] else {}
-        out.extend(red.get(m, Fraction(0)) for m in piece.basis)
+def _stacked_coords(scene: AffineScene, polys, weights) -> dict:
+    """Sparse coordinates of polys[k] in the O_Y piece of weights[k], stacked in order."""
+    out: dict = {}
+    base = 0
+    for p, w in zip(polys, weights):
+        basis = graded_component_basis(scene, w)
+        red = reduce_poly(scene, p)
+        for k, m in enumerate(basis):
+            c = red.get(m)
+            if c:
+                out[base + k] = c
+        base += len(basis)
     return out
 
 
@@ -203,40 +210,19 @@ def derivation_space(scene: AffineScene, t: int) -> DerivationSpace:
     if not source:
         return DerivationSpace(scene, t, ())
     gens = scene.ideal.generators
-    target = []
-    for j, g in enumerate(gens):
-        for m in graded_component_basis(scene, t + g.weighted_degree()):
-            target.append((j, m))
-    cols = []
-    for (i, m) in source:
-        vec = [Fraction(0)] * len(target)
-        for j, g in enumerate(gens):
-            prod = g.partial_derivative(i).mul_mono(m)
-            red = reduce_poly(scene, prod) if not prod.is_zero() else {}
-            dpiece = graded_component_basis(scene, t + g.weighted_degree())
-            base = sum(
-                len(graded_component_basis(scene, t + gg.weighted_degree()))
-                for gg in gens[:j]
-            )
-            for k, mm in enumerate(dpiece):
-                c = red.get(mm)
-                if c:
-                    vec[base + k] = c
-        cols.append(tuple(vec))
-    if target:
-        themap = LinearMap.from_columns(tuple(source), tuple(target), cols)
-        _rank, kernel, _image = rank_kernel_image(themap)
-    else:
-        kernel = [
-            tuple(Fraction(1 if k == j else 0) for k in range(len(source)))
-            for j in range(len(source))
-        ]
+    weights = [t + g.weighted_degree() for g in gens]
+    target = [(j, m) for j, w in enumerate(weights) for m in graded_component_basis(scene, w)]
+    cols = [
+        _stacked_coords(scene, [g.partial_derivative(i).mul_mono(m) for g in gens], weights)
+        for (i, m) in source
+    ]
+    _rank, kernel = rank_kernel_image(LinearMap.from_sparse_columns(source, target, cols))
     basis = []
     for vec in kernel:
         coeffs = [ring.zero()] * n
-        for (i, m), c in zip(source, vec):
-            if c:
-                coeffs[i] = coeffs[i] + ring.monomial(m, c)
+        for k, c in vec.items():
+            i, m = source[k]
+            coeffs[i] = coeffs[i] + ring.monomial(m, c)
         basis.append(tuple(_normalize(coeffs, ring)))
     basis.sort(key=lambda cs: tuple(sorted(cs[i].terms.items()) for i in range(n)).__repr__())
     return DerivationSpace(scene, t, tuple(basis))

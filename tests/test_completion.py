@@ -1,9 +1,14 @@
+import contextlib
+import io
+import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
 
 from spencerlab import linalg
+from spencerlab.cli import main
 from spencerlab.complexes import GradedComplex, build_de_rham, build_koszul, homology_table
 from spencerlab.completion import (
     Tower,
@@ -378,14 +383,18 @@ def test_tower_stage_with_nonzero_dd_raises():
 SCENES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenes")
 
 
+def _nonempty_ideal_scenes():
+    """(file name, scene) of every corpus scene with a nonempty ideal."""
+    for name in sorted(os.listdir(SCENES)):
+        if name.endswith(".scene"):
+            sc, _ = load_scene(os.path.join(SCENES, name))
+            if not sc.ideal.is_trivial:
+                yield name, sc
+
+
 def _corpus_towers(depth, bound):
     """The towers of complete, derived-complete and independence (--p 1) per scene."""
-    for name in sorted(os.listdir(SCENES)):
-        if not name.endswith(".scene"):
-            continue
-        sc, _ = load_scene(os.path.join(SCENES, name))
-        if sc.ideal.is_trivial:
-            continue
+    for name, sc in _nonempty_ideal_scenes():
         amb = AffineScene(sc.ring, Ideal(()))
         yield name, completed_complex(build_de_rham(amb), sc.ideal, depth, bound)
         yield name, koszul_power_tower(amb, sc.ideal, depth)
@@ -411,3 +420,54 @@ def test_rank_derived_zero_cells_have_no_homology():
                     assert dim == 0 and (r, i, d) not in tower._hom_cache, (name, r, i, d)
                     assert tower.homology_space(r, i, d).dim == 0, (name, r, i, d)
     assert zero and nonzero
+
+
+def _tower_calls():
+    """complete and derived-complete on every scene with an ideal, and independence."""
+    for name, _ in _nonempty_ideal_scenes():
+        for cmd in ("complete", "derived-complete"):
+            yield [cmd, name, "--degree-bound", "6", "--r-max", "3"]
+    for small, big in (("a1.scene", "a1_in_a2.scene"), ("cusp.scene", "cusp_a3.scene")):
+        yield ["independence", small, "--extended-scene", os.path.join(SCENES, big),
+               "--degree-bound", "6", "--r-max", "3", "--p", "1"]
+
+
+def test_each_map_is_ranked_once(monkeypatch):
+    seen: dict = {}  # id -> map; holding the maps keeps every id unique
+    repeats = []
+    rank_kernel_image = linalg.rank_kernel_image
+
+    def spy(m):
+        if id(m) in seen:
+            repeats.append(m.shape)
+        seen[id(m)] = m
+        return rank_kernel_image(m)
+
+    # modules import the function by name, so patch every holder
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spencerlab" and \
+                getattr(module, "rank_kernel_image", None) is rank_kernel_image:
+            monkeypatch.setattr(module, "rank_kernel_image", spy)
+    for argv in _tower_calls():
+        argv[1] = os.path.join(SCENES, argv[1])
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+        assert not repeats, (argv, repeats)
+    assert len(seen) > 1000
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _nonempty_ideal_scenes()])
+def test_completed_de_rham_of_a_weighted_cone_is_the_point(name):
+    # a weighted-homogeneous ideal cuts out a cone, contractible onto the
+    # origin by the weight action, so the completion along it has the de Rham
+    # cohomology of a point: lim 1 at (0, 0), every other cell stabilized at 0
+    argv = ["complete", os.path.join(SCENES, name), "--along", "self",
+            "--degree-bound", "6", "--r-max", "8"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    entries = json.loads(out.getvalue())["limits"]["entries"]
+    reported = {(i, d): e for i, cells in entries.items() for d, e in cells.items()}
+    assert list(reported) == [("0", "0")], reported
+    cell = reported["0", "0"]
+    assert (cell["lim"], cell["lim1"], cell["stabilized"]) == (1, 0, True), cell

@@ -1,3 +1,7 @@
+from collections import Counter
+from itertools import product
+from math import lcm, prod
+
 import pytest
 
 from spencerlab.errors import SceneError
@@ -127,3 +131,34 @@ def test_spencer_h0_cusp_reports_comparison(cusp):
 def test_spencer_h0_hyperplane_zero():
     s = scene(["x", "y"], [1, 1], ["x"])
     assert spencer_h0(s, 6).is_zero()
+
+
+def _brieskorn_pham():
+    """x^a + y^b for a, b in 2..6 and x^a + y^b + z^c for a, b, c in 2..4."""
+    yield from product(range(2, 7), repeat=2)
+    yield from product(range(2, 5), repeat=3)
+
+
+@pytest.mark.parametrize("exps", list(_brieskorn_pham()))
+def test_brieskorn_pham_milnor_orlik_and_saito(exps):
+    names = ["x", "y", "z"][: len(exps)]
+    d = lcm(*exps)
+    weights = [d // a for a in exps]
+    f = " + ".join(f"{v}^{a}" for v, a in zip(names, exps))
+    sc = scene(names, weights, [f])
+    mt = milnor_tjurina(sc.ideal.generators[0])
+    # Milnor–Orlik: mu = prod(d / w_i - 1); tau = mu for a weighted-homogeneous f
+    mu = prod(d // w - 1 for w in weights)
+    assert (mt.mu, mt.tau) == (mu, mu)
+    # Saito: the basis weights have generating function
+    # prod (1 - t^(d - w_i)) / (1 - t^w_i), expanded here as a power series
+    top = sum(d - 2 * w for w in weights) + max(weights)
+    series = [1] + [0] * top
+    for w in weights:
+        for n in range(top, d - w - 1, -1):  # times 1 - t^(d - w)
+            series[n] -= series[n - (d - w)]
+        for n in range(w, top + 1):  # divided by 1 - t^w
+            series[n] += series[n - w]
+    counts = Counter(sum(e * w for e, w in zip(m, weights)) for m in mt.basis)
+    assert [counts[n] for n in range(top + 1)] == series
+    assert len(mt.basis) == mu

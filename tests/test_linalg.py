@@ -1,15 +1,16 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spencerlab.errors import InternalInvariantError
 from spencerlab.linalg import (
     GradedPiece,
     LinearMap,
     rank_kernel_image,
     rref,
-    solve,
     solve_columns,
 )
 
@@ -18,19 +19,19 @@ F = Fraction
 
 def test_identity_map():
     m = LinearMap.identity(("a", "b", "c"))
-    rank, kernel, image = rank_kernel_image(m)
-    assert rank == 3 and kernel == [] and len(image) == 3
+    rank, kernel = rank_kernel_image(m)
+    assert rank == 3 and kernel == []
 
 
 def test_zero_map():
     m = LinearMap.zero(("a", "b"), ("u", "v"))
-    rank, kernel, image = rank_kernel_image(m)
-    assert rank == 0 and len(kernel) == 2 and image == []
+    rank, kernel = rank_kernel_image(m)
+    assert rank == 0 and kernel == [{0: F(1)}, {1: F(1)}]
 
 
 def test_proportional_rows():
     m = LinearMap(("a", "b"), ("u", "v"), ((F(1), F(2)), (F(2), F(4))))
-    rank, kernel, image = rank_kernel_image(m)
+    rank, kernel = rank_kernel_image(m)
     assert rank == 1
     assert len(kernel) == 1
     v = kernel[0]
@@ -57,11 +58,10 @@ def test_rank_nullity_random(matrix):
     m = LinearMap(
         tuple(range(ncols)), tuple(range(nrows)), tuple(tuple(r) for r in matrix)
     )
-    rank, kernel, image = rank_kernel_image(m)
+    rank, kernel = rank_kernel_image(m)
     assert rank + len(kernel) == ncols
-    assert len(image) == rank
     for v in kernel:
-        assert all(x == 0 for x in m.apply(v))
+        assert m.apply(v) == {}
 
 
 def _plain_rref(rows):
@@ -214,15 +214,40 @@ def test_kernel_is_canonical_rref_null_space(matrix):
     m = LinearMap(
         tuple(range(ncols)), tuple(range(nrows)), tuple(tuple(r) for r in matrix)
     )
-    rank, kernel, _ = rank_kernel_image(m)
+    rank, kernel = rank_kernel_image(m)
     rr, piv = _bareiss_rref(matrix)
     free = [c for c in range(ncols) if c not in piv]
     assert rank == len(piv) and len(kernel) == len(free)
     # one vector per free column: 1 there, 0 at the other free columns, and
     # minus the RREF entries of that column at the pivot columns
     for f, vec in zip(free, kernel):
-        assert [vec[g] for g in free] == [F(int(g == f)) for g in free]
-        assert [vec[c] for c in piv] == [-row[f] for row in rr]
+        assert [vec.get(g, 0) for g in free] == [F(int(g == f)) for g in free]
+        assert [vec.get(c, 0) for c in piv] == [-row[f] for row in rr]
+        # sparse: zeros dropped, positions in ascending order
+        assert all(vec.values()) and list(vec) == sorted(vec)
+
+
+def _sparse(vec):
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def _bareiss_solve(columns, target):
+    """Dense x with sum_j x[j] * columns[j] == target, or None; free coefficients 0.
+
+    An oracle for :func:`solve_columns` that shares no code with it: the
+    Bareiss RREF of ``[columns | target]`` has a pivot in the target column
+    exactly when the target lies outside the column span, and otherwise the
+    target column holds x at the pivot rows.
+    """
+    k = len(columns)
+    rows = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
+    rr, piv = _bareiss_rref(rows)
+    if k in piv:
+        return None
+    x = [F(0)] * k
+    for row, p in zip(rr, piv):
+        x[p] = row[k]
+    return tuple(x)
 
 
 @given(_sparse_matrices(6, 4, 0.6), st.lists(entries, min_size=6, max_size=6))
@@ -230,20 +255,21 @@ def test_solve_recovers_combinations(matrix, coeffs):
     columns = [list(r) for r in matrix]  # each drawn row is one column
 
     def combine(xs):
-        return [sum((x * col[i] for x, col in zip(xs, columns)), F(0))
+        return [sum((xs.get(j, F(0)) * col[i] for j, col in enumerate(columns)), F(0))
                 for i in range(len(columns[0]))]
 
-    target = combine(coeffs)
-    sol = solve(columns, target)
-    assert sol is not None and len(sol) == len(columns)
+    target = combine(dict(enumerate(coeffs)))
+    (sol,) = solve_columns([_sparse(c) for c in columns], [_sparse(target)])
+    assert sol is not None and set(sol) <= set(range(len(columns)))
     assert combine(sol) == target
 
 
 def test_solve_outside_span_and_empty():
-    assert solve([[F(1), F(0)]], [F(0), F(1)]) is None
-    assert solve([], [F(0), F(0)]) == ()
-    assert solve([], [F(0), F(3)]) is None
-    assert solve([[F(2), F(4)]], [F(1), F(2)]) == (F(1, 2),)
+    assert solve_columns([{0: F(1)}], [{1: F(1)}]) == [None]
+    assert solve_columns([], [{}]) == [{}]
+    assert solve_columns([], [{1: F(3)}]) == [None]
+    assert solve_columns([{0: F(2), 1: F(4)}], [{0: F(1), 1: F(2)}]) == [{0: F(1, 2)}]
+    assert solve_columns([{0: F(1)}], []) == []
 
 
 def test_compose_skips_zeros_exactly():
@@ -287,6 +313,16 @@ def test_inverse_roundtrip():
     inv = m.inverse()
     assert m.compose(inv).is_identity()
     assert inv.compose(m).is_identity()
+    assert inv.source_basis == m.target_basis and inv.target_basis == m.source_basis
+
+
+def test_inverse_of_singular_or_nonsquare_map_raises():
+    singular = LinearMap(("a", "b"), ("u", "v"), ((F(1), F(2)), (F(2), F(4))))
+    with pytest.raises(InternalInvariantError, match="singular"):
+        singular.inverse()
+    with pytest.raises(InternalInvariantError, match="non-square"):
+        LinearMap.zero(("a", "b"), ("u",)).inverse()
+    assert LinearMap.identity(()).inverse() == LinearMap.identity(())
 
 
 # -- dense oracle for the sparse maps ------------------------------------------
@@ -373,16 +409,15 @@ def test_sparse_maps_match_dense_oracle(family):
     assert A.compose(B).matrix == _dense_compose(a, b, n)
     assert A.add(C).matrix == _dense_add(a, c)
     assert A.scale(scalar).matrix == _dense_scale(a, scalar)
-    assert A.apply(vec) == _dense_apply(a, vec)
+    assert A.apply(_sparse(vec)) == _sparse(_dense_apply(a, vec))
     cols = [tuple(row[j] for row in a) for j in range(k)]
-    assert [A.column(j) for j in range(k)] == cols
+    assert list(A.columns) == [_sparse(col) for col in cols]
     assert A.is_zero() == _dense_is_zero(a)
     assert A.add(A.scale(-1)).is_zero()
     assert S.is_identity() == _dense_is_identity(sq, k)
     assert (A == C) == (A.matrix == C.matrix)
     assert (A.add(C) == C.add(A)) and hash(A.add(C)) == hash(C.add(A))
-    # the builders agree with the dense constructor
-    assert LinearMap.from_columns(mid, tgt, cols) == A
+    # from_sparse_columns, handed zeros too, agrees with the dense constructor
     sparse = [{i: row[j] for i, row in enumerate(a)} for j in range(k)]
     assert LinearMap.from_sparse_columns(mid, tgt, sparse) == A
     assert all(0 not in col.values() for col in A.compose(B).columns)
@@ -416,14 +451,11 @@ def test_batched_solve_equals_per_target_solve(family):
     columns, targets = family
     k = len(columns)
 
-    def sparse(vec):
-        return {i: v for i, v in enumerate(vec) if v}
-
-    batched = solve_columns([sparse(c) for c in columns], [sparse(t) for t in targets])
+    batched = solve_columns([_sparse(c) for c in columns], [_sparse(t) for t in targets])
     assert len(batched) == len(targets)
     assert batched[0] is None  # its last entry lies in a row no column reaches
     for target, got in zip(targets, batched):
-        want = solve(columns, target)
+        want = _bareiss_solve(columns, target)
         if want is None:
             assert got is None
         else:
