@@ -265,6 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args):
     """Reject option values that no command can run with (exit 1)."""
+    if args.degree_bound < 0:
+        raise SpencerlabError(f"--degree-bound must be at least 0, got {args.degree_bound}")
     if getattr(args, "r_max", 1) < 1:
         raise SpencerlabError(f"--r-max must be at least 1, got {args.r_max}")
     if getattr(args, "n", None) is not None and args.n < 1:

@@ -33,7 +33,7 @@ from itertools import combinations
 from math import factorial
 
 from .errors import InternalInvariantError, SceneError
-from .linalg import GradedPiece, LinearMap, rank_kernel_image
+from .linalg import GradedPiece, LinearMap, clear_denominators, rank_kernel_image
 from .rings import INHOMOGENEOUS, AffineScene, Polynomial, mono_mul
 
 
@@ -69,11 +69,14 @@ def induced_map(src: GradedPiece, tgt: GradedPiece, fn, error: str) -> LinearMap
     well-definedness on the quotients.
     """
     image = {lbl: fn(lbl) for lbl in src.ambient}
+    # scale does not change whether a combination is a relation, so the
+    # check combines the images cleared to one common denominator
+    cleared = dict(zip(image, clear_denominators(image.values())))
     for row in src.relation_rows():
         out: dict = {}
         for label, c in row.items():
-            for lbl, cc in image[label].items():
-                out[lbl] = out.get(lbl, 0) + c * cc
+            for lbl, v in cleared[label].items():
+                out[lbl] = out.get(lbl, 0) + c * v
         if not tgt.is_relation(out):
             raise InternalInvariantError(error)
     cols = [tgt.sparse_coords(image[lbl]) for lbl in src.basis]

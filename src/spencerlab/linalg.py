@@ -1,17 +1,26 @@
 """Exact rational linear algebra on labeled bases.
 
 The one elimination kernel, ``_gauss_jordan``, is an incremental sparse
-Gauss–Jordan over exact rationals.  Rows are held as ``{column: Fraction}``
-dicts, so no work is spent on zero entries; each incoming row is reduced
-against the pivot rows found so far, scaled to a leading 1, and its pivot
-column is cleared from the earlier pivot rows.  A row space has exactly one
-RREF, so the result does not depend on the order of the rows.
-``solve_columns`` solves many sparse targets against one set of sparse
-columns in a single elimination; ``LinearMap.inverse`` is built on it.
+Gauss–Jordan that never builds a ``Fraction``, after Bareiss's
+fraction-free elimination.  Each incoming row has its denominators
+cleared into an ``{column: int}`` dict (a row's scale does not change its
+span), and no work is spent on zero entries.  A row is reduced against the
+pivot rows found so far by ``a·acc − c·row``, with ``a`` and ``c`` divided
+by their gcd; what is left becomes a new pivot row, and its pivot column
+is cleared from the earlier pivot rows the same way.  Every pivot row is
+kept primitive (its entries have gcd 1) with a positive lead, and holds no
+entry in any other pivot column.  Such a row is its RREF row times its
+lead, and a row space has exactly one RREF, so the result does not depend
+on the order of the rows.  ``solve_columns`` solves many sparse targets
+against one set of sparse columns in a single elimination;
+``LinearMap.inverse`` is built on it.
 
-Every vector handed in or out is sparse, ``{position: Fraction}`` with
-zeros dropped.  :class:`LinearMap` stores sparse columns, so composition,
-sums, comparisons and ``apply`` cost O(nonzeros).
+``Fraction`` appears only at the exit: ``rref`` and ``solve_columns`` divide
+each entry they hand out by its row's lead, so every result is the same
+exact rational as an elimination over ``Fraction`` would give.  Every vector
+handed in or out is sparse, ``{position: Fraction}`` with zeros dropped.
+:class:`LinearMap` stores sparse columns, so composition, sums,
+comparisons and ``apply`` cost O(nonzeros).
 
 ``rank_kernel_image`` is the last dense route: it eliminates the dense
 ``matrix`` view of a map through ``rref``, the dense-in/dense-out adapter
@@ -19,15 +28,18 @@ of the kernel, because the benchmark tracer reads the ``rref`` span.  It
 stays so until the benchmark changes; its kernel comes back sparse.
 
 :class:`GradedPiece` is the quotient-space workhorse used by every graded
-construction: an ambient labeled basis, a relation span in RREF (the
-relations go into the kernel as sparse rows), and a normal form
-``reduce`` onto the non-pivot labels.
+construction: an ambient labeled basis, a relation span kept as the
+kernel's primitive integer pivot rows, and a normal form ``reduce`` onto
+the non-pivot labels.  The normal form runs on integers with one common
+denominator, so ``reduce`` and ``sparse_coords`` build a ``Fraction`` only
+for each entry they return, and ``is_relation`` builds none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InternalInvariantError
 
@@ -35,49 +47,109 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _sub_scaled(acc: dict, f, row: dict) -> None:
-    """acc -= f * row on sparse vectors, dropping entries that cancel."""
+def _integer_row(vec: dict):
+    """``(row, den)``: ``row`` is ``{column: int}`` and ``row / den == vec``.
+
+    ``vec`` holds nonzero ints or Fractions; ``den`` is the least common
+    denominator of its entries.
+    """
+    den = 1
+    for v in vec.values():
+        q = v.denominator
+        if q != 1:
+            den = lcm(den, q)
+    if den == 1:
+        return {j: v.numerator for j, v in vec.items()}, 1
+    return {j: v.numerator * (den // v.denominator) for j, v in vec.items()}, den
+
+
+def clear_denominators(vecs) -> list:
+    """Sparse rational vectors times one common denominator, as ``{key: int}`` rows.
+
+    Every vector is scaled by the same positive factor, so linear
+    combinations keep their span and their zero-ness.
+    """
+    cleared = [_integer_row(vec) for vec in vecs]
+    den = lcm(*(d for _row, d in cleared))
+    return [
+        row if d == den else {j: v * (den // d) for j, v in row.items()}
+        for row, d in cleared
+    ]
+
+
+def _ratio(v: int, den: int) -> Fraction:
+    """``v / den`` as a Fraction, without a gcd when ``den`` is 1."""
+    return Fraction(v) if den == 1 else Fraction(v, den)
+
+
+def _combine(acc: dict, a: int, c: int, row: dict) -> None:
+    """acc = a·acc − c·row on sparse integer rows, dropping entries that cancel."""
+    if a != 1:
+        for j, v in acc.items():
+            acc[j] = a * v
     for j, b in row.items():
-        v = acc.get(j, _ZERO) - f * b
+        v = acc.get(j, 0) - c * b
         if v:
             acc[j] = v
         else:
             del acc[j]
 
 
-def _eliminate(acc: dict, pivot_rows: dict) -> dict:
-    """Normal form of a sparse vector modulo RREF rows, in place.
+def _make_primitive(row: dict, lead: int) -> None:
+    """Divide a nonzero integer row by its content, signed so ``row[lead] > 0``."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        for j, v in row.items():
+            row[j] = v // g
 
-    ``pivot_rows`` maps each pivot column to its row without the leading 1.
-    Such a row has no entry in any other pivot column, so one pass in
-    ascending pivot order clears them all.
+
+def _eliminate(acc: dict, pivot_rows: dict) -> int:
+    """Reduce an integer row modulo primitive pivot rows, in place.
+
+    Returns the scale ``s``: the reduced ``acc`` is ``s`` times the normal
+    form of the row handed in.  A pivot row has no entry in any other pivot
+    column, so one pass in ascending pivot order clears them all.
     """
+    s = 1
     for p in sorted(c for c in acc if c in pivot_rows):
-        _sub_scaled(acc, acc.pop(p), pivot_rows[p])
-    return acc
+        row = pivot_rows[p]
+        a, c = row[p], acc[p]
+        if a != 1:
+            g = gcd(a, c)
+            a, c = a // g, c // g
+            s *= a
+        _combine(acc, a, c, row)
+    return s
 
 
 def _gauss_jordan(rows) -> dict:
-    """Sparse RREF of ``{column: Fraction}`` rows; the one elimination kernel.
+    """Fraction-free sparse RREF of rational rows; the one elimination kernel.
 
-    The rows must hold nonzero entries only and are consumed.  Returns
-    ``{pivot column: RREF row without its leading 1}``.
+    ``rows`` are ``{column: int or Fraction}`` dicts holding nonzero entries
+    only.  Returns ``{pivot column: primitive integer row}``; each row
+    includes its positive lead at the pivot column, and divided by that
+    lead it is the RREF row.
     """
     pivot_rows: dict = {}
-    for acc in rows:
+    for row in rows:
+        acc = _integer_row(row)[0]
         _eliminate(acc, pivot_rows)
         if not acc:
             continue
         # pivoting on the leftmost entry keeps every pivot row zero left of
         # its pivot, so the pivots found are those of the RREF
         lead = min(acc)
-        inv = _ONE / acc.pop(lead)
-        new = {j: v * inv for j, v in acc.items()}
-        for prow in pivot_rows.values():
-            f = prow.pop(lead, None)
+        _make_primitive(acc, lead)
+        a = acc[lead]
+        for q, prow in pivot_rows.items():
+            f = prow.get(lead)
             if f is not None:
-                _sub_scaled(prow, f, new)
-        pivot_rows[lead] = new
+                g = gcd(a, f)
+                _combine(prow, a // g, f // g, acc)
+                _make_primitive(prow, q)
+        pivot_rows[lead] = acc
     return pivot_rows
 
 
@@ -85,17 +157,18 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form and pivot column indices.
 
     ``rows`` are dense and of equal length; the nonzero RREF rows come back
-    dense, in pivot order.
+    dense, in pivot order, as Fractions.
     """
     ncols = len(rows[0]) if rows else 0
     pivot_rows = _gauss_jordan({j: v for j, v in enumerate(row) if v} for row in rows)
     pivots = sorted(pivot_rows)
     out = []
     for p in pivots:
+        row = pivot_rows[p]
+        a = row[p]
         dense = [_ZERO] * ncols
-        dense[p] = _ONE
-        for j, v in pivot_rows[p].items():
-            dense[j] = v
+        for j, v in row.items():
+            dense[j] = _ratio(v, a)
         out.append(dense)
     return out, pivots
 
@@ -104,7 +177,7 @@ def solve_columns(columns, targets) -> list:
     """Per target b, the sparse x with sum_j x[j] * columns[j] == b, or None.
 
     ``columns`` and ``targets`` are sparse ``{row: coefficient}`` vectors;
-    each x comes back as ``{j: coefficient}``, with free coefficients 0.
+    each x comes back as ``{j: Fraction}``, with free coefficients 0.
     One elimination of ``[columns | targets]`` serves every target: the
     pivot rows whose pivot is a target column have a zero column part and
     span the obstructions, so a target they touch lies outside the column
@@ -121,7 +194,6 @@ def solve_columns(columns, targets) -> list:
     outside = set()
     for p, row in pivot_rows.items():
         if p >= k:
-            outside.add(p)
             outside.update(row)
     solved = {p: row for p, row in pivot_rows.items() if p < k}
     out = []
@@ -129,7 +201,7 @@ def solve_columns(columns, targets) -> list:
         if t in outside:
             out.append(None)
         else:
-            out.append({p: row[t] for p, row in solved.items() if t in row})
+            out.append({p: _ratio(row[t], row[p]) for p, row in solved.items() if t in row})
     return out
 
 
@@ -303,15 +375,15 @@ class GradedPiece:
     ``basis`` is the non-pivot subset of ``ambient``; ``reduce`` is the
     normal form modulo the relation row space, supported on ``basis``.
     The relations go into the elimination kernel as sparse rows and the
-    reduced relation rows stay sparse; relation matrices in this package
-    rarely have more than a few entries per row.
+    piece keeps the kernel's primitive integer pivot rows; relation
+    matrices in this package rarely have more than a few entries per row.
     """
 
     ambient: tuple
     basis: tuple = field(init=False)
     _index: dict = field(init=False, repr=False)
     _basis_pos: dict = field(init=False, repr=False)  # ambient index -> basis position
-    _sparse_rows: dict = field(init=False, repr=False)  # pivot col -> {col: coeff}
+    _sparse_rows: dict = field(init=False, repr=False)  # pivot col -> {col: int}
     _pivots: list = field(init=False, repr=False)
 
     def __init__(self, ambient, relations):
@@ -328,16 +400,21 @@ class GradedPiece:
         self.basis = tuple(self.ambient[i] for i in self._basis_pos)
 
     def _indexed(self, vec: dict) -> dict:
-        """An ambient vector as ``{ambient index: Fraction}``, zeros dropped."""
+        """An ambient vector as ``{ambient index: coefficient}``, zeros dropped."""
         out: dict = {}
         for lbl, c in vec.items():
             if c == 0:
                 continue
             try:
-                out[self._index[lbl]] = Fraction(c)
+                out[self._index[lbl]] = c
             except KeyError:
                 raise InternalInvariantError(f"label {lbl!r} outside ambient basis")
         return out
+
+    def _normal_form(self, vec: dict):
+        """``(acc, den)``: the normal form of ``vec`` is the integer row ``acc / den``."""
+        acc, den = _integer_row(self._indexed(vec))
+        return acc, den * _eliminate(acc, self._sparse_rows)
 
     @property
     def dim(self) -> int:
@@ -345,22 +422,26 @@ class GradedPiece:
 
     def reduce(self, vec: dict) -> dict:
         """Normal form of an ambient vector modulo the relation span."""
-        acc = _eliminate(self._indexed(vec), self._sparse_rows)
-        return {self.ambient[j]: v for j, v in acc.items()}
+        acc, den = self._normal_form(vec)
+        amb = self.ambient
+        return {amb[j]: _ratio(v, den) for j, v in acc.items()}
 
     def sparse_coords(self, vec: dict) -> dict:
-        """Normal form as ``{basis position: coefficient}``, zeros dropped."""
-        acc = _eliminate(self._indexed(vec), self._sparse_rows)
+        """Normal form as ``{basis position: Fraction}``, zeros dropped."""
+        acc, den = self._normal_form(vec)
         pos = self._basis_pos
-        return {pos[j]: v for j, v in acc.items()}
+        return {pos[j]: _ratio(v, den) for j, v in acc.items()}
 
     def is_relation(self, vec: dict) -> bool:
-        return not _eliminate(self._indexed(vec), self._sparse_rows)
+        return not self._normal_form(vec)[0]
 
     def relation_rows(self):
-        """The RREF relation rows as ambient vectors; they span the relations."""
+        """Primitive integer rows, as ambient vectors, that span the relations.
+
+        Each is an RREF relation row times its positive lead; callers that
+        only need the span (well-definedness checks, re-presenting the
+        piece) use them as they are.
+        """
         amb = self.ambient
         for p in self._pivots:
-            row = {amb[p]: _ONE}
-            row.update((amb[j], v) for j, v in self._sparse_rows[p].items())
-            yield row
+            yield {amb[j]: v for j, v in self._sparse_rows[p].items()}

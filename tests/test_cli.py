@@ -255,6 +255,19 @@ def test_input_errors_exit_1_without_traceback(argv):
     assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["derham", "complete"])
+def test_negative_degree_bound_exits_1(capsys, command):
+    # kept out of BAD_INPUTS, whose runner appends a valid --degree-bound
+    code = main([command, scene_path("cusp.scene"), "--degree-bound", "-3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: --degree-bound must be at least 0, got -3\n"
+    # 0 stays a valid bound
+    assert main([command, scene_path("cusp.scene"), "--degree-bound", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["degree_bound"] == 0
+
+
 def test_unexpected_exception_exits_3_in_one_line(monkeypatch, capsys):
     import spencerlab.cli as cli
 

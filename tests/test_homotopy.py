@@ -1,9 +1,11 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spencerlab import linalg
 from spencerlab.complexes import (
     GradedComplex,
     build_de_rham,
@@ -21,6 +23,7 @@ from spencerlab.homotopy import (
     interior_product_matrix,
     lie_derivative_matrix,
 )
+from spencerlab.linalg import LinearMap
 from spencerlab.rings import parse_polynomial, scene
 
 
@@ -182,6 +185,38 @@ def test_each_operator_is_built_once_per_call(monkeypatch, cusp, a2, r):
             assert built and len(built) == len(set(built)), run.__name__
 
 
+@pytest.mark.parametrize("r", [0, 1, 2])  # jet order 0 is the de Rham complex
+def test_each_cartan_operator_is_eliminated_once(monkeypatch, cusp, a2, r):
+    seen: dict = {}  # id -> map; holding the maps keeps every id unique
+    repeats = []
+    rank_kernel_image, inverse = linalg.rank_kernel_image, LinearMap.inverse
+
+    def eliminated(m):
+        if id(m) in seen:
+            repeats.append(m.shape)
+        seen[id(m)] = m
+
+    def spy_rank(m):
+        eliminated(m)
+        return rank_kernel_image(m)
+
+    def spy_inverse(m):
+        eliminated(m)
+        return inverse(m)
+
+    # modules import the function by name, so patch every holder
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spencerlab" and \
+                getattr(module, "rank_kernel_image", None) is rank_kernel_image:
+            monkeypatch.setattr(module, "rank_kernel_image", spy_rank)
+    monkeypatch.setattr(LinearMap, "inverse", spy_inverse)
+    for s in (cusp, a2):
+        cx = build_jet_complex(s, r)
+        seen.clear()
+        acyclicity_certificate(euler_derivation(s), cx, 8)
+        assert seen and not repeats, (s, repeats)
+
+
 def test_cartan_plane(a2):
     xi = euler_derivation(a2)
     report = cartan_check(xi, build_de_rham(a2), 8)
@@ -243,6 +278,10 @@ def test_certificate_weight_zero_nonzero_piece_refused(a2):
     zero = Derivation(a2, (a2.ring.zero(), a2.ring.zero()))
     cert = acyclicity_certificate(zero, build_de_rham(a2), 4)
     assert not cert.valid
+    # L = 0, so every nonzero piece is refused for a singular L and nothing else
+    assert cert.refused
+    for _pos, reason in cert.refused:
+        assert reason == "L singular" or reason.startswith("L singular at form degree ")
 
 
 def test_certificate_with_general_weight_zero_derivation(a2):

@@ -189,11 +189,44 @@ def _with_zero_and_duplicate_rows(matrix, picks):
     return out
 
 
+# -- oracles for the fraction-free kernel ---------------------------------------
+# The kernel clears denominators and keeps primitive integer rows, so it must
+# agree with the rational Bareiss RREF on entries that are not small integers:
+# rationals with large denominators, integers beyond 64 bits, negative leads.
+
+kernel_entries = st.one_of(
+    st.just(F(0)),
+    st.integers(-3, 3).map(F),
+    st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+    st.integers(-(2**100), 2**100).map(F),
+    st.builds(F, st.integers(-(2**80), 2**80), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def _kernel_matrices(draw, max_rows=6, max_cols=7):
+    """Rows of mixed entries, some negated, plus zero rows and scaled duplicates.
+
+    Negating a row flips the sign of its lead; a duplicate scaled by a drawn
+    rational (possibly negative) adds a dependent row with other contents.
+    """
+    matrix = draw(_matrices(max_rows, max_cols, kernel_entries))
+    ncols = len(matrix[0])
+    out = [[-v for v in row] if draw(st.booleans()) else list(row) for row in matrix]
+    for _ in range(draw(st.integers(0, 2))):
+        out.insert(draw(st.integers(0, len(out))), [F(0)] * ncols)
+    for k in draw(st.lists(st.integers(0, len(matrix) - 1), max_size=3)):
+        c = draw(st.sampled_from([F(1), F(-1), F(-7, 3), F(2**70, 9)]))
+        out.insert(draw(st.integers(0, len(out))), [c * v for v in matrix[k]])
+    return out
+
+
 @given(
     st.one_of(
         _matrices(6, 6, entries),
         _sparse_matrices(12, 30, 0.1),
         _matrices(5, 5, big_entries),
+        _kernel_matrices(),
     ),
     st.lists(st.integers(0, 50), max_size=3),
     st.booleans(),
@@ -206,6 +239,54 @@ def test_sparse_rref_matches_bareiss_and_plain_gauss(matrix, picks, extra_rows):
         assert got_piv == want_piv
         assert [list(r) for r in got_rows] == [list(r) for r in want_rows]
     assert all(isinstance(v, Fraction) for row in got_rows for v in row)
+
+
+def _bareiss_normal_form(rr, piv, vec):
+    """``vec`` modulo the row span of the RREF rows ``rr`` (pivots ``piv``)."""
+    out = list(vec)
+    for row, p in zip(rr, piv):
+        f = out[p]
+        if f:
+            out = [a - f * b for a, b in zip(out, row)]
+    return out
+
+
+@given(
+    _kernel_matrices(),
+    st.lists(st.lists(kernel_entries, min_size=7, max_size=7), min_size=1, max_size=3),
+    st.lists(kernel_entries, min_size=12, max_size=12),
+)
+def test_graded_piece_matches_bareiss_normal_form(matrix, drawn, coeffs):
+    ncols = len(matrix[0])
+    ambient = tuple(f"e{j}" for j in range(ncols))
+    piece = GradedPiece(ambient, [dict(zip(ambient, row)) for row in matrix])
+    rr, piv = _bareiss_rref(matrix)
+    assert piece.basis == tuple(a for j, a in enumerate(ambient) if j not in piv)
+    # drawn vectors, and a combination of the relations that must reduce to 0
+    combo = [sum((c * row[j] for c, row in zip(coeffs, matrix)), F(0)) for j in range(ncols)]
+    vectors = [vec[:ncols] for vec in drawn] + [combo]
+    basis_pos = {ambient.index(lbl): k for k, lbl in enumerate(piece.basis)}
+    for vec in vectors:
+        nf = _bareiss_normal_form(rr, piv, vec)
+        ambient_vec = dict(zip(ambient, vec))
+        red = piece.reduce(ambient_vec)
+        assert red == {ambient[j]: v for j, v in enumerate(nf) if v}
+        assert all(type(v) is Fraction for v in red.values())
+        coords = piece.sparse_coords(ambient_vec)
+        assert coords == {basis_pos[j]: v for j, v in enumerate(nf) if v}
+        assert all(type(v) is Fraction for v in coords.values())
+        assert piece.is_relation(ambient_vec) == (not any(nf))
+    assert piece.is_relation(dict(zip(ambient, combo)))
+    # the relation rows are the RREF rows times their leads: primitive
+    # integer rows with a positive lead at the pivot
+    rows = list(piece.relation_rows())
+    assert len(rows) == len(rr)
+    for row, want, p in zip(rows, rr, piv):
+        assert all(type(v) is int for v in row.values())
+        assert gcd(*row.values()) == 1
+        lead = row[ambient[p]]
+        assert lead > 0 and min(ambient.index(lbl) for lbl in row) == p
+        assert [F(row.get(lbl, 0), lead) for lbl in ambient] == want
 
 
 @given(_sparse_matrices(8, 12, 0.3))
