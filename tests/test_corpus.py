@@ -38,6 +38,8 @@ COMMANDS = (
     ("kashiwara", "--p", "1"),
     ("spencer", "--module", "omega1"),
     ("filtered-spencer", "--p", "1"),
+    ("koszul", "--elements", "x"),
+    ("derived-complete", "--module", "OY", "--r-max", "3"),
 )
 
 
