@@ -1,13 +1,16 @@
 """Adic towers, completed complexes, and derived completion.
 
-Completion along a weighted-homogeneous ideal with positive generator
-weights is computed degreewise: the weight-d slice of I^r is empty once
-r times the minimal generator weight exceeds d, so every graded piece of
-an adic tower is literally constant from a finite stage on.  Towers keep
-exact transition chain maps; limits are read off the induced maps on
-homology with an explicit Mittag-Leffler stabilization test, and a cell
-that has not stabilized by the last stage is reported as such instead of
-being guessed.
+Completion along a weighted-homogeneous ideal I is formal completion:
+stage r of a completed complex is the same complex carrying the ideal
+J + I^r in place of its own ideal J, i.e. tensored with O/I^r, and the
+adic tower M/I^r M of a module is the completed complex of M in index 0.
+With positive generator weights it is computed degreewise: the weight-d
+slice of I^r is empty once r times the minimal generator weight exceeds
+d, so every graded piece of an adic tower is literally constant from a
+finite stage on.  Towers keep exact transition chain maps; limits are
+read off the induced maps on homology with an explicit Mittag-Leffler
+stabilization test, and a cell that has not stabilized by the last stage
+is reported as such instead of being guessed.
 
 Derived completion follows the Koszul-tower model: stage r is the Koszul
 complex on the r-th powers of the ideal generators, with the standard
@@ -49,28 +52,17 @@ def ideal_power_generators(ideal: Ideal, r: int) -> tuple:
 
 def module_as_complex(module: PresentedModule) -> GradedComplex:
     """A presented module viewed as a complex concentrated in index 0."""
-
-    def ambient(i, d):
-        return tuple(module.piece(d).ambient)
-
-    def relations(i, d):
-        return list(module.piece(d).relation_rows())
-
-    def diff(i, d, label):
-        return {}
-
     floor = min((w for _lbl, w in module.generators), default=0)
     return GradedComplex(
         name=f"module({module.name})",
         kind="module",
         direction=-1,
         indices=(0,),
-        ambient_fn=ambient,
-        relations_fn=relations,
-        diff_fn=diff,
+        ambient_fn=lambda i, d: module.labels(d),
+        diff_fn=lambda i, d, label: {},
+        relations_fn=lambda i, d: module.relation_rows(d),
         weight_floor=min(floor, 0),
-        scene=module.scene,
-        meta={},
+        ideal=module.scene.ideal.generators,
     )
 
 
@@ -83,13 +75,12 @@ class Tower:
     map of the chain map stage r+1 -> stage r.
     """
 
-    def __init__(self, name: str, stages: list, transition_fns: list, meta=None):
+    def __init__(self, name: str, stages: list, transition_fns: list):
         if len(transition_fns) != len(stages) - 1:
             raise InternalInvariantError("need one transition per adjacent pair")
         self.name = name
         self.stages = stages
         self.transition_fns = transition_fns
-        self.meta = dict(meta or {})
         self._trans_cache: dict = {}
         self._hom_cache: dict = {}
 
@@ -336,14 +327,9 @@ def _identity_transition(i, d, label):
     return {label: Fraction(1)}
 
 
-def _surjection_tower(name: str, stages: list, ideal: Ideal, kind: str) -> Tower:
+def _surjection_tower(name: str, stages: list) -> Tower:
     """Tower whose transitions are the natural surjections, identity on labels."""
-    return Tower(
-        name=name,
-        stages=stages,
-        transition_fns=[_identity_transition] * (len(stages) - 1),
-        meta={"ideal": ideal, "kind": kind},
-    )
+    return Tower(name, stages, [_identity_transition] * (len(stages) - 1))
 
 
 def _require_completable(ideal: Ideal):
@@ -354,98 +340,55 @@ def _require_completable(ideal: Ideal):
 def adic_tower(module: PresentedModule, ideal: Ideal, depth: int, bound: int) -> Tower:
     """Stages M/I^r M with the natural surjections as transitions.
 
-    Along the zero ideal the tower is constant (M itself at every stage).
+    This is the completed complex of M in index 0; along the zero ideal the
+    tower is constant (M itself at every stage).
     """
-    name = f"adic({module.name})"
-    if ideal.is_trivial:
-        stages = [module_as_complex(module)] * depth
-        return _surjection_tower(name, stages, ideal, "adic")
-    ring = module.scene.ring
-    stages = []
-    for r in range(1, depth + 1):
-        extra = []
-        for h in ideal_power_generators(ideal, r):
-            for idx in range(len(module.generators)):
-                rel = [ring.zero()] * len(module.generators)
-                rel[idx] = h
-                extra.append(tuple(rel))
-        staged = PresentedModule(
-            module.scene,
-            module.generators,
-            module.relations + tuple(extra),
-            name=f"{module.name}/I^{r}",
-        )
-        stages.append(module_as_complex(staged))
-    return _surjection_tower(name, stages, ideal, "adic")
+    return completed_complex(module_as_complex(module), ideal, depth, bound)
 
 
 def completed_complex(cx: GradedComplex, ideal: Ideal, depth: int, bound: int) -> Tower:
     """Tower of stages computing cx completed along the ideal, degreewise.
 
     For complexes with O-linear differentials (Koszul, filtered Spencer,
-    modules) stage r is literally cx ⊗ O/I^r with differential d ⊗ id.
-    The exterior derivative is not O-linear, so de Rham stages are instead
-    the de Rham complexes of the infinitesimal thickenings V(I^r); the two
+    modules) stage r is literally cx ⊗ O/I^r with differential d ⊗ id:
+    the same complex carrying the ideal ``cx.ideal + I^r``.  The exterior
+    derivative is not O-linear, so de Rham stages are instead the de Rham
+    complexes of the infinitesimal thickenings V(cx.ideal + I^r); the two
     inverse systems are interleaved, hence have the same limit, and every
     stage here is an honest complex.  Transitions are the natural
     surjections in both cases.  Along the zero ideal the tower is constant.
     """
     name = f"completed({cx.name})"
     if ideal.is_trivial:
-        return _surjection_tower(name, [cx] * depth, ideal, "completed")
-    ring = ideal.generators[0].ring
-
-    if cx.kind == "derham":
-        base = cx.scene.ideal.generators if cx.scene is not None else ()
-        stages = []
-        for r in range(1, depth + 1):
-            thickened = AffineScene(
-                ring, Ideal(tuple(base) + ideal_power_generators(ideal, r))
-            )
-            stage = build_de_rham(thickened)
-            stage.name = f"{cx.name} on V(I^{r})"
-            stage.meta["stage"] = r
-            stages.append(stage)
-        return _surjection_tower(name, stages, ideal, "completed-derham")
-
+        return _surjection_tower(name, [cx] * depth)
     if cx.kind == "jet" and cx.meta.get("r", 0) >= 1:
         raise SceneError(
             "completion of jet complexes of positive order is not supported "
             "(their differential is not O-linear)"
         )
-
+    ring = ideal.generators[0].ring
     stages = []
     for r in range(1, depth + 1):
-        powers = ideal_power_generators(ideal, r)
-
-        def relations(i, d, _powers=powers):
-            rels = list(cx.relations_fn(i, d)) if i in cx.indices else []
-            for h in _powers:
-                e = h.weighted_degree()
-                for label in cx.ambient_fn(i, d - e):
-                    vec: dict = {}
-                    for mh, c in h.terms.items():
-                        key = cx.mul_fn(i, label, mh)
-                        vec[key] = vec.get(key, Fraction(0)) + c
-                    rels.append(vec)
-            return rels
-
-        stages.append(
-            GradedComplex(
+        stage_ideal = cx.ideal + ideal_power_generators(ideal, r)
+        if cx.kind == "derham":
+            stage = build_de_rham(AffineScene(ring, Ideal(stage_ideal)))
+            stage.name = f"{cx.name} on V(I^{r})"
+        else:
+            stage = GradedComplex(
                 name=f"{cx.name} ⊗ O/I^{r}",
                 kind=cx.kind,
                 direction=cx.direction,
                 indices=cx.indices,
                 ambient_fn=cx.ambient_fn,
-                relations_fn=relations,
                 diff_fn=cx.diff_fn,
+                relations_fn=cx.relations_fn,
                 weight_floor=cx.weight_floor,
-                scene=cx.scene,
-                meta=dict(cx.meta, stage=r),
+                ideal=stage_ideal,
+                meta=cx.meta,
                 mul_fn=cx.mul_fn,
             )
-        )
-    return _surjection_tower(name, stages, ideal, "completed")
+        stages.append(stage)
+    return _surjection_tower(name, stages)
 
 
 def koszul_power_tower(
@@ -481,7 +424,6 @@ def koszul_power_tower(
         name=f"koszul-tower({scene.ring.variables})",
         stages=stages,
         transition_fns=[make_transition(r) for r in range(1, depth)],
-        meta={"ideal": ideal, "kind": "koszul-power", "fixed": fixed},
     )
 
 

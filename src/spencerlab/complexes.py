@@ -3,8 +3,12 @@
 A :class:`GradedComplex` is stored degreewise: for each homological index
 ``i`` and weight ``d`` it exposes an ambient labeled basis, a relation
 span (both generating the quotient piece), and a differential given on
-ambient labels.  :func:`induced_map` is the one routine that descends an
-operator on ambient labels to a matrix between quotient pieces; every
+ambient labels.  A complex carries its ideal: every piece relates the
+ideal multiples g·label, formed by :func:`ideal_multiples`, and
+``relations_fn`` holds only the other relations (the dg-wedges of de
+Rham, the Taylor terms of jets, the relations of a presented module).
+:func:`induced_map` is the one routine that descends an operator on
+ambient labels to a matrix between quotient pieces; every
 differential, Lie derivative, contraction and tower transition goes
 through it.  It checks that the operator sends the source piece's RREF
 relation rows into the target's relation span; a failure means the
@@ -56,6 +60,39 @@ def subset_weight(ring, S: tuple) -> int:
     return sum(ring.weights[j] for j in S)
 
 
+def dg_wedge(g: Polynomial, T: tuple) -> dict:
+    """dg ∧ dx_T as {S: coefficient of dx_S}, nonzero coefficients only."""
+    out = {}
+    for j in range(g.ring.nvars):
+        sign, S = insert_sign(j, T)
+        if sign is not None:
+            dj = g.partial_derivative(j)
+            if not dj.is_zero():
+                out[S] = dj.scale(sign)
+    return out
+
+
+def label_mul(label: tuple, mono: tuple) -> tuple:
+    """A (monomial, rest...) label multiplied by a monomial."""
+    return (mono_mul(label[0], mono),) + label[1:]
+
+
+def ideal_multiples(generators, d: int, labels, mul) -> list:
+    """Relation rows of I·M in weight d.
+
+    Each generator g times each ambient label of weight d - deg g:
+    ``labels(w)`` lists the labels of weight w and ``mul(label, mono)`` is
+    the label multiplied by a monomial.
+    """
+    # a label times distinct monomials gives distinct labels, so no two
+    # terms of g land on the same key
+    return [
+        {mul(label, mg): c for mg, c in g.terms.items()}
+        for g in generators
+        for label in labels(d - g.weighted_degree())
+    ]
+
+
 # -- the complex container ----------------------------------------------------
 
 def induced_map(src: GradedPiece, tgt: GradedPiece, fn, error: str) -> LinearMap:
@@ -94,10 +131,10 @@ class GradedComplex:
         direction: int,
         indices: tuple,
         ambient_fn,
-        relations_fn,
         diff_fn,
+        relations_fn=None,
         weight_floor: int = 0,
-        scene: AffineScene | None = None,
+        ideal: tuple = (),
         meta: dict | None = None,
         mul_fn=None,
     ):
@@ -111,11 +148,11 @@ class GradedComplex:
         self.relations_fn = relations_fn
         self.diff_fn = diff_fn
         self.weight_floor = weight_floor
-        self.scene = scene
+        self.ideal = tuple(ideal)
         self.meta = dict(meta or {})
-        # monomial multiplication on ambient labels, used to form O/I^r
-        # stages of completion towers; default matches (monomial, rest) labels
-        self.mul_fn = mul_fn or (lambda i, lbl, mono: (mono_mul(lbl[0], mono),) + lbl[1:])
+        # monomial multiplication on ambient labels, forming the ideal
+        # multiples; default matches (monomial, rest) labels
+        self.mul_fn = mul_fn or (lambda i, lbl, mono: label_mul(lbl, mono))
         self._pieces: dict = {}
         self._diffs: dict = {}
         self._eliminated: dict = {}  # (i, d) -> (rank, sparse kernel basis or [])
@@ -127,9 +164,12 @@ class GradedComplex:
             if i not in self.indices:
                 self._pieces[key] = GradedPiece((), [])
             else:
-                self._pieces[key] = GradedPiece(
-                    self.ambient_fn(i, d), self.relations_fn(i, d)
+                rels = list(self.relations_fn(i, d)) if self.relations_fn else []
+                rels += ideal_multiples(
+                    self.ideal, d, lambda w: self.ambient_fn(i, w),
+                    lambda lbl, mono: self.mul_fn(i, lbl, mono),
                 )
+                self._pieces[key] = GradedPiece(self.ambient_fn(i, d), rels)
         return self._pieces[key]
 
     def component(self, i: int, d: int) -> tuple:
@@ -293,17 +333,6 @@ def build_koszul(scene: AffineScene, elements) -> GradedComplex:
                 out.append((m, S))
         return tuple(sorted(out, key=lambda t: (t[1], t[0])))
 
-    def relations(i, d):
-        rels = []
-        for g in scene.ideal.generators:
-            e = g.weighted_degree()
-            for S in combinations(range(k), i):
-                for m in ring.monomials_of_weight(d - slot_weight(S) - e):
-                    rels.append(
-                        {(mono_mul(m, mg), S): c for mg, c in g.terms.items()}
-                    )
-        return rels
-
     def diff(i, d, label):
         m, S = label
         out: dict = {}
@@ -321,10 +350,8 @@ def build_koszul(scene: AffineScene, elements) -> GradedComplex:
         direction=-1,
         indices=tuple(range(k + 1)),
         ambient_fn=ambient,
-        relations_fn=relations,
         diff_fn=diff,
-        scene=scene,
-        meta={"degrees": tuple(degrees)},
+        ideal=scene.ideal.generators,
     )
 
 
@@ -341,30 +368,21 @@ def _derham_parts(scene: AffineScene):
                 out.append((m, S))
         return tuple(sorted(out, key=lambda t: (t[1], t[0])))
 
+    wedges: dict = {}  # (generator index, T) -> dg ∧ dx_T
+
     def relations(i, d):
+        # dg ∧ Omega^{i-1}; I·Omega^i are the complex's ideal multiples
         rels = []
-        for g in scene.ideal.generators:
+        for k, g in enumerate(scene.ideal.generators):
             e = g.weighted_degree()
-            # I * Omega^i
-            for S in combinations(range(n), i):
-                for m in ring.monomials_of_weight(d - subset_weight(ring, S) - e):
-                    rels.append(
-                        {(mono_mul(m, mg), S): c for mg, c in g.terms.items()}
-                    )
-            # dg ∧ Omega^{i-1}
             for T in (combinations(range(n), i - 1) if i >= 1 else ()):
-                wT = subset_weight(ring, T)
-                for m in ring.monomials_of_weight(d - wT - e):
-                    vec: dict = {}
-                    for j in range(n):
-                        if j in T:
-                            continue
-                        sign, S = insert_sign(j, T)
-                        for mg, c in g.partial_derivative(j).terms.items():
-                            key = (mono_mul(m, mg), S)
-                            vec[key] = vec.get(key, Fraction(0)) + sign * c
-                    if vec:
-                        rels.append(vec)
+                for m in ring.monomials_of_weight(d - subset_weight(ring, T) - e):
+                    if (k, T) not in wedges:
+                        wedges[k, T] = dg_wedge(g, T)
+                    rels.append({
+                        (mono_mul(m, mg), S): c
+                        for S, p in wedges[k, T].items() for mg, c in p.terms.items()
+                    })
         return rels
 
     def diff(i, d, label):
@@ -391,9 +409,9 @@ def build_de_rham(scene: AffineScene) -> GradedComplex:
         direction=1,
         indices=tuple(range(scene.ring.nvars + 1)),
         ambient_fn=ambient,
-        relations_fn=relations,
         diff_fn=diff,
-        scene=scene,
+        relations_fn=relations,
+        ideal=scene.ideal.generators,
     )
 
 
@@ -456,49 +474,40 @@ def build_jet_complex(scene: AffineScene, r: int) -> GradedComplex:
                     out.append((S, c, beta))
         return tuple(sorted(out))
 
+    wedges: dict = {}  # (generator index, T) -> dg ∧ dx_T
+    taylor: dict = {}  # (generator index, alpha) -> ∂^alpha g / alpha!
+
     def relations(i, d):
+        # I on the coefficient factor are the complex's ideal multiples
         s = jet_order(i)
         rels = []
-        for g in scene.ideal.generators:
+        for k, g in enumerate(scene.ideal.generators):
             e = g.weighted_degree()
+            # first-factor ideal via the Taylor expansion of g at the
+            # diagonal: sum (-1)^|a| (m ∂^a g / a!) delta^(a+beta)
             for S in combinations(range(n), i):
                 wS = subset_weight(ring, S)
                 for beta in _multi_indices(n, s):
-                    wb = ring.mono_weight(beta)
-                    # second-factor ideal: (m g) delta^beta
-                    for m in ring.monomials_of_weight(d - wS - wb - e):
-                        rels.append(
-                            {(S, mono_mul(m, mg), beta): c
-                             for mg, c in g.terms.items()}
-                        )
-                    # first-factor ideal via the Taylor expansion of g at
-                    # the diagonal: sum (-1)^|a| (m ∂^a g / a!) delta^(a+beta)
-                    for m in ring.monomials_of_weight(d - wS - wb - e):
+                    for m in ring.monomials_of_weight(d - wS - ring.mono_weight(beta) - e):
                         vec: dict = {}
                         for alpha in _multi_indices(n, s - sum(beta)):
-                            part = divided_derivative(g, alpha)
+                            if (k, alpha) not in taylor:
+                                taylor[k, alpha] = divided_derivative(g, alpha)
                             sign = (-1) ** sum(alpha)
-                            for mg, c in part.terms.items():
-                                key = (S, mono_mul(m, mg), mono_mul(alpha, beta))
-                                vec[key] = vec.get(key, Fraction(0)) + sign * c
-                        if vec:
-                            rels.append(vec)
+                            for mg, c in taylor[k, alpha].terms.items():
+                                vec[S, mono_mul(m, mg), mono_mul(alpha, beta)] = sign * c
+                        rels.append(vec)
             # dg ∧ (forms) on the form slot
             for T in (combinations(range(n), i - 1) if i >= 1 else ()):
                 wT = subset_weight(ring, T)
                 for beta in _multi_indices(n, s):
-                    wb = ring.mono_weight(beta)
-                    for m in ring.monomials_of_weight(d - wT - wb - e):
-                        vec = {}
-                        for j in range(n):
-                            if j in T:
-                                continue
-                            sign, S = insert_sign(j, T)
-                            for mg, c in g.partial_derivative(j).terms.items():
-                                key = (S, mono_mul(m, mg), beta)
-                                vec[key] = vec.get(key, Fraction(0)) + sign * c
-                        if vec:
-                            rels.append(vec)
+                    for m in ring.monomials_of_weight(d - wT - ring.mono_weight(beta) - e):
+                        if (k, T) not in wedges:
+                            wedges[k, T] = dg_wedge(g, T)
+                        rels.append({
+                            (S, mono_mul(m, mg), beta): c
+                            for S, p in wedges[k, T].items() for mg, c in p.terms.items()
+                        })
         return rels
 
     def diff(i, d, label):
@@ -527,9 +536,9 @@ def build_jet_complex(scene: AffineScene, r: int) -> GradedComplex:
         direction=1,
         indices=tuple(range(top + 1)),
         ambient_fn=ambient,
-        relations_fn=relations,
         diff_fn=diff,
-        scene=scene,
+        relations_fn=relations,
+        ideal=scene.ideal.generators,
         meta={"r": r},
         mul_fn=lambda i, lbl, mono: (lbl[0], mono_mul(lbl[1], mono), lbl[2]),
     )
@@ -601,9 +610,6 @@ def build_spencer_of_module(coeffs: SpencerCoefficients) -> GradedComplex:
                 out.append((mlabel, S))
         return tuple(sorted(out, key=lambda t: (t[1], t[0])))
 
-    def relations(i, d):
-        return []
-
     def diff(i, d, label):
         mlabel, S = label
         out: dict = {}
@@ -620,10 +626,7 @@ def build_spencer_of_module(coeffs: SpencerCoefficients) -> GradedComplex:
         direction=-1,
         indices=tuple(range(n + 1)),
         ambient_fn=ambient,
-        relations_fn=relations,
         diff_fn=diff,
         weight_floor=-sum(ring.weights),
-        scene=scene,
-        meta={"coefficients": coeffs.kind},
         mul_fn=lambda i, lbl, mono: ((mono_mul(lbl[0][0], mono), lbl[0][1]), lbl[1]),
     )

@@ -18,6 +18,8 @@ from .complexes import (
     HomologyTable,
     _multi_indices,
     homology_table,
+    ideal_multiples,
+    label_mul,
     subset_weight,
 )
 from .errors import BudgetExceeded, InternalInvariantError, SceneError
@@ -212,9 +214,6 @@ def filtered_spencer(ring: WeightedRing, p: int) -> GradedComplex:
                 out.append((a, b, S))
         return tuple(sorted(out))
 
-    def relations(i, d):
-        return []
-
     def diff(i, d, label):
         if i == -1:
             return {}
@@ -233,11 +232,6 @@ def filtered_spencer(ring: WeightedRing, p: int) -> GradedComplex:
             out[key] = out.get(key, Fraction(0)) + sign
         return out
 
-    def mul(i, lbl, mono):
-        if i == -1:
-            return (mono_mul(lbl[0], mono),)
-        return (mono_mul(lbl[0], mono), lbl[1], lbl[2])
-
     floor = -(p * max(ring.weights) + sum(ring.weights))
     return GradedComplex(
         name=f"filtered-spencer(p={p})",
@@ -245,11 +239,8 @@ def filtered_spencer(ring: WeightedRing, p: int) -> GradedComplex:
         direction=-1,
         indices=tuple(range(-1, n + 1)),
         ambient_fn=ambient,
-        relations_fn=relations,
         diff_fn=diff,
         weight_floor=floor,
-        meta={"p": p},
-        mul_fn=mul,
     )
 
 
@@ -312,42 +303,26 @@ def kashiwara_quotient(
     from .linalg import GradedPiece
 
     ring = alg.ring
-    scene = AffineScene(ring, ideal)
-    p = alg.order_bound
-    floor = -p * max(ring.weights)
-    pieces: dict = {}
+    floor = -alg.order_bound * max(ring.weights)
     piece_objects: dict = {}
     for d in range(floor, bound + 1):
-        ambient = alg.basis_of_weight(d)
-        relations = []
-        for g in ideal.generators:
-            e = g.weighted_degree()
-            for b in _multi_indices(ring.nvars, p):
-                wa = d + ring.mono_weight(b) - e
-                for m in ring.monomials_of_weight(wa):
-                    relations.append(
-                        {(mono_mul(m, mg), b): c for mg, c in g.terms.items()}
-                    )
-        piece = GradedPiece(ambient, relations)
-        piece_objects[d] = piece
-        pieces[d] = piece.basis
+        piece_objects[d] = GradedPiece(
+            alg.basis_of_weight(d),
+            ideal_multiples(ideal.generators, d, alg.basis_of_weight, label_mul),
+        )
+
+    def classes(w):
+        return piece_objects[w].basis if w in piece_objects else ()
+
     # support condition: g·(class) = 0 exactly
-    verified = True
-    for d in range(floor, bound + 1):
-        src = piece_objects[d]
-        for g in ideal.generators:
-            e = g.weighted_degree()
-            if d + e > bound:
-                continue
-            tgt = piece_objects[d + e]
-            for (a, b) in src.basis:
-                image = {}
-                for mg, c in g.terms.items():
-                    image[(mono_mul(a, mg), b)] = c
-                if tgt.reduce(image):
-                    verified = False
+    verified = all(
+        not piece_objects[d].reduce(row)
+        for d in range(floor, bound + 1)
+        for row in ideal_multiples(ideal.generators, d, classes, label_mul)
+    )
     if not verified:
         raise InternalInvariantError("Kashiwara quotient support condition failed")
+    pieces = {d: piece.basis for d, piece in piece_objects.items()}
     return KashiwaraQuotient(alg, ideal, floor, bound, pieces, verified)
 
 

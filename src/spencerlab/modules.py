@@ -4,7 +4,9 @@ Everything is computed one weight at a time: the weight-d component of
 O_Y = O_X/I is the span of weight-d monomials modulo the degree-d slice
 of the ideal, and modules presented by generators and relations get their
 components the same way.  No global Groebner data is needed here; the
-quotients are plain exact linear algebra on labeled bases.
+quotients are plain exact linear algebra on labeled bases.  The scene
+ideal's multiples g·label come from :func:`~.complexes.ideal_multiples`,
+so a module's own relations hold only its genuinely module-level part.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from .complexes import insert_sign
+from .complexes import dg_wedge, ideal_multiples, label_mul
 from .errors import SceneError
 from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve_columns
 from .rings import INHOMOGENEOUS, AffineScene, Polynomial, mono_mul
@@ -23,13 +25,11 @@ from .rings import INHOMOGENEOUS, AffineScene, Polynomial, mono_mul
 @lru_cache(maxsize=None)
 def o_piece(scene: AffineScene, d: int) -> GradedPiece:
     """The weight-d component of O_Y as a quotient of the monomial span."""
-    ambient = scene.ring.monomials_of_weight(d)
-    relations = []
-    for g in scene.ideal.generators:
-        e = g.weighted_degree()
-        for m in scene.ring.monomials_of_weight(d - e):
-            relations.append({mono_mul(m, mg): c for mg, c in g.terms.items()})
-    return GradedPiece(ambient, relations)
+    ring = scene.ring
+    return GradedPiece(
+        ring.monomials_of_weight(d),
+        ideal_multiples(scene.ideal.generators, d, ring.monomials_of_weight, mono_mul),
+    )
 
 
 def graded_component_basis(scene: AffineScene, d: int) -> tuple:
@@ -60,8 +60,8 @@ class PresentedModule:
 
     ``generators`` maps labels to integer weights (negative weights are
     fine, e.g. for ∂ symbols).  Each relation is one polynomial per
-    generator; the scene ideal times every generator is appended
-    automatically, so relations only need the genuinely module-level part.
+    generator.  Each piece adds the scene ideal's multiples of the labels
+    on top, so relations only need the genuinely module-level part.
     """
 
     scene: AffineScene
@@ -87,15 +87,34 @@ class PresentedModule:
             if len(degs) > 1:
                 raise SceneError("relation is not weight-homogeneous")
 
-    def _all_relations(self):
+    def labels(self, d: int) -> tuple:
+        """Ambient labels (monomial, generator label) of weight d."""
         ring = self.scene.ring
-        rels = list(self.relations)
-        for g in self.scene.ideal.generators:
-            for i in range(len(self.generators)):
-                rel = [ring.zero()] * len(self.generators)
-                rel[i] = g
-                rels.append(tuple(rel))
-        return rels
+        out = [
+            (m, label) for label, w in self.generators
+            for m in ring.monomials_of_weight(d - w)
+        ]
+        return tuple(sorted(out, key=lambda t: (str(t[1]), t[0])))
+
+    def relation_rows(self, d: int) -> list:
+        """The presentation's own relations in weight d, without I·M."""
+        ring = self.scene.ring
+        rows = []
+        for rel in self.relations:
+            deg = next((
+                p.weighted_degree() + w
+                for (_label, w), p in zip(self.generators, rel) if not p.is_zero()
+            ), None)
+            if deg is None:
+                continue
+            for m in ring.monomials_of_weight(d - deg):
+                vec: dict = {}
+                for (label, _w), p in zip(self.generators, rel):
+                    for mp, c in p.terms.items():
+                        key = (mono_mul(m, mp), label)
+                        vec[key] = vec.get(key, Fraction(0)) + c
+                rows.append(vec)
+        return rows
 
     def piece(self, d: int) -> GradedPiece:
         return _module_piece(self, d)
@@ -103,29 +122,11 @@ class PresentedModule:
 
 @lru_cache(maxsize=None)
 def _module_piece(module: PresentedModule, d: int) -> GradedPiece:
-    ring = module.scene.ring
-    ambient = []
-    for label, w in module.generators:
-        for m in ring.monomials_of_weight(d - w):
-            ambient.append((m, label))
-    ambient.sort(key=lambda t: (str(t[1]), t[0]))
-    relations = []
-    for rel in module._all_relations():
-        deg = None
-        for (label, w), p in zip(module.generators, rel):
-            if not p.is_zero():
-                deg = p.weighted_degree() + w
-                break
-        if deg is None:
-            continue
-        for m in ring.monomials_of_weight(d - deg):
-            vec: dict = {}
-            for (label, _w), p in zip(module.generators, rel):
-                for mp, c in p.terms.items():
-                    key = (mono_mul(m, mp), label)
-                    vec[key] = vec.get(key, Fraction(0)) + c
-            relations.append(vec)
-    return GradedPiece(tuple(ambient), relations)
+    ideal = module.scene.ideal.generators
+    return GradedPiece(
+        module.labels(d),
+        module.relation_rows(d) + ideal_multiples(ideal, d, module.labels, label_mul),
+    )
 
 
 def module_graded_piece(module: PresentedModule, d: int) -> tuple:
@@ -149,13 +150,8 @@ def omega_module(scene: AffineScene, i: int = 1) -> PresentedModule:
     rels = []
     for g in scene.ideal.generators:
         for T in combinations(range(n), i - 1):
-            rel = {S: ring.zero() for S, _ in gens}
-            for j in range(n):
-                if j in T:
-                    continue
-                sign, S = insert_sign(j, T)
-                rel[S] = rel[S] + g.partial_derivative(j).scale(sign)
-            rels.append(tuple(rel[S] for S, _ in gens))
+            wedge = dg_wedge(g, T)
+            rels.append(tuple(wedge.get(S, ring.zero()) for S, _ in gens))
     return PresentedModule(scene, tuple(gens), tuple(rels), name=f"omega{i}")
 
 
@@ -233,15 +229,8 @@ def _normalize(coeffs, ring):
     dens = [c.denominator for p in coeffs for c in p.terms.values()]
     if not dens:
         return coeffs
-    den_l = 1
-    for dv in dens:
-        den_l = den_l * dv // gcd(den_l, dv)
-    scale = Fraction(den_l, 1)
-    scaled = [p.scale(scale) for p in coeffs]
-    g = 0
-    for p in scaled:
-        for c in p.terms.values():
-            g = gcd(g, abs(c.numerator))
+    scaled = [p.scale(lcm(*dens)) for p in coeffs]
+    g = gcd(*(c.numerator for p in scaled for c in p.terms.values()))
     if g > 1:
         scaled = [p.scale(Fraction(1, g)) for p in scaled]
     for p in scaled:

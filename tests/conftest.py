@@ -1,6 +1,13 @@
+import os
+
 import pytest
 
 from spencerlab.rings import scene
+
+# CLI tests start child interpreters; they import the package from src/,
+# as pytest's ``pythonpath`` setting does for this process
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

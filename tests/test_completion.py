@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -25,7 +26,12 @@ from spencerlab.completion import (
 )
 from spencerlab.diffops import filtered_spencer
 from spencerlab.errors import InternalInvariantError, SceneError
-from spencerlab.modules import PresentedModule, free_module, graded_component_basis
+from spencerlab.modules import (
+    PresentedModule,
+    free_module,
+    graded_component_basis,
+    omega_module,
+)
 from spencerlab.rings import AffineScene, Ideal, parse_polynomial, scene
 from spencerlab.scenes import load_scene
 
@@ -471,3 +477,69 @@ def test_completed_de_rham_of_a_weighted_cone_is_the_point(name):
     assert list(reported) == [("0", "0")], reported
     cell = reported["0", "0"]
     assert (cell["lim"], cell["lim1"], cell["stabilized"]) == (1, 0, True), cell
+
+
+# -- towers against directly presented quotients ----------------------------------
+
+ORACLE_SCENES = ("cusp.scene", "node.scene", "quadric_cone.scene")
+
+
+def _power_generators(gens, r):
+    """Products of r of the generators, with repetition; written out here."""
+    out = []
+    for combo in itertools.combinations_with_replacement(gens, r):
+        p = combo[0]
+        for q in combo[1:]:
+            p = p * q
+        out.append(p)
+    return tuple(out)
+
+
+def _presented_quotient(module, gens, r):
+    """M/I^r M as a presented module: M's relations plus h·e_k for h in I^r."""
+    k = len(module.generators)
+    zero = module.scene.ring.zero()
+    extra = tuple(
+        tuple(h if j == idx else zero for j in range(k))
+        for h in _power_generators(gens, r)
+        for idx in range(k)
+    )
+    return PresentedModule(
+        module.scene, module.generators, module.relations + extra, name="oracle"
+    )
+
+
+def _oracle_scene(name, base):
+    sc, _ = load_scene(os.path.join(SCENES, name))
+    return sc, (sc if base == "Y" else AffineScene(sc.ring, Ideal(())))
+
+
+@pytest.mark.parametrize("base", ("Y", "ambient"))
+@pytest.mark.parametrize("which", ("O", "omega1"))
+@pytest.mark.parametrize("name", ORACLE_SCENES)
+def test_adic_stages_match_presented_quotients(name, which, base):
+    sc, over = _oracle_scene(name, base)
+    module = free_module(over, (("1", 0),)) if which == "O" else omega_module(over, 1)
+    tower = adic_tower(module, sc.ideal, 3, 6)
+    for r in range(1, 4):
+        oracle = _presented_quotient(module, sc.ideal.generators, r)
+        for d in range(0, 7):
+            got, want = tower.stage(r).piece(0, d), oracle.piece(d)
+            assert got.basis == want.basis, (r, d)
+            assert list(got.relation_rows()) == list(want.relation_rows()), (r, d)
+
+
+@pytest.mark.parametrize("base", ("Y", "ambient"))
+@pytest.mark.parametrize("name", ORACLE_SCENES)
+def test_completed_koszul_stages_match_thickened_koszul(name, base):
+    sc, over = _oracle_scene(name, base)
+    x = over.ring.var(0)
+    tower = completed_complex(build_koszul(over, [x]), sc.ideal, 3, 6)
+    for r in range(1, 4):
+        gens = over.ideal.generators + _power_generators(sc.ideal.generators, r)
+        oracle = build_koszul(AffineScene(over.ring, Ideal(gens)), [x])
+        for i in oracle.indices:
+            for d in range(0, 7):
+                got, want = tower.stage(r).piece(i, d), oracle.piece(i, d)
+                assert got.basis == want.basis, (r, i, d)
+                assert list(got.relation_rows()) == list(want.relation_rows()), (r, i, d)
