@@ -76,16 +76,16 @@ def _complex_for(scene: AffineScene, spec: str):
     raise SpencerlabError(f"unknown complex {spec!r} (use derham, jet0, jet1, jet2)")
 
 
-def cmd_derham(scene, opts, args):
+def cmd_derham(scene, args):
     table = homology_table(build_de_rham(scene), args.degree_bound)
     return {"tables": table.table_json()}
 
-def cmd_jet(scene, opts, args):
+def cmd_jet(scene, args):
     table = homology_table(build_jet_complex(scene, args.r), args.degree_bound)
     return {"r": args.r, "tables": table.table_json()}
 
 
-def cmd_spencer(scene, opts, args):
+def cmd_spencer(scene, args):
     kind = {"O": "O", "omega1": "omega_1", "omega-top": f"omega_{scene.ring.nvars}"}[
         args.module
     ]
@@ -93,13 +93,13 @@ def cmd_spencer(scene, opts, args):
     return {"module": args.module, "tables": table.table_json()}
 
 
-def cmd_koszul(scene, opts, args):
+def cmd_koszul(scene, args):
     elements = [parse_polynomial(e, scene.ring) for e in args.elements]
     table = homology_table(build_koszul(scene, elements), args.degree_bound)
     return {"elements": list(args.elements), "tables": table.table_json()}
 
 
-def cmd_filtered_spencer(scene, opts, args):
+def cmd_filtered_spencer(scene, args):
     ring = scene.ring
     if args.n is not None and args.n != ring.nvars:
         from .rings import WeightedRing
@@ -112,7 +112,7 @@ def cmd_filtered_spencer(scene, opts, args):
     return {"n": ring.nvars, "p": args.p, "tables": table.table_json()}
 
 
-def cmd_kashiwara(scene, opts, args):
+def cmd_kashiwara(scene, args):
     if scene.ideal.is_trivial:
         raise SpencerlabError("kashiwara needs a scene with a nonempty ideal")
     alg = WeylAlgebra(scene.ring, args.p)
@@ -120,7 +120,7 @@ def cmd_kashiwara(scene, opts, args):
     return {"kashiwara": kq.to_json()}
 
 
-def cmd_euler_certify(scene, opts, args):
+def cmd_euler_certify(scene, args):
     cx = _complex_for(scene, args.complex)
     xi = euler_derivation(scene)
     report = cartan_check(xi, cx, args.degree_bound)
@@ -132,22 +132,22 @@ def cmd_euler_certify(scene, opts, args):
     }
 
 
-def cmd_milnor(scene, opts, args):
+def cmd_milnor(scene, args):
     if len(scene.ideal.generators) != 1:
         raise SpencerlabError("milnor needs a hypersurface scene (one generator)")
     mt = milnor_tjurina(scene.ideal.generators[0], pair_budget=_pair_budget())
     return mt.to_json(scene.ring)
 
 
-def cmd_smooth(scene, opts, args):
+def cmd_smooth(scene, args):
     return jacobian_smoothness(scene, pair_budget=_pair_budget()).to_json()
 
 
-def cmd_spencer_h0(scene, opts, args):
+def cmd_spencer_h0(scene, args):
     return {"spencer_h0": spencer_h0(scene, args.degree_bound).to_json()}
 
 
-def cmd_complete(scene, opts, args):
+def cmd_complete(scene, args):
     if args.along == "self":
         if scene.ideal.is_trivial:
             raise SpencerlabError("complete --along self needs a nonempty ideal")
@@ -159,12 +159,12 @@ def cmd_complete(scene, opts, args):
             raise SpencerlabError("completion ideal must live in the scene ring")
         ideal = other.ideal
         base = scene
-    tower = completed_complex(build_de_rham(base), ideal, args.r_max, args.degree_bound)
+    tower = completed_complex(build_de_rham(base), ideal, args.r_max)
     report = tower_limit(tower, args.degree_bound, weight_lo=0)
     return {"r_max": args.r_max, "limits": report.to_json()}
 
 
-def cmd_derived_complete(scene, opts, args):
+def cmd_derived_complete(scene, args):
     if scene.ideal.is_trivial:
         raise SpencerlabError("derived-complete needs a scene with a nonempty ideal")
     base = _ambient(scene) if args.module == "O" else scene
@@ -174,7 +174,7 @@ def cmd_derived_complete(scene, opts, args):
     return {"module": args.module, "r_max": args.r_max, "limits": report.to_json()}
 
 
-def cmd_independence(scene, opts, args):
+def cmd_independence(scene, args):
     big, _ = load_scene(args.extended_scene)
     report = embedding_independence(
         scene, big, args.r_max, args.degree_bound, spencer_order=args.p
@@ -278,13 +278,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        scene, opts = load_scene(args.scene)
+        scene, _options = load_scene(args.scene)
         payload = {
             "command": args.command,
             "scene": scene_json(scene),
             "degree_bound": args.degree_bound,
         }
-        payload.update(COMMANDS[args.command](scene, opts, args))
+        payload.update(COMMANDS[args.command](scene, args))
         sys.stdout.write(_render(payload, args.format))
         return 0
     except BudgetExceeded as exc:

@@ -2,8 +2,12 @@
 
 Completion along a weighted-homogeneous ideal I is formal completion:
 stage r of a completed complex is the same complex carrying the ideal
-J + I^r in place of its own ideal J, i.e. tensored with O/I^r, and the
-adic tower M/I^r M of a module is the completed complex of M in index 0.
+J + I^r in place of its own ideal J, for every kind of complex.  Its
+relations are read off the ideal it carries, so for a complex with an
+O-linear differential (Koszul, filtered Spencer, a module) the stage is
+the complex tensored with O/I^r, and for de Rham it is the de Rham
+complex of the thickening V(J + I^r).  The adic tower M/I^r M of a
+module is the completed complex of M in index 0.
 With positive generator weights it is computed degreewise: the weight-d
 slice of I^r is empty once r times the minimal generator weight exceeds
 d, so every graded piece of an adic tower is literally constant from a
@@ -32,7 +36,7 @@ from .complexes import (
 )
 from .errors import InternalInvariantError, SceneError
 from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve_columns
-from .modules import PresentedModule
+from .modules import PresentedModule, module_as_complex
 from .rings import AffineScene, Ideal, Polynomial, mono_mul
 
 
@@ -48,22 +52,6 @@ def ideal_power_generators(ideal: Ideal, r: int) -> tuple:
             p = p * q
         out.append(p)
     return tuple(out)
-
-
-def module_as_complex(module: PresentedModule) -> GradedComplex:
-    """A presented module viewed as a complex concentrated in index 0."""
-    floor = min((w for _lbl, w in module.generators), default=0)
-    return GradedComplex(
-        name=f"module({module.name})",
-        kind="module",
-        direction=-1,
-        indices=(0,),
-        ambient_fn=lambda i, d: module.labels(d),
-        diff_fn=lambda i, d, label: {},
-        relations_fn=lambda i, d: module.relation_rows(d),
-        weight_floor=min(floor, 0),
-        ideal=module.scene.ideal.generators,
-    )
 
 
 # -- towers --------------------------------------------------------------------
@@ -337,57 +325,43 @@ def _require_completable(ideal: Ideal):
         raise SceneError("completion needs a nonzero ideal")
 
 
-def adic_tower(module: PresentedModule, ideal: Ideal, depth: int, bound: int) -> Tower:
+def adic_tower(module: PresentedModule, ideal: Ideal, depth: int) -> Tower:
     """Stages M/I^r M with the natural surjections as transitions.
 
     This is the completed complex of M in index 0; along the zero ideal the
     tower is constant (M itself at every stage).
     """
-    return completed_complex(module_as_complex(module), ideal, depth, bound)
+    return completed_complex(module_as_complex(module), ideal, depth)
 
 
-def completed_complex(cx: GradedComplex, ideal: Ideal, depth: int, bound: int) -> Tower:
+def completed_complex(cx: GradedComplex, ideal: Ideal, depth: int) -> Tower:
     """Tower of stages computing cx completed along the ideal, degreewise.
 
-    For complexes with O-linear differentials (Koszul, filtered Spencer,
-    modules) stage r is literally cx ⊗ O/I^r with differential d ⊗ id:
-    the same complex carrying the ideal ``cx.ideal + I^r``.  The exterior
-    derivative is not O-linear, so de Rham stages are instead the de Rham
-    complexes of the infinitesimal thickenings V(cx.ideal + I^r); the two
-    inverse systems are interleaved, hence have the same limit, and every
-    stage here is an honest complex.  Transitions are the natural
-    surjections in both cases.  Along the zero ideal the tower is constant.
+    Stage r is cx carrying the ideal ``cx.ideal + I^r``.  With an O-linear
+    differential (Koszul, filtered Spencer, modules) that is cx ⊗ O/I^r
+    with differential d ⊗ id.  The exterior derivative is not O-linear,
+    but de Rham reads its dg-wedge relations off the ideal it carries, so
+    its stages are the de Rham complexes of the infinitesimal thickenings
+    V(cx.ideal + I^r); the two inverse systems are interleaved, hence have
+    the same limit, and every stage is an honest complex.  Transitions are
+    the natural surjections.  Along the zero ideal the tower is constant.
     """
     name = f"completed({cx.name})"
     if ideal.is_trivial:
         return _surjection_tower(name, [cx] * depth)
-    if cx.kind == "jet" and cx.meta.get("r", 0) >= 1:
+    if cx.kind == "jet":
         raise SceneError(
             "completion of jet complexes of positive order is not supported "
             "(their differential is not O-linear)"
         )
-    ring = ideal.generators[0].ring
-    stages = []
-    for r in range(1, depth + 1):
-        stage_ideal = cx.ideal + ideal_power_generators(ideal, r)
-        if cx.kind == "derham":
-            stage = build_de_rham(AffineScene(ring, Ideal(stage_ideal)))
-            stage.name = f"{cx.name} on V(I^{r})"
-        else:
-            stage = GradedComplex(
-                name=f"{cx.name} ⊗ O/I^{r}",
-                kind=cx.kind,
-                direction=cx.direction,
-                indices=cx.indices,
-                ambient_fn=cx.ambient_fn,
-                diff_fn=cx.diff_fn,
-                relations_fn=cx.relations_fn,
-                weight_floor=cx.weight_floor,
-                ideal=stage_ideal,
-                meta=cx.meta,
-                mul_fn=cx.mul_fn,
-            )
-        stages.append(stage)
+    # raises SceneError on an inhomogeneous generator
+    AffineScene(ideal.generators[0].ring, ideal)
+    stages = [
+        cx.with_ideal(
+            cx.ideal + ideal_power_generators(ideal, r), f"{cx.name} over V(J + I^{r})"
+        )
+        for r in range(1, depth + 1)
+    ]
     return _surjection_tower(name, stages)
 
 
@@ -583,11 +557,6 @@ def check_extension(small: AffineScene, big: AffineScene) -> tuple:
     return fresh
 
 
-def _stabilized_limits(cx: GradedComplex, ideal: Ideal, depth: int, bound: int):
-    tower = completed_complex(cx, ideal, depth, bound)
-    return tower_limit(tower, bound, weight_lo=min(cx.weight_floor, 0))
-
-
 def embedding_independence(
     small: AffineScene,
     big: AffineScene,
@@ -614,9 +583,13 @@ def embedding_independence(
     def ambient_scene(s):
         return AffineScene(s.ring, Ideal(()))
 
+    def limits(cx, ideal):
+        tower = completed_complex(cx, ideal, depth)
+        return tower_limit(tower, bound, weight_lo=min(cx.weight_floor, 0))
+
     def compare(cx_small, cx_big, mismatches):
-        lim_s = _stabilized_limits(cx_small, small.ideal, depth, bound)
-        lim_b = _stabilized_limits(cx_big, big.ideal, depth, bound)
+        lim_s = limits(cx_small, small.ideal)
+        lim_b = limits(cx_big, big.ideal)
         for cell in sorted(set(lim_s.entries) | set(lim_b.entries)):
             a = lim_s.entries.get(cell)
             b = lim_b.entries.get(cell)

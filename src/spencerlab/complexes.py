@@ -3,10 +3,14 @@
 A :class:`GradedComplex` is stored degreewise: for each homological index
 ``i`` and weight ``d`` it exposes an ambient labeled basis, a relation
 span (both generating the quotient piece), and a differential given on
-ambient labels.  A complex carries its ideal: every piece relates the
-ideal multiples g·label, formed by :func:`ideal_multiples`, and
-``relations_fn`` holds only the other relations (the dg-wedges of de
-Rham, the Taylor terms of jets, the relations of a presented module).
+ambient labels.  Every label leads with its monomial.  A complex carries
+its ideal: every piece relates the ideal multiples g·label, formed by
+:func:`ideal_multiples` on that leading monomial, and
+``relations_fn(ideal, i, d)`` holds only the other relations, read off
+the same ideal (the dg-wedges of de Rham, the Taylor terms and dg-wedges
+of jets, the relations of a presented module).  So the same complex
+carrying another ideal, :meth:`GradedComplex.with_ideal`, is the complex
+over another subscheme; completion stages are built that way.
 :func:`induced_map` is the one routine that descends an operator on
 ambient labels to a matrix between quotient pieces; every
 differential, Lie derivative, contraction and tower transition goes
@@ -31,6 +35,7 @@ is the de Rham complex.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -70,6 +75,19 @@ def dg_wedge(g: Polynomial, T: tuple) -> dict:
             if not dj.is_zero():
                 out[S] = dj.scale(sign)
     return out
+
+
+def wedge_labels(ring, slot_weights: tuple, i: int, d: int) -> tuple:
+    """Labels (monomial, S) of weight d over the i-subsets S of the slots.
+
+    Slot j carries weight ``slot_weights[j]``; the labels come sorted by
+    (S, monomial).
+    """
+    return tuple(
+        (m, S)
+        for S in combinations(range(len(slot_weights)), i)
+        for m in ring.monomials_of_weight(d - sum(slot_weights[j] for j in S))
+    )
 
 
 def label_mul(label: tuple, mono: tuple) -> tuple:
@@ -136,7 +154,6 @@ class GradedComplex:
         weight_floor: int = 0,
         ideal: tuple = (),
         meta: dict | None = None,
-        mul_fn=None,
     ):
         if direction not in (1, -1):
             raise InternalInvariantError("direction must be +1 or -1")
@@ -150,13 +167,18 @@ class GradedComplex:
         self.weight_floor = weight_floor
         self.ideal = tuple(ideal)
         self.meta = dict(meta or {})
-        # monomial multiplication on ambient labels, forming the ideal
-        # multiples; default matches (monomial, rest) labels
-        self.mul_fn = mul_fn or (lambda i, lbl, mono: label_mul(lbl, mono))
         self._pieces: dict = {}
         self._diffs: dict = {}
         self._eliminated: dict = {}  # (i, d) -> (rank, sparse kernel basis or [])
         self._dd_checked: set = set()
+
+    def with_ideal(self, ideal: tuple, name: str) -> GradedComplex:
+        """The same complex carrying another ideal, with caches of its own."""
+        other = copy.copy(self)
+        other.name, other.ideal = name, tuple(ideal)
+        other._pieces, other._diffs, other._eliminated = {}, {}, {}
+        other._dd_checked = set()
+        return other
 
     def piece(self, i: int, d: int) -> GradedPiece:
         key = (i, d)
@@ -164,16 +186,12 @@ class GradedComplex:
             if i not in self.indices:
                 self._pieces[key] = GradedPiece((), [])
             else:
-                rels = list(self.relations_fn(i, d)) if self.relations_fn else []
+                rels = list(self.relations_fn(self.ideal, i, d)) if self.relations_fn else []
                 rels += ideal_multiples(
-                    self.ideal, d, lambda w: self.ambient_fn(i, w),
-                    lambda lbl, mono: self.mul_fn(i, lbl, mono),
+                    self.ideal, d, lambda w: self.ambient_fn(i, w), label_mul
                 )
                 self._pieces[key] = GradedPiece(self.ambient_fn(i, d), rels)
         return self._pieces[key]
-
-    def component(self, i: int, d: int) -> tuple:
-        return self.piece(i, d).basis
 
     def induced(self, src_pos, tgt_pos, fn, what="map"):
         """Matrix of an ambient-level operator between two pieces of this complex.
@@ -262,7 +280,6 @@ class HomologyTable:
     weight_lo: int
     weight_hi: int
     entries: dict = field(default_factory=dict)
-    components: dict = field(default_factory=dict)
 
     def dim(self, i: int, d: int) -> int:
         return self.entries.get((i, d), 0)
@@ -295,7 +312,6 @@ def homology_table(
             if i + complex_.direction in complex_.indices:
                 complex_.check_dd_zero(i, d)
         for i in complex_.indices:
-            table.components[(i, d)] = complex_.piece(i, d).dim
             table.entries[(i, d)] = complex_.homology_dim(i, d)
     return table
 
@@ -323,15 +339,8 @@ def build_koszul(scene: AffineScene, elements) -> GradedComplex:
         degrees.append(e)
     k = len(elements)
 
-    def slot_weight(S):
-        return sum(degrees[j] for j in S)
-
     def ambient(i, d):
-        out = []
-        for S in combinations(range(k), i):
-            for m in ring.monomials_of_weight(d - slot_weight(S)):
-                out.append((m, S))
-        return tuple(sorted(out, key=lambda t: (t[1], t[0])))
+        return wedge_labels(ring, degrees, i, d)
 
     def diff(i, d, label):
         m, S = label
@@ -357,31 +366,32 @@ def build_koszul(scene: AffineScene, elements) -> GradedComplex:
 
 # -- de Rham -----------------------------------------------------------------
 
-def _derham_parts(scene: AffineScene):
+def build_de_rham(scene: AffineScene) -> GradedComplex:
+    """Algebraic de Rham complex of O_Y with the exterior derivative."""
     ring = scene.ring
     n = ring.nvars
 
     def ambient(i, d):
-        out = []
-        for S in combinations(range(n), i):
-            for m in ring.monomials_of_weight(d - subset_weight(ring, S)):
-                out.append((m, S))
-        return tuple(sorted(out, key=lambda t: (t[1], t[0])))
+        return wedge_labels(ring, ring.weights, i, d)
 
-    wedges: dict = {}  # (generator index, T) -> dg ∧ dx_T
+    wedges: dict = {}  # (generator, T) -> dg ∧ dx_T, shared by every ideal
 
-    def relations(i, d):
+    def relations(ideal, i, d):
         # dg ∧ Omega^{i-1}; I·Omega^i are the complex's ideal multiples
         rels = []
-        for k, g in enumerate(scene.ideal.generators):
+        for g in ideal:
             e = g.weighted_degree()
             for T in (combinations(range(n), i - 1) if i >= 1 else ()):
-                for m in ring.monomials_of_weight(d - subset_weight(ring, T) - e):
-                    if (k, T) not in wedges:
-                        wedges[k, T] = dg_wedge(g, T)
+                monos = ring.monomials_of_weight(d - subset_weight(ring, T) - e)
+                if not monos:
+                    continue
+                if (g, T) not in wedges:
+                    wedges[g, T] = dg_wedge(g, T)
+                wedge = wedges[g, T]
+                for m in monos:
                     rels.append({
                         (mono_mul(m, mg), S): c
-                        for S, p in wedges[k, T].items() for mg, c in p.terms.items()
+                        for S, p in wedge.items() for mg, c in p.terms.items()
                     })
         return rels
 
@@ -397,17 +407,11 @@ def _derham_parts(scene: AffineScene):
             out[(tuple(dm), Snew)] = Fraction(sign * m[j])
         return out
 
-    return ambient, relations, diff
-
-
-def build_de_rham(scene: AffineScene) -> GradedComplex:
-    """Algebraic de Rham complex of O_Y with the exterior derivative."""
-    ambient, relations, diff = _derham_parts(scene)
     return GradedComplex(
         name="de-rham",
         kind="derham",
         direction=1,
-        indices=tuple(range(scene.ring.nvars + 1)),
+        indices=tuple(range(n + 1)),
         ambient_fn=ambient,
         diff_fn=diff,
         relations_fn=relations,
@@ -443,17 +447,17 @@ def divided_derivative(p: Polynomial, alpha: tuple) -> Polynomial:
 def build_jet_complex(scene: AffineScene, r: int) -> GradedComplex:
     """Jet-valued form complex of order r (order drops with form degree).
 
-    Labels are (S, c, beta): form slot dx_S, coefficient monomial c on the
-    second tensor factor, and delta-exponent beta with |beta| <= r - i.
-    Relations encode I on the coefficient factor, the Taylor expansion of
-    I on the first factor, and dg-wedges on the form slot.
+    Labels are (c, S, beta): coefficient monomial c on the second tensor
+    factor, form slot dx_S, and delta-exponent beta with |beta| <= r - i,
+    sorted by (S, c, beta).  Relations encode I on the coefficient factor,
+    the Taylor expansion of I on the first factor, and dg-wedges on the
+    form slot.
     """
     if r not in (0, 1, 2):
         raise SceneError(f"jet order r={r} unsupported (expected 0, 1, or 2)")
     if r == 0:
         c = build_de_rham(scene)
         c.name = "jet-complex(r=0)"
-        c.meta["r"] = 0
         return c
 
     ring = scene.ring
@@ -471,47 +475,61 @@ def build_jet_complex(scene: AffineScene, r: int) -> GradedComplex:
             for beta in _multi_indices(n, s):
                 wb = ring.mono_weight(beta)
                 for c in ring.monomials_of_weight(d - wS - wb):
-                    out.append((S, c, beta))
-        return tuple(sorted(out))
+                    out.append((c, S, beta))
+        return tuple(sorted(out, key=lambda t: (t[1], t[0], t[2])))
 
-    wedges: dict = {}  # (generator index, T) -> dg ∧ dx_T
-    taylor: dict = {}  # (generator index, alpha) -> ∂^alpha g / alpha!
+    # keyed by generator, shared by every ideal this complex carries
+    wedges: dict = {}  # (generator, T) -> dg ∧ dx_T
+    taylor: dict = {}  # (generator, alpha) -> ∂^alpha g / alpha!
 
-    def relations(i, d):
+    def taylor_terms(g, alpha):
+        if (g, alpha) not in taylor:
+            taylor[g, alpha] = divided_derivative(g, alpha)
+        return taylor[g, alpha].terms
+
+    def relations(ideal, i, d):
         # I on the coefficient factor are the complex's ideal multiples
         s = jet_order(i)
         rels = []
-        for k, g in enumerate(scene.ideal.generators):
+        for g in ideal:
             e = g.weighted_degree()
             # first-factor ideal via the Taylor expansion of g at the
             # diagonal: sum (-1)^|a| (m ∂^a g / a!) delta^(a+beta)
             for S in combinations(range(n), i):
                 wS = subset_weight(ring, S)
                 for beta in _multi_indices(n, s):
-                    for m in ring.monomials_of_weight(d - wS - ring.mono_weight(beta) - e):
+                    monos = ring.monomials_of_weight(d - wS - ring.mono_weight(beta) - e)
+                    if not monos:
+                        continue
+                    parts = [
+                        ((-1) ** sum(alpha), mono_mul(alpha, beta), taylor_terms(g, alpha))
+                        for alpha in _multi_indices(n, s - sum(beta))
+                    ]
+                    for m in monos:
                         vec: dict = {}
-                        for alpha in _multi_indices(n, s - sum(beta)):
-                            if (k, alpha) not in taylor:
-                                taylor[k, alpha] = divided_derivative(g, alpha)
-                            sign = (-1) ** sum(alpha)
-                            for mg, c in taylor[k, alpha].terms.items():
-                                vec[S, mono_mul(m, mg), mono_mul(alpha, beta)] = sign * c
+                        for sign, delta, terms in parts:
+                            for mg, c in terms.items():
+                                vec[mono_mul(m, mg), S, delta] = sign * c
                         rels.append(vec)
             # dg ∧ (forms) on the form slot
             for T in (combinations(range(n), i - 1) if i >= 1 else ()):
                 wT = subset_weight(ring, T)
                 for beta in _multi_indices(n, s):
-                    for m in ring.monomials_of_weight(d - wT - ring.mono_weight(beta) - e):
-                        if (k, T) not in wedges:
-                            wedges[k, T] = dg_wedge(g, T)
+                    monos = ring.monomials_of_weight(d - wT - ring.mono_weight(beta) - e)
+                    if not monos:
+                        continue
+                    if (g, T) not in wedges:
+                        wedges[g, T] = dg_wedge(g, T)
+                    wedge = wedges[g, T]
+                    for m in monos:
                         rels.append({
-                            (S, mono_mul(m, mg), beta): c
-                            for S, p in wedges[k, T].items() for mg, c in p.terms.items()
+                            (mono_mul(m, mg), S, beta): c
+                            for S, p in wedge.items() for mg, c in p.terms.items()
                         })
         return rels
 
     def diff(i, d, label):
-        S, c, beta = label
+        c, S, beta = label
         target_order = jet_order(i + 1)
         out: dict = {}
         for k in range(n):
@@ -521,12 +539,12 @@ def build_jet_complex(scene: AffineScene, r: int) -> GradedComplex:
             if c[k] > 0 and sum(beta) <= target_order:
                 dc = list(c)
                 dc[k] -= 1
-                key = (Snew, tuple(dc), beta)
+                key = (tuple(dc), Snew, beta)
                 out[key] = out.get(key, Fraction(0)) + sign * c[k]
             if beta[k] > 0:
                 db = list(beta)
                 db[k] -= 1
-                key = (Snew, c, tuple(db))
+                key = (c, Snew, tuple(db))
                 out[key] = out.get(key, Fraction(0)) + sign * beta[k]
         return out
 
@@ -540,7 +558,6 @@ def build_jet_complex(scene: AffineScene, r: int) -> GradedComplex:
         relations_fn=relations,
         ideal=scene.ideal.generators,
         meta={"r": r},
-        mul_fn=lambda i, lbl, mono: (lbl[0], mono_mul(lbl[1], mono), lbl[2]),
     )
 
 
@@ -551,7 +568,7 @@ class SpencerCoefficients:
 
     kind "O": the structure sheaf with the tautological derivation action.
     kind "omega_j": j-forms with the Lie-derivative action.
-    Labels: "O" uses monomials; "omega_j" uses (monomial, T) pairs.
+    Labels are (monomial, T) pairs; "O" is form degree 0, so T = ().
     """
 
     def __init__(self, scene: AffineScene, kind: str):
@@ -575,13 +592,7 @@ class SpencerCoefficients:
 
     def labels(self, d: int) -> tuple:
         ring = self.scene.ring
-        if self.kind == "O":
-            return tuple((m, ()) for m in ring.monomials_of_weight(d))
-        out = []
-        for T in combinations(range(ring.nvars), self.form_degree):
-            for m in ring.monomials_of_weight(d - subset_weight(ring, T)):
-                out.append((m, T))
-        return tuple(sorted(out, key=lambda t: (t[1], t[0])))
+        return wedge_labels(ring, ring.weights, self.form_degree, d)
 
     def act(self, j: int, label) -> dict:
         """Action of the coordinate field ∂_j on a coefficient label."""
@@ -598,6 +609,8 @@ def build_spencer_of_module(coeffs: SpencerCoefficients) -> GradedComplex:
 
     On the smooth ambient scene T is free on the coordinate fields, whose
     brackets vanish, so only the action sum contributes on basis wedges.
+    Labels are (m, T, S): the coefficient label (m, T) and the polyvector
+    slot d_S, sorted by (S, m, T).
     """
     scene = coeffs.scene
     ring = scene.ring
@@ -607,16 +620,16 @@ def build_spencer_of_module(coeffs: SpencerCoefficients) -> GradedComplex:
         out = []
         for S in combinations(range(n), i):
             for mlabel in coeffs.labels(d + subset_weight(ring, S)):
-                out.append((mlabel, S))
-        return tuple(sorted(out, key=lambda t: (t[1], t[0])))
+                out.append(mlabel + (S,))
+        return tuple(sorted(out, key=lambda t: (t[2], t[0], t[1])))
 
     def diff(i, d, label):
-        mlabel, S = label
+        m, T, S = label
         out: dict = {}
         for t, s in enumerate(S):
             sign, rest = remove_sign(t, S)
-            for lbl, c in coeffs.act(s, mlabel).items():
-                key = (lbl, rest)
+            for lbl, c in coeffs.act(s, (m, T)).items():
+                key = lbl + (rest,)
                 out[key] = out.get(key, Fraction(0)) + sign * c
         return out
 
@@ -628,5 +641,4 @@ def build_spencer_of_module(coeffs: SpencerCoefficients) -> GradedComplex:
         ambient_fn=ambient,
         diff_fn=diff,
         weight_floor=-sum(ring.weights),
-        mul_fn=lambda i, lbl, mono: ((mono_mul(lbl[0][0], mono), lbl[0][1]), lbl[1]),
     )

@@ -353,7 +353,6 @@ def pushforward_point(coeff_kind: str, scene: AffineScene, bound: int) -> Homolo
         i2, d2 = n - i, d + shift
         if out.weight_lo <= d2 <= out.weight_hi:
             out.entries[(i2, d2)] = v
-            out.components[(i2, d2)] = raw.components[(i, d)]
     for i in out.indices:
         for d in range(out.weight_lo, out.weight_hi + 1):
             out.entries.setdefault((i, d), 0)

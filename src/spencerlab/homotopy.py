@@ -33,6 +33,7 @@ from .complexes import (
     insert_sign,
     remove_sign,
     subset_weight,
+    wedge_labels,
 )
 from .errors import InternalInvariantError, SceneError
 from .linalg import LinearMap, rank_kernel_image
@@ -125,8 +126,12 @@ def euler_derivation(scene: AffineScene) -> Derivation:
 # -- ambient-level operator formulas ------------------------------------------
 
 def _form_lie(xi: Derivation, label) -> dict:
-    """Lie derivative on a form label (monomial, S), as an ambient vector."""
-    m, S = label
+    """Lie derivative on a form label (monomial, S, ...), as an ambient vector.
+
+    Trailing label parts (the delta exponent of a jet) pass through.
+    """
+    m, S = label[:2]
+    tail = label[2:]
     out: dict = {}
     # xi(x^m) = sum_i m_i xi_i x^(m - e_i): one exponent shift per variable
     for i, e in enumerate(m):
@@ -134,7 +139,7 @@ def _form_lie(xi: Derivation, label) -> dict:
             continue
         shifted = m[:i] + (e - 1,) + m[i + 1:]
         for mm, c in xi.coefficients[i].terms.items():
-            key = (mono_mul(shifted, mm), S)
+            key = (mono_mul(shifted, mm), S) + tail
             out[key] = out.get(key, Fraction(0)) + e * c
     for t, s in enumerate(S):
         # dx_s at slot t becomes d(xi_s) = sum_k (d xi_s / dx_k) dx_k
@@ -147,44 +152,42 @@ def _form_lie(xi: Derivation, label) -> dict:
                 continue
             sign = outer * inner
             for mm, c in coeff.terms.items():
-                key = (mono_mul(m, mm), Snew)
+                key = (mono_mul(m, mm), Snew) + tail
                 out[key] = out.get(key, Fraction(0)) + sign * c
     return out
 
 
 def _form_contraction(xi: Derivation, label) -> dict:
-    m, S = label
+    """Contraction with xi on a form label (monomial, S, ...); trailing parts pass through."""
+    m, S = label[:2]
+    tail = label[2:]
     out: dict = {}
     for t, s in enumerate(S):
         sign, rest = remove_sign(t, S)
         for mm, c in xi.coefficients[s].terms.items():
-            key = (mono_mul(m, mm), rest)
+            key = (mono_mul(m, mm), rest) + tail
             out[key] = out.get(key, Fraction(0)) + sign * c
     return out
 
 
 def _jet_lie_diag(xi: Derivation, label, jet_order: int) -> dict:
-    """Diagonal Lie action on a jet label (S, c, beta).
+    """Diagonal Lie action on a jet label (c, S, beta).
 
     Acts by the form Lie derivative on dx_S, by xi on the coefficient
     factor, and on each delta slot through the Taylor expansion
     delta(h) = sum_{|a|>=1} (-1)^{|a|+1} (d^a h / a!) delta^a.
     """
-    S, c, beta = label
+    c, S, beta = label
     ring = xi.scene.ring
     n = ring.nvars
-    out: dict = {}
+    # form slot and coefficient slot together (xi(c) plus d(xi) insertions)
+    out = _form_lie(xi, label)
 
     def add(S2, cpoly, beta2, scalar=1):
         for mm, cc in cpoly.terms.items():
-            key = (S2, mm, beta2)
+            key = (mm, S2, beta2)
             out[key] = out.get(key, Fraction(0)) + scalar * cc
 
-    # form slot and coefficient slot together (xi(c) plus d(xi) insertions)
-    for lbl, cc in _form_lie(xi, (c, S)).items():
-        mm, S2 = lbl
-        key = (S2, mm, beta)
-        out[key] = out.get(key, Fraction(0)) + cc
     # delta slots: diag(delta^beta) via delta(h) = sum (-1)^(|a|+1) (d^a h/a!) delta^a
     for j in range(n):
         if beta[j] == 0:
@@ -208,29 +211,25 @@ def _jet_lie_diag(xi: Derivation, label, jet_order: int) -> dict:
 
 def _jet_contraction(label) -> dict:
     """Delta-slot contraction: contract the form slot, raise delta there."""
-    S, c, beta = label
+    c, S, beta = label
     out: dict = {}
     for t, s in enumerate(S):
         sign, rest = remove_sign(t, S)
         b2 = list(beta)
         b2[s] += 1
-        key = (rest, c, tuple(b2))
+        key = (c, rest, tuple(b2))
         out[key] = out.get(key, Fraction(0)) + Fraction(sign)
     return out
 
 
 # -- induced matrices ----------------------------------------------------------
 
-def _is_form_complex(cx: GradedComplex) -> bool:
-    return cx.kind == "derham" or (cx.kind == "jet" and cx.meta.get("r") == 0)
-
-
 def lie_derivative_matrix(xi: Derivation, cx: GradedComplex, i: int, d: int) -> LinearMap:
     """L_xi from the (i, d) piece to the (i, d + weight(xi)) piece.
 
     For the Euler field this is multiplication by d on every piece.
     """
-    if _is_form_complex(cx):
+    if cx.kind == "derham":
         return cx.induced((i, d), (i, d + xi.weight),
                           lambda lbl: _form_lie(xi, lbl), what="Lie derivative")
     if cx.kind == "jet":
@@ -249,25 +248,17 @@ def interior_product_matrix(
     """iota_xi: piece (i, d) -> piece (i-1, d + weight(xi)), first slot."""
     if i < 1:
         raise SceneError("interior product needs form degree >= 1")
-    if _is_form_complex(cx):
-        return cx.induced(
-            (i, d), (i - 1, d + xi.weight),
-            lambda lbl: _form_contraction(xi, lbl),
-            what="interior product",
-        )
-    if cx.kind == "jet":
-        def fn(lbl):
-            S, c, beta = lbl
-            return {(rest, mm, beta): cc
-                    for (mm, rest), cc in _form_contraction(xi, (c, S)).items()}
-
-        return cx.induced((i, d), (i - 1, d + xi.weight), fn,
-                          what="interior product")
-    raise SceneError(f"interior product unsupported on kind {cx.kind!r}")
+    if cx.kind not in ("derham", "jet"):
+        raise SceneError(f"interior product unsupported on kind {cx.kind!r}")
+    return cx.induced(
+        (i, d), (i - 1, d + xi.weight),
+        lambda lbl: _form_contraction(xi, lbl),
+        what="interior product",
+    )
 
 
 def jet_contraction_matrix(cx: GradedComplex, i: int, d: int) -> LinearMap:
-    if cx.kind != "jet" or cx.meta.get("r", 0) < 1:
+    if cx.kind != "jet":
         raise SceneError("jet contraction only applies to jet complexes of order >= 1")
     if i < 1:
         raise SceneError("jet contraction needs form degree >= 1")
@@ -326,7 +317,7 @@ def cartan_check(xi: Derivation, cx: GradedComplex, bound: int) -> CartanReport:
     delta-raising terms; the triangular shape is checked on ambient
     labels and the Euler Lie action is checked to be weight·id.
     """
-    if _is_form_complex(cx):
+    if cx.kind == "derham":
         report = CartanReport(cx.name, str(xi), bound, "L = d∘iota + iota∘d")
         iota = cache(lambda i, d: interior_product_matrix(xi, cx, i, d))
         for d in range(cx.weight_floor, bound + 1):
@@ -345,14 +336,13 @@ def cartan_check(xi: Derivation, cx: GradedComplex, bound: int) -> CartanReport:
             "d∘iota_J + iota_J∘d = (i + |beta|)·id + delta-raising; "
             "Euler Lie action = weight·id",
         )
-        r = cx.meta["r"]
         # ambient-level triangularity of the delta-contraction Cartan operator
         for i in cx.indices:
             if i < 1:
                 continue
             for d in range(cx.weight_floor, bound + 1):
                 for label in cx.ambient_fn(i, d):
-                    S, c, beta = label
+                    _c, S, beta = label
                     acc: dict = {}
                     for lbl, cc in _jet_contraction(label).items():
                         for lbl2, cc2 in cx.diff_fn(i - 1, d, lbl).items():
@@ -364,7 +354,7 @@ def cartan_check(xi: Derivation, cx: GradedComplex, bound: int) -> CartanReport:
                     acc = {k: v for k, v in acc.items() if v}
                     diag = acc.pop(label, Fraction(0))
                     ok = diag == len(S) + sum(beta)
-                    ok = ok and all(sum(b2) > sum(beta) for (_s2, _c2, b2) in acc)
+                    ok = ok and all(sum(b2) > sum(beta) for (_c2, _s2, b2) in acc)
                     report.checked.append((i, d, label))
                     if not ok:
                         report.violations.append((i, d))
@@ -422,7 +412,7 @@ def acyclicity_certificate(
     facts: L is bijective there, d∘h + h∘d is the identity, and the
     independently computed homology dimension is zero.
     """
-    if _is_form_complex(cx):
+    if cx.kind == "derham":
         if xi.weight != 0:
             raise SceneError("acyclicity certificates need a weight-zero derivation")
         flavor = "euler-contraction"
@@ -544,11 +534,7 @@ def contraction_pairing(
             for m in ring.monomials_of_weight(d - wtot + subset_weight(ring, T)):
                 source.append((m, T))
                 columns.append(((m, comp), sign))
-        target = []
-        for S in combinations(range(n), n - i):
-            for m in ring.monomials_of_weight(d - subset_weight(ring, S)):
-                target.append((m, S))
-        target.sort(key=lambda t: (t[1], t[0]))
+        target = wedge_labels(ring, ring.weights, n - i, d)
         report.checked.append(d)
         if len(source) != len(target):
             report.failures.append(d)

@@ -6,7 +6,8 @@ of the ideal, and modules presented by generators and relations get their
 components the same way.  No global Groebner data is needed here; the
 quotients are plain exact linear algebra on labeled bases.  The scene
 ideal's multiples g·label come from :func:`~.complexes.ideal_multiples`,
-so a module's own relations hold only its genuinely module-level part.
+so a module's own relations hold only its genuinely module-level part; a
+presented module's pieces are those of :func:`module_as_complex`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .complexes import dg_wedge, ideal_multiples, label_mul
+from .complexes import GradedComplex, dg_wedge, ideal_multiples
 from .errors import SceneError
 from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve_columns
 from .rings import INHOMOGENEOUS, AffineScene, Polynomial, mono_mul
@@ -117,15 +118,22 @@ class PresentedModule:
         return rows
 
     def piece(self, d: int) -> GradedPiece:
-        return _module_piece(self, d)
+        return module_as_complex(self).piece(0, d)
 
 
-@lru_cache(maxsize=None)
-def _module_piece(module: PresentedModule, d: int) -> GradedPiece:
-    ideal = module.scene.ideal.generators
-    return GradedPiece(
-        module.labels(d),
-        module.relation_rows(d) + ideal_multiples(ideal, d, module.labels, label_mul),
+def module_as_complex(module: PresentedModule) -> GradedComplex:
+    """A presented module viewed as a complex concentrated in index 0."""
+    floor = min((w for _lbl, w in module.generators), default=0)
+    return GradedComplex(
+        name=f"module({module.name})",
+        kind="module",
+        direction=-1,
+        indices=(0,),
+        ambient_fn=lambda i, d: module.labels(d),
+        diff_fn=lambda i, d, label: {},
+        relations_fn=lambda ideal, i, d: module.relation_rows(d),
+        weight_floor=min(floor, 0),
+        ideal=module.scene.ideal.generators,
     )
 
 

@@ -13,8 +13,8 @@
     degree-bound = 8
 
 The [ideal] section lists one polynomial per line and may be empty or
-absent (Y = X).  '#' starts a comment.  [options] entries are returned
-verbatim for the CLI to interpret.
+absent (Y = X).  '#' starts a comment.  [options] entries are parsed
+and returned verbatim next to the scene; the CLI does not read them.
 """
 
 from __future__ import annotations

@@ -132,7 +132,7 @@ def test_criterion_6_completed_de_rham_of_cusp():
     t0 = time.time()
     bound, depth = 10, 4
     ambient = AffineScene(CUSP.ring, Ideal(()))
-    tower = completed_complex(build_de_rham(ambient), CUSP.ideal, depth, bound)
+    tower = completed_complex(build_de_rham(ambient), CUSP.ideal, depth)
     report = tower_limit(tower, bound, weight_lo=0)
     assert report.all_stabilized()
     # entries are constant from the first stage with 6r > d (they may
@@ -165,7 +165,7 @@ def test_criterion_8_derived_completion():
     # (a) free module: index 0 matches the classical tower and negatives vanish
     _tw, rep = derived_completion(line, Ix, 8, 5)
     Ox = free_module(line, [("1", 0)], name="O")
-    classical = tower_limit(adic_tower(Ox, Ix, 8, 5), 5, weight_lo=0)
+    classical = tower_limit(adic_tower(Ox, Ix, 8), 5, weight_lo=0)
     for d in range(0, 6):
         assert rep.entries[(0, d)]["lim"] == classical.entries[(0, d)]["lim"] == 1
         e = rep.entries[(-1, d)]
@@ -221,7 +221,7 @@ def test_criterion_10_structural_suite(capsys):
         homology_table(kz, bound)
         if not s.ideal.is_trivial:
             tower = completed_complex(build_de_rham(AffineScene(s.ring, Ideal(()))),
-                                      s.ideal, 3, bound)
+                                      s.ideal, 3)
             for r in (1, 2):
                 for i in (0, 1):
                     for d in (0, bound // 2, bound):

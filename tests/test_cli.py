@@ -271,7 +271,7 @@ def test_negative_degree_bound_exits_1(capsys, command):
 def test_unexpected_exception_exits_3_in_one_line(monkeypatch, capsys):
     import spencerlab.cli as cli
 
-    def broken(scene, opts, args):
+    def broken(scene, args):
         return 1 // 0
 
     monkeypatch.setitem(cli.COMMANDS, "milnor", broken)

@@ -10,7 +10,14 @@ import pytest
 
 from spencerlab import linalg
 from spencerlab.cli import main
-from spencerlab.complexes import GradedComplex, build_de_rham, build_koszul, homology_table
+from spencerlab.complexes import (
+    GradedComplex,
+    SpencerCoefficients,
+    build_de_rham,
+    build_koszul,
+    build_spencer_of_module,
+    homology_table,
+)
 from spencerlab.completion import (
     Tower,
     adic_tower,
@@ -48,7 +55,7 @@ def line_data():
 
 def test_adic_stage_dims_on_the_line():
     _a1, Ix, Ox = line_data()
-    t = adic_tower(Ox, Ix, 5, 6)
+    t = adic_tower(Ox, Ix, 5)
     for r in range(1, 6):
         for d in range(0, 6):
             assert t.stage(r).piece(0, d).dim == (1 if d < r else 0)
@@ -58,7 +65,7 @@ def test_adic_cusp_slice(cusp):
     Ox = free_module(cusp, [("1", 0)], name="O")
     amb = AffineScene(cusp.ring, Ideal(()))
     Oamb = free_module(amb, [("1", 0)], name="O")
-    t = adic_tower(Oamb, cusp.ideal, 3, 8)
+    t = adic_tower(Oamb, cusp.ideal, 3)
     # (R/I)_6 has dimension dim R_6 - 1 = 1 (two monomials modulo f)
     assert t.stage(1).piece(0, 6).dim == 1
     # stabilized once 6r > d
@@ -68,7 +75,7 @@ def test_adic_cusp_slice(cusp):
 def test_adic_unit_ideal_kills_everything(a1):
     Ox = free_module(a1, [("1", 0)], name="O")
     unit = Ideal((a1.ring.one(),))
-    t = adic_tower(Ox, unit, 3, 5)
+    t = adic_tower(Ox, unit, 3)
     for r in range(1, 4):
         for d in range(0, 6):
             assert t.stage(r).piece(0, d).dim == 0
@@ -76,7 +83,7 @@ def test_adic_unit_ideal_kills_everything(a1):
 
 def test_adic_limits_weightwise():
     _a1, Ix, Ox = line_data()
-    t = adic_tower(Ox, Ix, 8, 5)
+    t = adic_tower(Ox, Ix, 8)
     rep = tower_limit(t, 5, weight_lo=0)
     for d in range(0, 6):
         e = rep.entries[(0, d)]
@@ -86,7 +93,7 @@ def test_adic_limits_weightwise():
 
 def test_transitions_are_chain_maps():
     _a1, Ix, Ox = line_data()
-    t = adic_tower(Ox, Ix, 4, 5)
+    t = adic_tower(Ox, Ix, 4)
     for r in range(1, 4):
         for d in range(0, 6):
             t.verify_chain_map(r, 0, d)
@@ -149,7 +156,7 @@ def test_zero_transition_tower_limits(a1):
 
 def test_completed_de_rham_of_cusp_stabilizes(cusp):
     amb = AffineScene(cusp.ring, Ideal(()))
-    tower = completed_complex(build_de_rham(amb), cusp.ideal, 4, 10)
+    tower = completed_complex(build_de_rham(amb), cusp.ideal, 4)
     rep = tower_limit(tower, 10, weight_lo=0)
     assert rep.all_stabilized()
     assert rep.lim_table() == {(0, 0): 1}
@@ -162,7 +169,7 @@ def test_completed_de_rham_of_cusp_stabilizes(cusp):
 def test_completed_koszul_along_x(a2):
     kz = build_koszul(a2, [a2.ring.var(0), a2.ring.var(1)])
     Ix = Ideal((parse_polynomial("x", a2.ring),))
-    tower = completed_complex(kz, Ix, 4, 6)
+    tower = completed_complex(kz, Ix, 4)
     rep = tower_limit(tower, 6, weight_lo=0)
     # H0 of every stage is Q[x,y]/(x, y): a constant tower
     for r in range(1, 5):
@@ -174,7 +181,7 @@ def test_completed_koszul_along_x(a2):
 def test_completed_unit_ideal_gives_zero_tower(a2):
     kz = build_koszul(a2, [a2.ring.var(0)])
     unit = Ideal((a2.ring.one(),))
-    tower = completed_complex(kz, unit, 3, 4)
+    tower = completed_complex(kz, unit, 3)
     for r in range(1, 4):
         for d in range(0, 5):
             assert tower.stage(r).piece(0, d).dim == 0
@@ -182,7 +189,7 @@ def test_completed_unit_ideal_gives_zero_tower(a2):
 
 def test_completed_tower_transitions_are_chain_maps(cusp):
     amb = AffineScene(cusp.ring, Ideal(()))
-    tower = completed_complex(build_de_rham(amb), cusp.ideal, 3, 8)
+    tower = completed_complex(build_de_rham(amb), cusp.ideal, 3)
     for r in (1, 2):
         for i in (0, 1):
             for d in (0, 4, 6, 8):
@@ -195,7 +202,7 @@ def test_completed_tower_transitions_are_chain_maps(cusp):
 def test_derived_completion_of_free_module():
     a1, Ix, Ox = line_data()
     _tower, rep = derived_completion(a1, Ix, 8, 5)
-    adic = tower_limit(adic_tower(Ox, Ix, 8, 5), 5, weight_lo=0)
+    adic = tower_limit(adic_tower(Ox, Ix, 8), 5, weight_lo=0)
     for d in range(0, 6):
         assert rep.entries[(0, d)]["lim"] == adic.entries[(0, d)]["lim"]
         eneg = rep.entries[(-1, d)]
@@ -226,7 +233,7 @@ def test_classical_and_derived_agree_in_index_zero_for_coherent_inputs(cusp):
     amb = AffineScene(cusp.ring, Ideal(()))
     Oamb = free_module(amb, [("1", 0)], name="O")
     _tower, rep = derived_completion(amb, cusp.ideal, 5, 8)
-    adic = tower_limit(adic_tower(Oamb, cusp.ideal, 5, 8), 8, weight_lo=0)
+    adic = tower_limit(adic_tower(Oamb, cusp.ideal, 5), 8, weight_lo=0)
     for d in range(0, 9):
         a = adic.entries[(0, d)]
         b = rep.entries[(0, d)]
@@ -334,7 +341,7 @@ def test_derived_completion_two_generators():
             assert all(v == 0 for v in e["stage_dims"])
     # index 0 matches the classical adic completion where both stabilize
     Oamb = free_module(amb, [("1", 0)], name="O")
-    classical = tower_limit(adic_tower(Oamb, ideal, 4, 6), 6, weight_lo=0)
+    classical = tower_limit(adic_tower(Oamb, ideal, 4), 6, weight_lo=0)
     for d in range(0, 7):
         a, b = classical.entries[(0, d)], rep.entries[(0, d)]
         if a["stabilized"] and b["stabilized"]:
@@ -372,7 +379,7 @@ def _one_cell_complex(name, differential):
         direction=-1,
         indices=(0, 1, 2),
         ambient_fn=lambda i, d: (("e", i),) if d == 0 else (),
-        relations_fn=lambda i, d: [],
+        relations_fn=lambda ideal, i, d: [],
         diff_fn=lambda i, d, lbl: {("e", i - 1): Fraction(differential)},
     )
 
@@ -402,9 +409,9 @@ def _corpus_towers(depth, bound):
     """The towers of complete, derived-complete and independence (--p 1) per scene."""
     for name, sc in _nonempty_ideal_scenes():
         amb = AffineScene(sc.ring, Ideal(()))
-        yield name, completed_complex(build_de_rham(amb), sc.ideal, depth, bound)
+        yield name, completed_complex(build_de_rham(amb), sc.ideal, depth)
         yield name, koszul_power_tower(amb, sc.ideal, depth)
-        yield name, completed_complex(filtered_spencer(sc.ring, 1), sc.ideal, depth, bound)
+        yield name, completed_complex(filtered_spencer(sc.ring, 1), sc.ideal, depth)
 
 
 def test_rank_derived_zero_cells_have_no_homology():
@@ -520,7 +527,7 @@ def _oracle_scene(name, base):
 def test_adic_stages_match_presented_quotients(name, which, base):
     sc, over = _oracle_scene(name, base)
     module = free_module(over, (("1", 0),)) if which == "O" else omega_module(over, 1)
-    tower = adic_tower(module, sc.ideal, 3, 6)
+    tower = adic_tower(module, sc.ideal, 3)
     for r in range(1, 4):
         oracle = _presented_quotient(module, sc.ideal.generators, r)
         for d in range(0, 7):
@@ -534,7 +541,7 @@ def test_adic_stages_match_presented_quotients(name, which, base):
 def test_completed_koszul_stages_match_thickened_koszul(name, base):
     sc, over = _oracle_scene(name, base)
     x = over.ring.var(0)
-    tower = completed_complex(build_koszul(over, [x]), sc.ideal, 3, 6)
+    tower = completed_complex(build_koszul(over, [x]), sc.ideal, 3)
     for r in range(1, 4):
         gens = over.ideal.generators + _power_generators(sc.ideal.generators, r)
         oracle = build_koszul(AffineScene(over.ring, Ideal(gens)), [x])
@@ -543,3 +550,55 @@ def test_completed_koszul_stages_match_thickened_koszul(name, base):
                 got, want = tower.stage(r).piece(i, d), oracle.piece(i, d)
                 assert got.basis == want.basis, (r, i, d)
                 assert list(got.relation_rows()) == list(want.relation_rows()), (r, i, d)
+
+
+@pytest.mark.parametrize("base", ("Y", "ambient"))
+@pytest.mark.parametrize("name", ORACLE_SCENES)
+def test_completed_de_rham_stages_match_thickened_de_rham(name, base):
+    # stage r of a completed de Rham complex is the de Rham complex of the
+    # thickening V(J + I^r), built here directly from that scene
+    sc, over = _oracle_scene(name, base)
+    tower = completed_complex(build_de_rham(over), sc.ideal, 3)
+    for r in range(1, 4):
+        gens = over.ideal.generators + _power_generators(sc.ideal.generators, r)
+        oracle = build_de_rham(AffineScene(over.ring, Ideal(gens)))
+        for i in oracle.indices:
+            for d in range(0, 7):
+                got, want = tower.stage(r).piece(i, d), oracle.piece(i, d)
+                assert got.basis == want.basis, (r, i, d)
+                assert list(got.relation_rows()) == list(want.relation_rows()), (r, i, d)
+
+
+def test_completed_spencer_stages_drop_multiples_of_the_ideal():
+    # along the monomial ideal (x), stage r keeps exactly the labels whose
+    # leading monomial has x-degree below r
+    a2 = scene(["x", "y"], [1, 1])
+    cx = build_spencer_of_module(SpencerCoefficients(a2, "omega_1"))
+    tower = completed_complex(cx, Ideal((parse_polynomial("x", a2.ring),)), 3)
+    for r in range(1, 4):
+        for i in cx.indices:
+            for d in range(cx.weight_floor, 5):
+                want = tuple(lbl for lbl in cx.piece(i, d).basis if lbl[0][0] < r)
+                assert tower.stage(r).piece(i, d).basis == want, (r, i, d)
+
+
+COMPLETIONS = {
+    "derham": lambda over, ideal: completed_complex(build_de_rham(over), ideal, 2),
+    "koszul": lambda over, ideal: completed_complex(
+        build_koszul(over, [over.ring.var(0)]), ideal, 2
+    ),
+    "filtered-spencer": lambda over, ideal: completed_complex(
+        filtered_spencer(over.ring, 1), ideal, 2
+    ),
+    "module": lambda over, ideal: adic_tower(free_module(over, (("1", 0),)), ideal, 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMPLETIONS))
+def test_completion_along_inhomogeneous_ideal_is_an_input_error(kind):
+    over = scene(["x", "y"], [1, 1])
+    ideal = Ideal((parse_polynomial("x + y^2", over.ring),))
+    with pytest.raises(SceneError, match="is not weighted-homogeneous for weights"):
+        tower = COMPLETIONS[kind](over, ideal)
+        for i in tower.indices:
+            tower.stage(1).piece(i, 2)
