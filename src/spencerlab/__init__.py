@@ -35,7 +35,6 @@ from .groebner import buchberger, normal_form, quotient_dimension, wdegrevlex
 from .complexes import (
     GradedComplex,
     HomologyTable,
-    SpencerCoefficients,
     build_de_rham,
     build_jet_complex,
     build_koszul,

@@ -30,7 +30,7 @@ from .diffops import WeylAlgebra, filtered_spencer, kashiwara_quotient, pushforw
 from .errors import BudgetExceeded, InternalInvariantError, SpencerlabError
 from .homotopy import acyclicity_certificate, cartan_check, euler_derivation
 from .invariants import jacobian_smoothness, milnor_tjurina, spencer_h0
-from .rings import AffineScene, Ideal, parse_polynomial
+from .rings import AffineScene, Ideal, WeightedRing, parse_polynomial
 from .scenes import load_scene, scene_json
 
 BUDGET_ENV = "SPENCERLAB_BUDGET"
@@ -86,10 +86,8 @@ def cmd_jet(scene, args):
 
 
 def cmd_spencer(scene, args):
-    kind = {"O": "O", "omega1": "omega_1", "omega-top": f"omega_{scene.ring.nvars}"}[
-        args.module
-    ]
-    table = pushforward_point(kind, scene, args.degree_bound)
+    form_degree = {"O": 0, "omega1": 1, "omega-top": scene.ring.nvars}[args.module]
+    table = pushforward_point(form_degree, scene, args.degree_bound)
     return {"module": args.module, "tables": table.table_json()}
 
 
@@ -102,8 +100,6 @@ def cmd_koszul(scene, args):
 def cmd_filtered_spencer(scene, args):
     ring = scene.ring
     if args.n is not None and args.n != ring.nvars:
-        from .rings import WeightedRing
-
         ring = WeightedRing(
             tuple(f"x{k+1}" for k in range(args.n)), (1,) * args.n
         )
@@ -154,7 +150,7 @@ def cmd_complete(scene, args):
         ideal = scene.ideal
         base = _ambient(scene)
     else:
-        other, _ = load_scene(args.along)
+        other = load_scene(args.along)
         if other.ring != scene.ring:
             raise SpencerlabError("completion ideal must live in the scene ring")
         ideal = other.ideal
@@ -175,7 +171,7 @@ def cmd_derived_complete(scene, args):
 
 
 def cmd_independence(scene, args):
-    big, _ = load_scene(args.extended_scene)
+    big = load_scene(args.extended_scene)
     report = embedding_independence(
         scene, big, args.r_max, args.degree_bound, spencer_order=args.p
     )
@@ -278,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        scene, _options = load_scene(args.scene)
+        scene = load_scene(args.scene)
         payload = {
             "command": args.command,
             "scene": scene_json(scene),

@@ -5,9 +5,10 @@ stage r of a completed complex is the same complex carrying the ideal
 J + I^r in place of its own ideal J, for every kind of complex.  Its
 relations are read off the ideal it carries, so for a complex with an
 O-linear differential (Koszul, filtered Spencer, a module) the stage is
-the complex tensored with O/I^r, and for de Rham it is the de Rham
-complex of the thickening V(J + I^r).  The adic tower M/I^r M of a
-module is the completed complex of M in index 0.
+the complex tensored with O/I^r, for de Rham it is the de Rham complex
+of the thickening V(J + I^r), and for jets it is the jet complex of that
+thickening.  The adic tower M/I^r M of a module is the completed complex
+of M in index 0.
 With positive generator weights it is computed degreewise: the weight-d
 slice of I^r is empty once r times the minimal generator weight exceeds
 d, so every graded piece of an adic tower is literally constant from a
@@ -34,9 +35,10 @@ from .complexes import (
     homology_table,
     induced_map,
 )
+from .diffops import filtered_spencer
 from .errors import InternalInvariantError, SceneError
 from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve_columns
-from .modules import PresentedModule, module_as_complex
+from .modules import PresentedModule, graded_component_basis, module_as_complex
 from .rings import AffineScene, Ideal, Polynomial, mono_mul
 
 
@@ -340,20 +342,16 @@ def completed_complex(cx: GradedComplex, ideal: Ideal, depth: int) -> Tower:
     Stage r is cx carrying the ideal ``cx.ideal + I^r``.  With an O-linear
     differential (Koszul, filtered Spencer, modules) that is cx ⊗ O/I^r
     with differential d ⊗ id.  The exterior derivative is not O-linear,
-    but de Rham reads its dg-wedge relations off the ideal it carries, so
-    its stages are the de Rham complexes of the infinitesimal thickenings
-    V(cx.ideal + I^r); the two inverse systems are interleaved, hence have
-    the same limit, and every stage is an honest complex.  Transitions are
-    the natural surjections.  Along the zero ideal the tower is constant.
+    but de Rham and jets read their dg-wedge (and Taylor) relations off
+    the ideal they carry, so their stages are the de Rham and jet
+    complexes of the infinitesimal thickenings V(cx.ideal + I^r); the two
+    inverse systems are interleaved, hence have the same limit, and every
+    stage is an honest complex.  Transitions are the natural surjections.
+    Along the zero ideal the tower is constant.
     """
     name = f"completed({cx.name})"
     if ideal.is_trivial:
         return _surjection_tower(name, [cx] * depth)
-    if cx.kind == "jet":
-        raise SceneError(
-            "completion of jet complexes of positive order is not supported "
-            "(their differential is not O-linear)"
-        )
     # raises SceneError on an inhomogeneous generator
     AffineScene(ideal.generators[0].ring, ideal)
     stages = [
@@ -478,8 +476,6 @@ def completed_koszul_h0(
         kz = build_koszul(ambient, elements)
         table = homology_table(kz, bound)
         quotient = AffineScene(ring, Ideal(elements))
-        from .modules import graded_component_basis
-
         for d in range(0, bound + 1):
             report.h0[(r, d)] = table.dim(0, d)
             report.oracle[(r, d)] = len(graded_component_basis(quotient, d))
@@ -571,8 +567,6 @@ def embedding_independence(
     zero).  With ``spencer_order`` the completed filtered Spencer tables
     are compared as well.
     """
-    from .diffops import filtered_spencer
-
     check_extension(small, big)
     report = IndependenceReport(
         scene_small=str(small.ring.variables),

@@ -19,6 +19,13 @@ relation rows into the target's relation span; a failure means the
 construction is not well defined and raises immediately rather than
 producing wrong homology.
 
+The form operators are written once, on labels (monomial, S, *tail)
+whose trailing parts pass through: :func:`exterior_derivative` is the de
+Rham differential and both halves of the jet differential,
+:func:`contraction` is the Koszul differential and the interior product,
+and :func:`dg_wedge_relations` gives the dg-wedge relations of de Rham
+and jets.
+
 Index conventions follow the sources the builders model: Koszul and
 Spencer complexes are homological (differential lowers the index), de
 Rham and jet complexes are cohomological (raises it).  A ``direction``
@@ -27,10 +34,11 @@ flag records which.
 Jet complexes use the order-lowering convention: the form degree ``i``
 carries jets of order ``r - i``, so the complex for order ``r`` ends at
 form degree ``min(r, n)``.  Coefficients of a jet are carried on the
-second tensor factor; the differential combines the form-slot exterior
-derivative with differentiation of that factor (which lowers the jet
-order by one).  At ``r = 0`` the jets are plain functions and the complex
-is the de Rham complex.
+second tensor factor; the differential is the exterior derivative of
+that factor (where the target order allows it) plus the exterior
+derivative of the delta factor, which lowers the jet order by one.  At
+``r = 0`` the jets are plain functions and the complex is the de Rham
+complex.
 """
 
 from __future__ import annotations
@@ -75,6 +83,70 @@ def dg_wedge(g: Polynomial, T: tuple) -> dict:
             if not dj.is_zero():
                 out[S] = dj.scale(sign)
     return out
+
+
+# -- operators on form labels (monomial, S, *tail) ---------------------------
+
+def exterior_derivative(label: tuple) -> dict:
+    """d(x^m dx_S) = sum_j m_j x^(m - e_j) dx_j ∧ dx_S on a form label."""
+    m, S = label[:2]
+    tail = label[2:]
+    out: dict = {}
+    for j, e in enumerate(m):
+        if not e or j in S:
+            continue
+        sign, Snew = insert_sign(j, S)
+        out[(m[:j] + (e - 1,) + m[j + 1:], Snew) + tail] = Fraction(sign * e)
+    return out
+
+
+def contraction(coefficients, label: tuple) -> dict:
+    """Contraction of a form label with sum_s coefficients[s] ∂_s.
+
+    Slot s of S is contracted against the polynomial ``coefficients[s]``
+    with the sign of its position; the Koszul differential is the
+    contraction with its elements.
+    """
+    m, S = label[:2]
+    tail = label[2:]
+    out: dict = {}
+    for t, s in enumerate(S):
+        sign, rest = remove_sign(t, S)
+        for mm, c in coefficients[s].terms.items():
+            key = (mono_mul(m, mm), rest) + tail
+            out[key] = out.get(key, Fraction(0)) + sign * c
+    return out
+
+
+def dg_wedge_relations(ring, ideal, i: int, d: int, tails, wedges: dict) -> list:
+    """Relation rows dg ∧ x^m dx_T on form labels of index i and weight d.
+
+    One row per generator g, (i-1)-subset T, trailing label part in
+    ``tails`` (a tuple of exponent vectors, each weighted as a monomial)
+    and monomial m of the remaining weight.  ``wedges`` caches dg ∧ dx_T
+    by (g, T) across calls, so every ideal a complex carries shares it.
+    """
+    if i < 1:
+        return []
+    rels = []
+    weighted = [(tail, sum(ring.mono_weight(part) for part in tail)) for tail in tails]
+    for g in ideal:
+        e = g.weighted_degree()
+        for T in combinations(range(ring.nvars), i - 1):
+            wT = subset_weight(ring, T)
+            for tail, wt in weighted:
+                monos = ring.monomials_of_weight(d - wT - wt - e)
+                if not monos:
+                    continue
+                if (g, T) not in wedges:
+                    wedges[g, T] = dg_wedge(g, T)
+                wedge = wedges[g, T]
+                for m in monos:
+                    rels.append({
+                        (mono_mul(m, mg), S) + tail: c
+                        for S, p in wedge.items() for mg, c in p.terms.items()
+                    })
+    return rels
 
 
 def wedge_labels(ring, slot_weights: tuple, i: int, d: int) -> tuple:
@@ -342,24 +414,13 @@ def build_koszul(scene: AffineScene, elements) -> GradedComplex:
     def ambient(i, d):
         return wedge_labels(ring, degrees, i, d)
 
-    def diff(i, d, label):
-        m, S = label
-        out: dict = {}
-        for t, s in enumerate(S):
-            sign, rest = remove_sign(t, S)
-            f = elements[s]
-            for mf, c in f.terms.items():
-                key = (mono_mul(m, mf), rest)
-                out[key] = out.get(key, Fraction(0)) + sign * c
-        return out
-
     return GradedComplex(
         name=f"koszul({', '.join(str(f) for f in elements)})",
         kind="koszul",
         direction=-1,
         indices=tuple(range(k + 1)),
         ambient_fn=ambient,
-        diff_fn=diff,
+        diff_fn=lambda i, d, label: contraction(elements, label),
         ideal=scene.ideal.generators,
     )
 
@@ -377,35 +438,9 @@ def build_de_rham(scene: AffineScene) -> GradedComplex:
     wedges: dict = {}  # (generator, T) -> dg ∧ dx_T, shared by every ideal
 
     def relations(ideal, i, d):
-        # dg ∧ Omega^{i-1}; I·Omega^i are the complex's ideal multiples
-        rels = []
-        for g in ideal:
-            e = g.weighted_degree()
-            for T in (combinations(range(n), i - 1) if i >= 1 else ()):
-                monos = ring.monomials_of_weight(d - subset_weight(ring, T) - e)
-                if not monos:
-                    continue
-                if (g, T) not in wedges:
-                    wedges[g, T] = dg_wedge(g, T)
-                wedge = wedges[g, T]
-                for m in monos:
-                    rels.append({
-                        (mono_mul(m, mg), S): c
-                        for S, p in wedge.items() for mg, c in p.terms.items()
-                    })
-        return rels
-
-    def diff(i, d, label):
-        m, S = label
-        out: dict = {}
-        for j in range(n):
-            if m[j] == 0 or j in S:
-                continue
-            sign, Snew = insert_sign(j, S)
-            dm = list(m)
-            dm[j] -= 1
-            out[(tuple(dm), Snew)] = Fraction(sign * m[j])
-        return out
+        # dg ∧ Omega^{i-1} (labels have the empty tail); I·Omega^i are the
+        # complex's ideal multiples
+        return dg_wedge_relations(ring, ideal, i, d, ((),), wedges)
 
     return GradedComplex(
         name="de-rham",
@@ -413,7 +448,7 @@ def build_de_rham(scene: AffineScene) -> GradedComplex:
         direction=1,
         indices=tuple(range(n + 1)),
         ambient_fn=ambient,
-        diff_fn=diff,
+        diff_fn=lambda i, d, label: exterior_derivative(label),
         relations_fn=relations,
         ideal=scene.ideal.generators,
     )
@@ -511,41 +546,18 @@ def build_jet_complex(scene: AffineScene, r: int) -> GradedComplex:
                             for mg, c in terms.items():
                                 vec[mono_mul(m, mg), S, delta] = sign * c
                         rels.append(vec)
-            # dg ∧ (forms) on the form slot
-            for T in (combinations(range(n), i - 1) if i >= 1 else ()):
-                wT = subset_weight(ring, T)
-                for beta in _multi_indices(n, s):
-                    monos = ring.monomials_of_weight(d - wT - ring.mono_weight(beta) - e)
-                    if not monos:
-                        continue
-                    if (g, T) not in wedges:
-                        wedges[g, T] = dg_wedge(g, T)
-                    wedge = wedges[g, T]
-                    for m in monos:
-                        rels.append({
-                            (mono_mul(m, mg), S, beta): c
-                            for S, p in wedge.items() for mg, c in p.terms.items()
-                        })
-        return rels
+        # dg ∧ (forms) on the form slot
+        tails = [(beta,) for beta in _multi_indices(n, s)]
+        return rels + dg_wedge_relations(ring, ideal, i, d, tails, wedges)
 
     def diff(i, d, label):
+        # d on the coefficient factor where the jet order allows it, plus d
+        # on the delta factor, which lowers the jet order by one
         c, S, beta = label
-        target_order = jet_order(i + 1)
-        out: dict = {}
-        for k in range(n):
-            if k in S:
-                continue
-            sign, Snew = insert_sign(k, S)
-            if c[k] > 0 and sum(beta) <= target_order:
-                dc = list(c)
-                dc[k] -= 1
-                key = (tuple(dc), Snew, beta)
-                out[key] = out.get(key, Fraction(0)) + sign * c[k]
-            if beta[k] > 0:
-                db = list(beta)
-                db[k] -= 1
-                key = (c, Snew, tuple(db))
-                out[key] = out.get(key, Fraction(0)) + sign * beta[k]
+        out = exterior_derivative(label) if sum(beta) <= jet_order(i + 1) else {}
+        for (db, Snew, _c), v in exterior_derivative((beta, S, c)).items():
+            key = (c, Snew, db)
+            out[key] = out.get(key, Fraction(0)) + v
         return out
 
     return GradedComplex(
@@ -563,78 +575,45 @@ def build_jet_complex(scene: AffineScene, r: int) -> GradedComplex:
 
 # -- Spencer complex of a module ---------------------------------------------
 
-class SpencerCoefficients:
-    """Coefficient data for the Spencer complex on a smooth ambient scene.
+def build_spencer_of_module(scene: AffineScene, form_degree: int) -> GradedComplex:
+    """Spencer complex Omega^k ⊗ ∧^i T with the two-term differential.
 
-    kind "O": the structure sheaf with the tautological derivation action.
-    kind "omega_j": j-forms with the Lie-derivative action.
-    Labels are (monomial, T) pairs; "O" is form degree 0, so T = ().
+    The coefficients are the k-forms (k = ``form_degree``; k = 0 is O)
+    with the Lie-derivative action.  On the smooth ambient scene T is free
+    on the coordinate fields, whose brackets vanish, so only the action
+    sum contributes on basis wedges.  Labels are (m, T, S): the
+    coefficient x^m dx_T and the polyvector slot d_S, sorted by (S, m, T).
     """
-
-    def __init__(self, scene: AffineScene, kind: str):
-        if not scene.ideal.is_trivial:
-            raise SceneError(
-                "the Spencer complex of a module is built over a smooth "
-                "ambient scene; singular Y has no free tangent module and "
-                "the two-term differential is not O-linear there"
-            )
-        self.scene = scene
-        self.kind = kind
-        ring = scene.ring
-        if kind == "O":
-            self.form_degree = 0
-        elif kind.startswith("omega_"):
-            self.form_degree = int(kind.split("_")[1])
-            if not 0 <= self.form_degree <= ring.nvars:
-                raise SceneError(f"no {kind} on {ring.nvars} variables")
-        else:
-            raise SceneError(f"unknown Spencer coefficient kind {kind!r}")
-
-    def labels(self, d: int) -> tuple:
-        ring = self.scene.ring
-        return wedge_labels(ring, ring.weights, self.form_degree, d)
-
-    def act(self, j: int, label) -> dict:
-        """Action of the coordinate field ∂_j on a coefficient label."""
-        m, T = label
-        if m[j] == 0:
-            return {}
-        dm = list(m)
-        dm[j] -= 1
-        return {(tuple(dm), T): Fraction(m[j])}
-
-
-def build_spencer_of_module(coeffs: SpencerCoefficients) -> GradedComplex:
-    """Spencer complex M ⊗ ∧^i T with the two-term differential.
-
-    On the smooth ambient scene T is free on the coordinate fields, whose
-    brackets vanish, so only the action sum contributes on basis wedges.
-    Labels are (m, T, S): the coefficient label (m, T) and the polyvector
-    slot d_S, sorted by (S, m, T).
-    """
-    scene = coeffs.scene
+    if not scene.ideal.is_trivial:
+        raise SceneError(
+            "the Spencer complex of a module is built over a smooth "
+            "ambient scene; singular Y has no free tangent module and "
+            "the two-term differential is not O-linear there"
+        )
     ring = scene.ring
     n = ring.nvars
+    if not 0 <= form_degree <= n:
+        raise SceneError(f"no omega_{form_degree} on {n} variables")
 
     def ambient(i, d):
         out = []
         for S in combinations(range(n), i):
-            for mlabel in coeffs.labels(d + subset_weight(ring, S)):
-                out.append(mlabel + (S,))
+            for m, T in wedge_labels(ring, ring.weights, form_degree, d + subset_weight(ring, S)):
+                out.append((m, T, S))
         return tuple(sorted(out, key=lambda t: (t[2], t[0], t[1])))
 
     def diff(i, d, label):
+        # the coordinate field ∂_s of slot s acts on the coefficient x^m dx_T
         m, T, S = label
         out: dict = {}
         for t, s in enumerate(S):
-            sign, rest = remove_sign(t, S)
-            for lbl, c in coeffs.act(s, (m, T)).items():
-                key = lbl + (rest,)
-                out[key] = out.get(key, Fraction(0)) + sign * c
+            if m[s]:
+                sign, rest = remove_sign(t, S)
+                out[(m[:s] + (m[s] - 1,) + m[s + 1:], T, rest)] = Fraction(sign * m[s])
         return out
 
     return GradedComplex(
-        name=f"spencer({coeffs.kind})",
+        name=f"spencer(omega_{form_degree})",
         kind="spencer",
         direction=-1,
         indices=tuple(range(n + 1)),

@@ -17,12 +17,14 @@ from .complexes import (
     GradedComplex,
     HomologyTable,
     _multi_indices,
+    build_spencer_of_module,
     homology_table,
     ideal_multiples,
     label_mul,
     subset_weight,
 )
 from .errors import BudgetExceeded, InternalInvariantError, SceneError
+from .linalg import GradedPiece
 from .rings import AffineScene, Ideal, Polynomial, WeightedRing, mono_mul
 
 
@@ -300,8 +302,6 @@ def kashiwara_quotient(
     The support condition is verified exactly: left multiplication by each
     generator is the zero map on every computed component.
     """
-    from .linalg import GradedPiece
-
     ring = alg.ring
     floor = -alg.order_bound * max(ring.weights)
     piece_objects: dict = {}
@@ -328,22 +328,20 @@ def kashiwara_quotient(
 
 # -- pushforward to the point ---------------------------------------------------
 
-def pushforward_point(coeff_kind: str, scene: AffineScene, bound: int) -> HomologyTable:
+def pushforward_point(form_degree: int, scene: AffineScene, bound: int) -> HomologyTable:
     """Spencer homology re-presented as the cohomology of the point pushforward.
 
     Indices are reversed (i -> n - i) and weights shifted by the weight of
     the volume form, matching the contraction pairing vol ⊗ ∧^i T ->
-    Omega^(n-i); with O-coefficients this reproduces the de Rham table.
+    Omega^(n-i); with O-coefficients (form degree 0) this reproduces the
+    de Rham table.
     """
-    from .complexes import SpencerCoefficients, build_spencer_of_module
-
-    coeffs = SpencerCoefficients(scene, coeff_kind)
-    cx = build_spencer_of_module(coeffs)
+    cx = build_spencer_of_module(scene, form_degree)
     n = scene.ring.nvars
     shift = sum(scene.ring.weights)
     raw = homology_table(cx, bound)
     out = HomologyTable(
-        name=f"pushforward({coeff_kind})",
+        name=f"pushforward(omega_{form_degree})",
         direction=1,
         indices=tuple(range(n + 1)),
         weight_lo=0,

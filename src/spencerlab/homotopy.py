@@ -25,10 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 from .complexes import (
     GradedComplex,
     _multi_indices,
+    contraction,
     divided_derivative,
     insert_sign,
     remove_sign,
@@ -38,7 +40,7 @@ from .complexes import (
 from .errors import InternalInvariantError, SceneError
 from .linalg import LinearMap, rank_kernel_image
 from .modules import in_ideal_degreewise
-from .rings import INHOMOGENEOUS, AffineScene, Polynomial, mono_mul
+from .rings import INHOMOGENEOUS, AffineScene, Polynomial, WeightedRing, mono_mul
 
 
 @dataclass(frozen=True)
@@ -157,19 +159,6 @@ def _form_lie(xi: Derivation, label) -> dict:
     return out
 
 
-def _form_contraction(xi: Derivation, label) -> dict:
-    """Contraction with xi on a form label (monomial, S, ...); trailing parts pass through."""
-    m, S = label[:2]
-    tail = label[2:]
-    out: dict = {}
-    for t, s in enumerate(S):
-        sign, rest = remove_sign(t, S)
-        for mm, c in xi.coefficients[s].terms.items():
-            key = (mono_mul(m, mm), rest) + tail
-            out[key] = out.get(key, Fraction(0)) + sign * c
-    return out
-
-
 def _jet_lie_diag(xi: Derivation, label, jet_order: int) -> dict:
     """Diagonal Lie action on a jet label (c, S, beta).
 
@@ -252,7 +241,7 @@ def interior_product_matrix(
         raise SceneError(f"interior product unsupported on kind {cx.kind!r}")
     return cx.induced(
         (i, d), (i - 1, d + xi.weight),
-        lambda lbl: _form_contraction(xi, lbl),
+        lambda lbl: contraction(xi.coefficients, lbl),
         what="interior product",
     )
 
@@ -506,10 +495,6 @@ def contraction_pairing(
     at a time (last slot first); on the free module this sends the basis
     polyvector d_T to ± dx_(complement of T).
     """
-    from itertools import combinations
-
-    from .rings import WeightedRing
-
     if not 0 <= i <= n:
         raise SceneError(f"polyvector degree {i} out of range 0..{n}")
     ring = WeightedRing(

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm
 
 from .complexes import GradedComplex, dg_wedge, ideal_multiples
@@ -148,8 +149,6 @@ def free_module(scene: AffineScene, labels_weights, name="free") -> PresentedMod
 
 def omega_module(scene: AffineScene, i: int = 1) -> PresentedModule:
     """Kaehler i-forms as a presented module (dx wedges modulo dg-relations)."""
-    from itertools import combinations
-
     ring = scene.ring
     n = ring.nvars
     gens = []

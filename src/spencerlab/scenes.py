@@ -9,12 +9,9 @@
     [ideal]
     x^3 - y^2
 
-    [options]
-    degree-bound = 8
-
 The [ideal] section lists one polynomial per line and may be empty or
-absent (Y = X).  '#' starts a comment.  [options] entries are parsed
-and returned verbatim next to the scene; the CLI does not read them.
+absent (Y = X).  '#' starts a comment.  Any other section is an input
+error; settings such as the degree bound are command-line options.
 """
 
 from __future__ import annotations
@@ -23,18 +20,17 @@ from .errors import ParseError, SceneError
 from .rings import AffineScene, Ideal, WeightedRing, parse_polynomial
 
 
-def parse_scene_text(text: str, name: str = "<scene>") -> tuple[AffineScene, dict]:
+def parse_scene_text(text: str, name: str = "<scene>") -> AffineScene:
     section = None
     ring_data: dict = {}
     ideal_lines: list = []
-    options: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in ("ring", "ideal", "options"):
+            if section not in ("ring", "ideal"):
                 raise SceneError(f"{name}:{lineno}: unknown section [{section}]")
             continue
         if section == "ring":
@@ -44,11 +40,6 @@ def parse_scene_text(text: str, name: str = "<scene>") -> tuple[AffineScene, dic
             ring_data[key.lower()] = value
         elif section == "ideal":
             ideal_lines.append((lineno, line))
-        elif section == "options":
-            if "=" not in line:
-                raise SceneError(f"{name}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            options[key.lower()] = value
         else:
             raise SceneError(f"{name}:{lineno}: content before any section")
     if "variables" not in ring_data or "weights" not in ring_data:
@@ -65,10 +56,10 @@ def parse_scene_text(text: str, name: str = "<scene>") -> tuple[AffineScene, dic
             gens.append(parse_polynomial(line, ring))
         except ParseError as exc:
             raise SceneError(f"{name}:{lineno}: {exc}") from None
-    return AffineScene(ring, Ideal(tuple(gens))), options
+    return AffineScene(ring, Ideal(tuple(gens)))
 
 
-def load_scene(path: str) -> tuple[AffineScene, dict]:
+def load_scene(path: str) -> AffineScene:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -112,6 +112,17 @@ def test_bad_scene_file_is_input_error(tmp_path, capsys):
     assert main(["smooth", str(bad)]) == 1
 
 
+def test_scene_file_options_section_is_an_input_error(tmp_path, capsys):
+    # settings are command-line options; a scene file cannot set them
+    path = tmp_path / "options.scene"
+    path.write_text("[ring]\nvariables = x\nweights = 1\n\n[options]\ndegree-bound = 4\n")
+    code = main(["derham", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:5: unknown section [options]\n"
+
+
 def test_milnor_requires_hypersurface(capsys):
     assert main(["milnor", scene_path("a2.scene")]) == 1
 

@@ -12,8 +12,8 @@ from spencerlab import linalg
 from spencerlab.cli import main
 from spencerlab.complexes import (
     GradedComplex,
-    SpencerCoefficients,
     build_de_rham,
+    build_jet_complex,
     build_koszul,
     build_spencer_of_module,
     homology_table,
@@ -33,10 +33,10 @@ from spencerlab.completion import (
 )
 from spencerlab.diffops import filtered_spencer
 from spencerlab.errors import InternalInvariantError, SceneError
+from spencerlab.groebner import buchberger
 from spencerlab.modules import (
     PresentedModule,
     free_module,
-    graded_component_basis,
     omega_module,
 )
 from spencerlab.rings import AffineScene, Ideal, parse_polynomial, scene
@@ -400,7 +400,7 @@ def _nonempty_ideal_scenes():
     """(file name, scene) of every corpus scene with a nonempty ideal."""
     for name in sorted(os.listdir(SCENES)):
         if name.endswith(".scene"):
-            sc, _ = load_scene(os.path.join(SCENES, name))
+            sc = load_scene(os.path.join(SCENES, name))
             if not sc.ideal.is_trivial:
                 yield name, sc
 
@@ -517,7 +517,7 @@ def _presented_quotient(module, gens, r):
 
 
 def _oracle_scene(name, base):
-    sc, _ = load_scene(os.path.join(SCENES, name))
+    sc = load_scene(os.path.join(SCENES, name))
     return sc, (sc if base == "Y" else AffineScene(sc.ring, Ideal(())))
 
 
@@ -569,11 +569,60 @@ def test_completed_de_rham_stages_match_thickened_de_rham(name, base):
                 assert list(got.relation_rows()) == list(want.relation_rows()), (r, i, d)
 
 
+@pytest.mark.parametrize("base", ("Y", "ambient"))
+@pytest.mark.parametrize("r", (1, 2))
+@pytest.mark.parametrize("name", ORACLE_SCENES)
+def test_completed_jet_stages_match_thickened_jets(name, r, base):
+    # stage r' of a completed jet complex reads its Taylor and dg-wedge
+    # relations off J + I^r', so it is the jet complex of that thickening
+    sc, over = _oracle_scene(name, base)
+    tower = completed_complex(build_jet_complex(over, r), sc.ideal, 3)
+    for k in range(1, 4):
+        gens = over.ideal.generators + _power_generators(sc.ideal.generators, k)
+        oracle = build_jet_complex(AffineScene(over.ring, Ideal(gens)), r)
+        for i in oracle.indices:
+            for d in range(0, 6):
+                got, want = tower.stage(k).piece(i, d), oracle.piece(i, d)
+                assert got.basis == want.basis, (k, i, d)
+                assert list(got.relation_rows()) == list(want.relation_rows()), (k, i, d)
+
+
+def _standard_monomial_dims(sc, bound):
+    """dim (O_Y)_d for d = 0..bound: weight-d monomials outside the leading ideal."""
+    lms = () if sc.ideal.is_trivial else buchberger(sc.ideal).leading_monomials()
+    return [
+        sum(
+            1 for m in sc.ring.monomials_of_weight(d)
+            if not any(all(a >= b for a, b in zip(m, lm)) for lm in lms)
+        )
+        for d in range(bound + 1)
+    ]
+
+
+@pytest.mark.parametrize("base", ("Y", "ambient"))
+@pytest.mark.parametrize("r", (1, 2))
+@pytest.mark.parametrize("name", ("cusp.scene", "node.scene", "whitney.scene"))
+def test_completed_jet_complex_resolves_the_completed_structure_sheaf(name, r, base):
+    # the jet complex resolves O; completed along I its H^0 is the
+    # completion of O, which in each weight is O_X (ambient) or O_Y (Y
+    # along its own ideal), counted here by Groebner standard monomials;
+    # depth 6 keeps the weight-6 slice of I^r constant over the last stages
+    sc, over = _oracle_scene(name, base)
+    bound = 6
+    tower = completed_complex(build_jet_complex(over, r), sc.ideal, 6)
+    report = tower_limit(tower, bound, weight_lo=0)
+    want = _standard_monomial_dims(over, bound)
+    assert set(report.entries) == {(i, d) for i in range(r + 1) for d in range(bound + 1)}
+    for (i, d), e in report.entries.items():
+        assert e["stabilized"], (i, d)
+        assert (e["lim"], e["lim1"]) == ((want[d] if i == 0 else 0), 0), (i, d)
+
+
 def test_completed_spencer_stages_drop_multiples_of_the_ideal():
     # along the monomial ideal (x), stage r keeps exactly the labels whose
     # leading monomial has x-degree below r
     a2 = scene(["x", "y"], [1, 1])
-    cx = build_spencer_of_module(SpencerCoefficients(a2, "omega_1"))
+    cx = build_spencer_of_module(a2, 1)
     tower = completed_complex(cx, Ideal((parse_polynomial("x", a2.ring),)), 3)
     for r in range(1, 4):
         for i in cx.indices:
@@ -591,6 +640,8 @@ COMPLETIONS = {
         filtered_spencer(over.ring, 1), ideal, 2
     ),
     "module": lambda over, ideal: adic_tower(free_module(over, (("1", 0),)), ideal, 2),
+    "jet1": lambda over, ideal: completed_complex(build_jet_complex(over, 1), ideal, 2),
+    "jet2": lambda over, ideal: completed_complex(build_jet_complex(over, 2), ideal, 2),
 }
 
 

@@ -2,14 +2,13 @@ import pytest
 
 from spencerlab.errors import SceneError
 from spencerlab.complexes import (
-    SpencerCoefficients,
     build_de_rham,
     build_jet_complex,
     build_koszul,
     build_spencer_of_module,
     homology_table,
 )
-from spencerlab.homotopy import Derivation, euler_derivation
+from spencerlab.homotopy import Derivation
 from spencerlab.rings import parse_polynomial, scene
 
 
@@ -109,20 +108,25 @@ def test_jet_rejects_unsupported_order(cusp):
 
 
 def test_spencer_of_O_on_line(a1):
-    cx = build_spencer_of_module(SpencerCoefficients(a1, "O"))
+    cx = build_spencer_of_module(a1, 0)
     t = homology_table(cx, 6)
     assert nonzero(t) == {(1, -1): 1}
 
 
 def test_spencer_of_O_on_plane_positive_indices(a2):
-    cx = build_spencer_of_module(SpencerCoefficients(a2, "O"))
+    cx = build_spencer_of_module(a2, 0)
     t = homology_table(cx, 6)
     assert nonzero(t) == {(2, -2): 1}
 
 
 def test_spencer_refuses_singular_scene(cusp):
     with pytest.raises(SceneError):
-        SpencerCoefficients(cusp, "O")
+        build_spencer_of_module(cusp, 0)
+
+
+def test_spencer_refuses_form_degree_above_n(a2):
+    with pytest.raises(SceneError, match=r"^no omega_3 on 2 variables$"):
+        build_spencer_of_module(a2, 3)
 
 
 def test_bracket_feeds_spencer_second_sum(a1):

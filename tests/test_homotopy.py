@@ -330,7 +330,7 @@ def test_certificates_hold_across_every_corpus_cone():
     scenes_dir = os.path.join(os.path.dirname(__file__), "..", "scenes")
     for name in ("cusp", "e6", "e8", "node", "xy", "d4", "quadric_cone",
                  "whitney", "hyperplane"):
-        s, _ = load_scene(os.path.join(scenes_dir, f"{name}.scene"))
+        s = load_scene(os.path.join(scenes_dir, f"{name}.scene"))
         bound = 8 if s.ring.nvars >= 3 else 10
         xi = euler_derivation(s)
         cx = build_de_rham(s)

@@ -6,7 +6,6 @@ from spencerlab.modules import (
     module_graded_piece,
     omega_module,
 )
-from spencerlab.rings import scene
 
 
 def test_omega1_cusp_pieces(cusp):

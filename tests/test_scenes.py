@@ -12,18 +12,14 @@ weights = 2, 3
 
 [ideal]
 x^3 - y^2   # the cusp
-
-[options]
-degree-bound = 10
 """
 
 
 def test_parse_scene_round():
-    s, opts = parse_scene_text(GOOD)
+    s = parse_scene_text(GOOD)
     assert s.ring.variables == ("x", "y")
     assert s.ring.weights == (2, 3)
     assert [str(g) for g in s.ideal.generators] == ["x^3 - y^2"]
-    assert opts == {"degree-bound": "10"}
     assert scene_json(s) == {
         "variables": ["x", "y"],
         "weights": [2, 3],
@@ -32,7 +28,7 @@ def test_parse_scene_round():
 
 
 def test_empty_ideal_section_ok():
-    s, _ = parse_scene_text("[ring]\nvariables = x\nweights = 1\n[ideal]\n")
+    s = parse_scene_text("[ring]\nvariables = x\nweights = 1\n[ideal]\n")
     assert s.ideal.is_trivial
 
 
