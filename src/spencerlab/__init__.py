@@ -24,11 +24,8 @@ from .rings import (
 )
 from .modules import (
     PresentedModule,
-    derivation_module_piece,
     free_module,
     graded_component_basis,
-    module_graded_piece,
-    omega_module,
 )
 from .linalg import GradedPiece, LinearMap, rank_kernel_image
 from .groebner import buchberger, normal_form, quotient_dimension, wdegrevlex

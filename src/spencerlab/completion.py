@@ -3,12 +3,13 @@
 Completion along a weighted-homogeneous ideal I is formal completion:
 stage r of a completed complex is the same complex carrying the ideal
 J + I^r in place of its own ideal J, for every kind of complex.  Its
-relations are read off the ideal it carries, so for a complex with an
-O-linear differential (Koszul, filtered Spencer, a module) the stage is
-the complex tensored with O/I^r, for de Rham it is the de Rham complex
-of the thickening V(J + I^r), and for jets it is the jet complex of that
-thickening.  The adic tower M/I^r M of a module is the completed complex
-of M in index 0.
+relations are read off the ideal it carries, as ideal multiples and the
+commutator rows that close them under the differential, so for a complex
+with an O-linear differential (Koszul, filtered Spencer, a module) the
+stage is the complex tensored with O/I^r, for de Rham it is the de Rham
+complex of the thickening V(J + I^r), and for jets it is the jet complex
+of that thickening.  The adic tower M/I^r M of a module is the completed
+complex of M in index 0.
 With positive generator weights it is computed degreewise: the weight-d
 slice of I^r is empty once r times the minimal generator weight exceeds
 d, so every graded piece of an adic tower is literally constant from a
@@ -339,15 +340,18 @@ def adic_tower(module: PresentedModule, ideal: Ideal, depth: int) -> Tower:
 def completed_complex(cx: GradedComplex, ideal: Ideal, depth: int) -> Tower:
     """Tower of stages computing cx completed along the ideal, degreewise.
 
-    Stage r is cx carrying the ideal ``cx.ideal + I^r``.  With an O-linear
-    differential (Koszul, filtered Spencer, modules) that is cx ⊗ O/I^r
-    with differential d ⊗ id.  The exterior derivative is not O-linear,
-    but de Rham and jets read their dg-wedge (and Taylor) relations off
-    the ideal they carry, so their stages are the de Rham and jet
-    complexes of the infinitesimal thickenings V(cx.ideal + I^r); the two
-    inverse systems are interleaved, hence have the same limit, and every
-    stage is an honest complex.  Transitions are the natural surjections.
-    Along the zero ideal the tower is constant.
+    Stage r is cx carrying the ideal J' = ``cx.ideal + I^r``, that is cx
+    modulo the smallest subcomplex containing J'·cx: each piece relates the
+    multiples of J' and the commutator rows [d, g] of its generators, so
+    every stage is an honest complex.  With an O-linear differential
+    (Koszul, filtered Spencer, modules) the commutators vanish and the
+    stage is cx ⊗ O/I^r with differential d ⊗ id.  For de Rham and jets
+    they are the dg-wedges, so the stages are the de Rham and jet
+    complexes of the infinitesimal thickenings V(J'); the two inverse
+    systems are interleaved, hence have the same limit.  For the Spencer
+    complex of a module the stage is C / (J'·C + d(J'·C)).  Transitions
+    are the natural surjections.  Along the zero ideal the tower is
+    constant.
     """
     name = f"completed({cx.name})"
     if ideal.is_trivial:

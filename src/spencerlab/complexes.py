@@ -2,15 +2,19 @@
 
 A :class:`GradedComplex` is stored degreewise: for each homological index
 ``i`` and weight ``d`` it exposes an ambient labeled basis, a relation
-span (both generating the quotient piece), and a differential given on
-ambient labels.  Every label leads with its monomial.  A complex carries
-its ideal: every piece relates the ideal multiples g·label, formed by
-:func:`ideal_multiples` on that leading monomial, and
-``relations_fn(ideal, i, d)`` holds only the other relations, read off
-the same ideal (the dg-wedges of de Rham, the Taylor terms and dg-wedges
-of jets, the relations of a presented module).  So the same complex
-carrying another ideal, :meth:`GradedComplex.with_ideal`, is the complex
-over another subscheme; completion stages are built that way.
+span (both generating the quotient piece), and a differential
+``diff_fn(i, label)`` given on ambient labels.  Every label leads with
+its monomial.  A complex carries its ideal, and one rule builds the
+relations of every piece from it: the ideal multiples g·label, formed by
+:func:`ideal_multiples` on that leading monomial; the builder's own
+relations ``relations_fn(ideal, i, d)`` (the Taylor terms of jets, the
+relations of a presented module); and the commutator rows
+[d, g](l) = d(g·l) - g·d(l) of each generator g.  Together they span the
+smallest subcomplex containing I·C, so every quotient is a complex: for
+de Rham and jets the commutators are the dg-wedges, for Koszul, filtered
+Spencer and modules they vanish.  So the same complex carrying another
+ideal, :meth:`GradedComplex.with_ideal`, is the complex over another
+subscheme; completion stages are built that way.
 :func:`induced_map` is the one routine that descends an operator on
 ambient labels to a matrix between quotient pieces; every
 differential, Lie derivative, contraction and tower transition goes
@@ -21,10 +25,8 @@ producing wrong homology.
 
 The form operators are written once, on labels (monomial, S, *tail)
 whose trailing parts pass through: :func:`exterior_derivative` is the de
-Rham differential and both halves of the jet differential,
-:func:`contraction` is the Koszul differential and the interior product,
-and :func:`dg_wedge_relations` gives the dg-wedge relations of de Rham
-and jets.
+Rham differential and both halves of the jet differential, and
+:func:`contraction` is the Koszul differential and the interior product.
 
 Index conventions follow the sources the builders model: Koszul and
 Spencer complexes are homological (differential lowers the index), de
@@ -73,18 +75,6 @@ def subset_weight(ring, S: tuple) -> int:
     return sum(ring.weights[j] for j in S)
 
 
-def dg_wedge(g: Polynomial, T: tuple) -> dict:
-    """dg ∧ dx_T as {S: coefficient of dx_S}, nonzero coefficients only."""
-    out = {}
-    for j in range(g.ring.nvars):
-        sign, S = insert_sign(j, T)
-        if sign is not None:
-            dj = g.partial_derivative(j)
-            if not dj.is_zero():
-                out[S] = dj.scale(sign)
-    return out
-
-
 # -- operators on form labels (monomial, S, *tail) ---------------------------
 
 def exterior_derivative(label: tuple) -> dict:
@@ -116,37 +106,6 @@ def contraction(coefficients, label: tuple) -> dict:
             key = (mono_mul(m, mm), rest) + tail
             out[key] = out.get(key, Fraction(0)) + sign * c
     return out
-
-
-def dg_wedge_relations(ring, ideal, i: int, d: int, tails, wedges: dict) -> list:
-    """Relation rows dg ∧ x^m dx_T on form labels of index i and weight d.
-
-    One row per generator g, (i-1)-subset T, trailing label part in
-    ``tails`` (a tuple of exponent vectors, each weighted as a monomial)
-    and monomial m of the remaining weight.  ``wedges`` caches dg ∧ dx_T
-    by (g, T) across calls, so every ideal a complex carries shares it.
-    """
-    if i < 1:
-        return []
-    rels = []
-    weighted = [(tail, sum(ring.mono_weight(part) for part in tail)) for tail in tails]
-    for g in ideal:
-        e = g.weighted_degree()
-        for T in combinations(range(ring.nvars), i - 1):
-            wT = subset_weight(ring, T)
-            for tail, wt in weighted:
-                monos = ring.monomials_of_weight(d - wT - wt - e)
-                if not monos:
-                    continue
-                if (g, T) not in wedges:
-                    wedges[g, T] = dg_wedge(g, T)
-                wedge = wedges[g, T]
-                for m in monos:
-                    rels.append({
-                        (mono_mul(m, mg), S) + tail: c
-                        for S, p in wedge.items() for mg, c in p.terms.items()
-                    })
-    return rels
 
 
 def wedge_labels(ring, slot_weights: tuple, i: int, d: int) -> tuple:
@@ -243,14 +202,30 @@ class GradedComplex:
         self._diffs: dict = {}
         self._eliminated: dict = {}  # (i, d) -> (rank, sparse kernel basis or [])
         self._dd_checked: set = set()
+        # shared by every ideal this complex carries: (i, d) -> ambient labels,
+        # and (generator, source index, label tail) -> [d, g] on the label
+        # with its monomial set to 1
+        self._ambient: dict = {}
+        self._commutators: dict = {}
 
     def with_ideal(self, ideal: tuple, name: str) -> GradedComplex:
-        """The same complex carrying another ideal, with caches of its own."""
+        """The same complex carrying another ideal.
+
+        It shares the ambient labels and commutators, which do not depend on
+        the ideal, and keeps pieces, differentials and ranks of its own.
+        """
         other = copy.copy(self)
         other.name, other.ideal = name, tuple(ideal)
         other._pieces, other._diffs, other._eliminated = {}, {}, {}
         other._dd_checked = set()
         return other
+
+    def ambient(self, i: int, d: int) -> tuple:
+        """Ambient labels at (i, d), listed once per complex."""
+        key = (i, d)
+        if key not in self._ambient:
+            self._ambient[key] = self.ambient_fn(i, d)
+        return self._ambient[key]
 
     def piece(self, i: int, d: int) -> GradedPiece:
         key = (i, d)
@@ -259,11 +234,49 @@ class GradedComplex:
                 self._pieces[key] = GradedPiece((), [])
             else:
                 rels = list(self.relations_fn(self.ideal, i, d)) if self.relations_fn else []
-                rels += ideal_multiples(
-                    self.ideal, d, lambda w: self.ambient_fn(i, w), label_mul
-                )
-                self._pieces[key] = GradedPiece(self.ambient_fn(i, d), rels)
+                rels += ideal_multiples(self.ideal, d, lambda w: self.ambient(i, w), label_mul)
+                rels += self._commutator_rows(i, d)
+                self._pieces[key] = GradedPiece(self.ambient(i, d), rels)
         return self._pieces[key]
+
+    def _commutator_rows(self, i: int, d: int) -> list:
+        """Rows [d, g](l) = d(g·l) - g·d(l) landing in piece (i, d).
+
+        One row per generator g and ambient label l at index i - direction
+        and weight d - deg g.  With the ideal multiples they span the
+        smallest subcomplex containing I·C, so every quotient is a complex.
+        """
+        src = i - self.direction
+        if src not in self.indices:
+            return []
+        rows = []
+        for g in self.ideal:
+            for label in self.ambient(src, d - g.weighted_degree()):
+                row = self._commutator(g, src, label)
+                if row:
+                    rows.append({label_mul(lbl, label[0]): c for lbl, c in row.items()})
+        return rows
+
+    def _commutator(self, g: Polynomial, i: int, label: tuple) -> dict:
+        """[d, g] from index i on the label with its monomial set to 1, cached.
+
+        Every differential here is first order in the label's monomial, so
+        [d, g] is O-linear: its value on x^m·l is this one shifted by x^m.
+        """
+        tail = label[1:]
+        key = (g, i, tail)
+        if key not in self._commutators:
+            unit = ((0,) * len(label[0]),) + tail
+            out: dict = {}
+            for mg, c in g.terms.items():
+                for lbl, v in self.diff_fn(i, label_mul(unit, mg)).items():
+                    out[lbl] = out.get(lbl, 0) + c * v
+            for lbl, v in self.diff_fn(i, unit).items():
+                for mg, c in g.terms.items():
+                    shifted = label_mul(lbl, mg)
+                    out[shifted] = out.get(shifted, 0) - c * v
+            self._commutators[key] = {lbl: c for lbl, c in out.items() if c}
+        return self._commutators[key]
 
     def induced(self, src_pos, tgt_pos, fn, what="map"):
         """Matrix of an ambient-level operator between two pieces of this complex.
@@ -290,7 +303,7 @@ class GradedComplex:
                 self._diffs[key] = self.induced(
                     (i, d),
                     (i + self.direction, d),
-                    lambda lbl: self.diff_fn(i, d, lbl),
+                    lambda lbl: self.diff_fn(i, lbl),
                     what="differential",
                 )
         return self._diffs[key]
@@ -420,7 +433,7 @@ def build_koszul(scene: AffineScene, elements) -> GradedComplex:
         direction=-1,
         indices=tuple(range(k + 1)),
         ambient_fn=ambient,
-        diff_fn=lambda i, d, label: contraction(elements, label),
+        diff_fn=lambda i, label: contraction(elements, label),
         ideal=scene.ideal.generators,
     )
 
@@ -435,21 +448,13 @@ def build_de_rham(scene: AffineScene) -> GradedComplex:
     def ambient(i, d):
         return wedge_labels(ring, ring.weights, i, d)
 
-    wedges: dict = {}  # (generator, T) -> dg ∧ dx_T, shared by every ideal
-
-    def relations(ideal, i, d):
-        # dg ∧ Omega^{i-1} (labels have the empty tail); I·Omega^i are the
-        # complex's ideal multiples
-        return dg_wedge_relations(ring, ideal, i, d, ((),), wedges)
-
     return GradedComplex(
         name="de-rham",
         kind="derham",
         direction=1,
         indices=tuple(range(n + 1)),
         ambient_fn=ambient,
-        diff_fn=lambda i, d, label: exterior_derivative(label),
-        relations_fn=relations,
+        diff_fn=lambda i, label: exterior_derivative(label),
         ideal=scene.ideal.generators,
     )
 
@@ -484,9 +489,10 @@ def build_jet_complex(scene: AffineScene, r: int) -> GradedComplex:
 
     Labels are (c, S, beta): coefficient monomial c on the second tensor
     factor, form slot dx_S, and delta-exponent beta with |beta| <= r - i,
-    sorted by (S, c, beta).  Relations encode I on the coefficient factor,
-    the Taylor expansion of I on the first factor, and dg-wedges on the
-    form slot.
+    sorted by (S, c, beta).  The builder's own relations are the Taylor
+    expansion of I on the first factor; I on the coefficient factor and
+    the dg-wedges on the form slot are the complex's ideal multiples and
+    commutator rows.
     """
     if r not in (0, 1, 2):
         raise SceneError(f"jet order r={r} unsupported (expected 0, 1, or 2)")
@@ -514,7 +520,6 @@ def build_jet_complex(scene: AffineScene, r: int) -> GradedComplex:
         return tuple(sorted(out, key=lambda t: (t[1], t[0], t[2])))
 
     # keyed by generator, shared by every ideal this complex carries
-    wedges: dict = {}  # (generator, T) -> dg ∧ dx_T
     taylor: dict = {}  # (generator, alpha) -> ∂^alpha g / alpha!
 
     def taylor_terms(g, alpha):
@@ -546,11 +551,9 @@ def build_jet_complex(scene: AffineScene, r: int) -> GradedComplex:
                             for mg, c in terms.items():
                                 vec[mono_mul(m, mg), S, delta] = sign * c
                         rels.append(vec)
-        # dg ∧ (forms) on the form slot
-        tails = [(beta,) for beta in _multi_indices(n, s)]
-        return rels + dg_wedge_relations(ring, ideal, i, d, tails, wedges)
+        return rels
 
-    def diff(i, d, label):
+    def diff(i, label):
         # d on the coefficient factor where the jet order allows it, plus d
         # on the delta factor, which lowers the jet order by one
         c, S, beta = label
@@ -602,7 +605,7 @@ def build_spencer_of_module(scene: AffineScene, form_degree: int) -> GradedCompl
                 out.append((m, T, S))
         return tuple(sorted(out, key=lambda t: (t[2], t[0], t[1])))
 
-    def diff(i, d, label):
+    def diff(i, label):
         # the coordinate field ∂_s of slot s acts on the coefficient x^m dx_T
         m, T, S = label
         out: dict = {}

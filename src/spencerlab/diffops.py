@@ -216,7 +216,7 @@ def filtered_spencer(ring: WeightedRing, p: int) -> GradedComplex:
                 out.append((a, b, S))
         return tuple(sorted(out))
 
-    def diff(i, d, label):
+    def diff(i, label):
         if i == -1:
             return {}
         if i == 0:

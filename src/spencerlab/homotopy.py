@@ -334,10 +334,10 @@ def cartan_check(xi: Derivation, cx: GradedComplex, bound: int) -> CartanReport:
                     _c, S, beta = label
                     acc: dict = {}
                     for lbl, cc in _jet_contraction(label).items():
-                        for lbl2, cc2 in cx.diff_fn(i - 1, d, lbl).items():
+                        for lbl2, cc2 in cx.diff_fn(i - 1, lbl).items():
                             acc[lbl2] = acc.get(lbl2, Fraction(0)) + cc * cc2
                     if i + 1 in cx.indices:
-                        for lbl, cc in cx.diff_fn(i, d, label).items():
+                        for lbl, cc in cx.diff_fn(i, label).items():
                             for lbl2, cc2 in _jet_contraction(lbl).items():
                                 acc[lbl2] = acc.get(lbl2, Fraction(0)) + cc * cc2
                     acc = {k: v for k, v in acc.items() if v}

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import gcd, lcm
 
-from .complexes import GradedComplex, dg_wedge, ideal_multiples
+from .complexes import GradedComplex, ideal_multiples
 from .errors import SceneError
 from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve_columns
 from .rings import INHOMOGENEOUS, AffineScene, Polynomial, mono_mul
@@ -131,35 +130,15 @@ def module_as_complex(module: PresentedModule) -> GradedComplex:
         direction=-1,
         indices=(0,),
         ambient_fn=lambda i, d: module.labels(d),
-        diff_fn=lambda i, d, label: {},
+        diff_fn=lambda i, label: {},
         relations_fn=lambda ideal, i, d: module.relation_rows(d),
         weight_floor=min(floor, 0),
         ideal=module.scene.ideal.generators,
     )
 
 
-def module_graded_piece(module: PresentedModule, d: int) -> tuple:
-    """Labeled basis of the weight-d component (the graded-linalg op)."""
-    return module.piece(d).basis
-
-
 def free_module(scene: AffineScene, labels_weights, name="free") -> PresentedModule:
     return PresentedModule(scene, tuple(labels_weights), (), name)
-
-
-def omega_module(scene: AffineScene, i: int = 1) -> PresentedModule:
-    """Kaehler i-forms as a presented module (dx wedges modulo dg-relations)."""
-    ring = scene.ring
-    n = ring.nvars
-    gens = []
-    for S in combinations(range(n), i):
-        gens.append((S, sum(ring.weights[j] for j in S)))
-    rels = []
-    for g in scene.ideal.generators:
-        for T in combinations(range(n), i - 1):
-            wedge = dg_wedge(g, T)
-            rels.append(tuple(wedge.get(S, ring.zero()) for S, _ in gens))
-    return PresentedModule(scene, tuple(gens), tuple(rels), name=f"omega{i}")
 
 
 # -- derivation modules ------------------------------------------------------
@@ -247,8 +226,3 @@ def _normalize(coeffs, ring):
                 scaled = [q.scale(-1) for q in scaled]
             break
     return scaled
-
-
-def derivation_module_piece(scene: AffineScene, d: int) -> tuple:
-    """Basis of weight-d derivations, as coefficient tuples (one per variable)."""
-    return derivation_space(scene, d).basis

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from spencerlab.modules import PresentedModule
 from spencerlab.rings import scene
 
 # CLI tests start child interpreters; they import the package from src/,
@@ -38,3 +39,24 @@ def e6():
 @pytest.fixture
 def node():
     return scene(["x", "y"], [1, 1], ["x^2 - y^2"])
+
+
+def _omega1_presented(sc):
+    """Kähler 1-forms of a scene as a presented module.
+
+    Generators dx_j, labelled ``(j,)`` with the weight of x_j; one relation
+    dg = (∂_0 g, ..., ∂_{n-1} g) per ideal generator g.
+    """
+    ring = sc.ring
+    gens = tuple(((j,), w) for j, w in enumerate(ring.weights))
+    rels = tuple(
+        tuple(g.partial_derivative(j) for j in range(ring.nvars))
+        for g in sc.ideal.generators
+    )
+    return PresentedModule(sc, gens, rels, name="omega1")
+
+
+@pytest.fixture
+def omega1_module():
+    """Builder of Ω¹ over a scene as a presented module (dx_j modulo dg)."""
+    return _omega1_presented

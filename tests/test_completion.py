@@ -34,12 +34,8 @@ from spencerlab.completion import (
 from spencerlab.diffops import filtered_spencer
 from spencerlab.errors import InternalInvariantError, SceneError
 from spencerlab.groebner import buchberger
-from spencerlab.modules import (
-    PresentedModule,
-    free_module,
-    omega_module,
-)
-from spencerlab.rings import AffineScene, Ideal, parse_polynomial, scene
+from spencerlab.modules import PresentedModule, free_module
+from spencerlab.rings import AffineScene, Ideal, mono_mul, parse_polynomial, scene
 from spencerlab.scenes import load_scene
 
 
@@ -380,7 +376,7 @@ def _one_cell_complex(name, differential):
         indices=(0, 1, 2),
         ambient_fn=lambda i, d: (("e", i),) if d == 0 else (),
         relations_fn=lambda ideal, i, d: [],
-        diff_fn=lambda i, d, lbl: {("e", i - 1): Fraction(differential)},
+        diff_fn=lambda i, lbl: {("e", i - 1): Fraction(differential)},
     )
 
 
@@ -524,9 +520,9 @@ def _oracle_scene(name, base):
 @pytest.mark.parametrize("base", ("Y", "ambient"))
 @pytest.mark.parametrize("which", ("O", "omega1"))
 @pytest.mark.parametrize("name", ORACLE_SCENES)
-def test_adic_stages_match_presented_quotients(name, which, base):
+def test_adic_stages_match_presented_quotients(name, which, base, omega1_module):
     sc, over = _oracle_scene(name, base)
-    module = free_module(over, (("1", 0),)) if which == "O" else omega_module(over, 1)
+    module = free_module(over, (("1", 0),)) if which == "O" else omega1_module(over)
     tower = adic_tower(module, sc.ideal, 3)
     for r in range(1, 4):
         oracle = _presented_quotient(module, sc.ideal.generators, r)
@@ -618,17 +614,52 @@ def test_completed_jet_complex_resolves_the_completed_structure_sheaf(name, r, b
         assert (e["lim"], e["lim1"]) == ((want[d] if i == 0 else 0), 0), (i, d)
 
 
-def test_completed_spencer_stages_drop_multiples_of_the_ideal():
-    # along the monomial ideal (x), stage r keeps exactly the labels whose
-    # leading monomial has x-degree below r
+def _rank(rows, cols) -> int:
+    """Rank of the sparse rows restricted to the given columns, by Gaussian elimination."""
+    pivots: dict = {}  # pivot column -> row with a unit there
+    rank = 0
+    for row in rows:
+        vec = {c: Fraction(row[c]) for c in cols if row.get(c)}
+        for c in sorted(pivots):
+            f = vec.get(c)
+            if f:
+                for k, v in pivots[c].items():
+                    vec[k] = vec.get(k, 0) - f * v
+                vec = {k: v for k, v in vec.items() if v}
+        if vec:
+            c = min(vec)
+            pivots[c] = {k: v / vec[c] for k, v in vec.items()}
+            rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("k", (0, 1, 2))
+def test_completed_spencer_stages_are_quotients_by_the_closure_of_the_ideal(k):
+    # stage r along (x) is C / (x^r·C + d(x^r·C)), the smallest quotient
+    # complex that kills x^r·C; a label is a basis label when its column
+    # lies in the span of the earlier columns of those relations
     a2 = scene(["x", "y"], [1, 1])
-    cx = build_spencer_of_module(a2, 1)
+    cx = build_spencer_of_module(a2, k)
     tower = completed_complex(cx, Ideal((parse_polynomial("x", a2.ring),)), 3)
     for r in range(1, 4):
+        stage = tower.stage(r)
+        homology_table(stage, 5)
+
+        def x_r_times(i, d):
+            # x^r times every label of index i and weight d - r (x has weight 1)
+            return [(mono_mul(lbl[0], (r, 0)),) + lbl[1:] for lbl in cx.ambient_fn(i, d - r)]
+
         for i in cx.indices:
-            for d in range(cx.weight_floor, 5):
-                want = tuple(lbl for lbl in cx.piece(i, d).basis if lbl[0][0] < r)
-                assert tower.stage(r).piece(i, d).basis == want, (r, i, d)
+            for d in range(cx.weight_floor, 6):
+                ambient = cx.ambient_fn(i, d)
+                rows = [{lbl: 1} for lbl in x_r_times(i, d)]
+                if i + 1 in cx.indices:
+                    rows += [cx.diff_fn(i + 1, lbl) for lbl in x_r_times(i + 1, d)]
+                want = tuple(
+                    lbl for j, lbl in enumerate(ambient)
+                    if _rank(rows, ambient[:j + 1]) == _rank(rows, ambient[:j])
+                )
+                assert stage.piece(i, d).basis == want, (r, i, d)
 
 
 COMPLETIONS = {

@@ -1,15 +1,24 @@
+import os
+from itertools import combinations
+
 import pytest
 
-from spencerlab.errors import SceneError
+from spencerlab.errors import InternalInvariantError, SceneError
 from spencerlab.complexes import (
+    GradedComplex,
     build_de_rham,
     build_jet_complex,
     build_koszul,
     build_spencer_of_module,
     homology_table,
 )
+from spencerlab.completion import completed_complex
+from spencerlab.diffops import filtered_spencer
 from spencerlab.homotopy import Derivation
-from spencerlab.rings import parse_polynomial, scene
+from spencerlab.linalg import GradedPiece
+from spencerlab.modules import free_module, module_as_complex
+from spencerlab.rings import AffineScene, Ideal, mono_mul, parse_polynomial, scene
+from spencerlab.scenes import load_scene
 
 
 def nonzero(table):
@@ -157,3 +166,78 @@ def test_tables_invariant_under_variable_relabeling():
     t1 = homology_table(build_de_rham(s1), 10)
     t2 = homology_table(build_de_rham(s2), 10)
     assert t1.nonzero() == t2.nonzero()
+
+
+# -- the closure rule: commutator rows ------------------------------------------
+
+SCENES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenes")
+CORPUS = sorted(name for name in os.listdir(SCENES) if name.endswith(".scene"))
+
+
+def _de_rham_oracle_rows(sc, i, d):
+    """I·Omega^i plus dg ∧ x^m dx_T = sum_j ∂_j g · x^m dx_j ∧ dx_T, written out."""
+    ring = sc.ring
+    n = ring.nvars
+    rows = []
+    for g in sc.ideal.generators:
+        e = g.weighted_degree()
+        for S in combinations(range(n), i):
+            for m in ring.monomials_of_weight(d - e - sum(ring.weights[j] for j in S)):
+                rows.append({(mono_mul(m, mg), S): c for mg, c in g.terms.items()})
+        if i == 0:
+            continue
+        for T in combinations(range(n), i - 1):
+            for m in ring.monomials_of_weight(d - e - sum(ring.weights[j] for j in T)):
+                row = {}
+                for j in range(n):
+                    if j in T:
+                        continue
+                    sign = (-1) ** sum(1 for t in T if t < j)
+                    S = tuple(sorted(T + (j,)))
+                    for mg, c in g.partial_derivative(j).terms.items():
+                        row[mono_mul(m, mg), S] = sign * c
+                rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_de_rham_relations_are_ideal_multiples_and_dg_wedges(name):
+    sc = load_scene(os.path.join(SCENES, name))
+    cx = build_de_rham(sc)
+    for i in cx.indices:
+        for d in range(0, 9):
+            got = cx.piece(i, d)
+            want = GradedPiece(got.ambient, _de_rham_oracle_rows(sc, i, d))
+            assert got.basis == want.basis, (i, d)
+            assert list(got.relation_rows()) == list(want.relation_rows()), (i, d)
+
+
+def test_dropping_the_commutator_rows_breaks_de_rham(monkeypatch, cusp):
+    monkeypatch.setattr(GradedComplex, "_commutator_rows", lambda self, i, d: [])
+    with pytest.raises(InternalInvariantError, match="not well defined on the quotient"):
+        homology_table(build_de_rham(cusp), 8)
+    ambient = AffineScene(cusp.ring, Ideal(()))
+    tower = completed_complex(build_de_rham(ambient), cusp.ideal, 2)
+    with pytest.raises(InternalInvariantError, match="not well defined on the quotient"):
+        homology_table(tower.stage(2), 12)
+
+
+def test_o_linear_differentials_cache_only_empty_commutators(cusp):
+    ambient = AffineScene(cusp.ring, Ideal(()))
+    koszul = build_koszul(cusp, [cusp.ring.var(0), cusp.ring.var(1)])
+    spencer = filtered_spencer(cusp.ring, 1)
+    module = module_as_complex(free_module(cusp, (("e", 0), ("f", 2))))
+    derham = build_de_rham(ambient)
+    homology_table(koszul, 8)
+    homology_table(module, 8)
+    for cx in (spencer, derham):
+        tower = completed_complex(cx, cusp.ideal, 2)
+        for r in (1, 2):
+            homology_table(tower.stage(r), 8)
+            # the cache is keyed by generator, so the stages share it
+            assert tower.stage(r)._commutators is cx._commutators
+    for cx in (koszul, spencer):
+        assert cx._commutators and not any(cx._commutators.values()), cx.name
+    # a module sits in index 0 alone, so no commutator is ever probed
+    assert module._commutators == {}
+    assert any(derham._commutators.values())
