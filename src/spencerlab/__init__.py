@@ -43,16 +43,12 @@ from .homotopy import (
     Derivation,
     acyclicity_certificate,
     cartan_check,
-    contraction_pairing,
     euler_derivation,
     interior_product_matrix,
     lie_derivative_matrix,
 )
 from .diffops import (
-    DiffOperator,
     WeylAlgebra,
-    augmentation,
-    compose,
     filtered_spencer,
     kashiwara_quotient,
     pushforward_point,

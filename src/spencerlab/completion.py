@@ -62,16 +62,14 @@ def ideal_power_generators(ideal: Ideal, r: int) -> tuple:
 class Tower:
     """Inverse system of graded complexes with exact transition chain maps.
 
-    ``stages[k]`` is stage r = k+1; ``transition_fn(r)`` gives the ambient
-    map of the chain map stage r+1 -> stage r.
+    ``stages[k]`` is stage r = k+1; ``transition(i, d, label)`` is the
+    ambient map of every chain map stage r+1 -> stage r.
     """
 
-    def __init__(self, name: str, stages: list, transition_fns: list):
-        if len(transition_fns) != len(stages) - 1:
-            raise InternalInvariantError("need one transition per adjacent pair")
+    def __init__(self, name: str, stages: list, transition):
         self.name = name
         self.stages = stages
-        self.transition_fns = transition_fns
+        self.transition = transition
         self._trans_cache: dict = {}
         self._hom_cache: dict = {}
 
@@ -94,11 +92,10 @@ class Tower:
         """Induced map stage(r+1).piece(i,d) -> stage(r).piece(i,d)."""
         key = (r, i, d)
         if key not in self._trans_cache:
-            fn = self.transition_fns[r - 1]
             self._trans_cache[key] = induced_map(
                 self.stage(r + 1).piece(i, d),
                 self.stage(r).piece(i, d),
-                lambda lbl: fn(i, d, lbl),
+                lambda lbl: self.transition(i, d, lbl),
                 f"{self.name}: transition {r+1}->{r} not well defined "
                 f"at (i={i}, d={d})",
             )
@@ -320,7 +317,7 @@ def _identity_transition(i, d, label):
 
 def _surjection_tower(name: str, stages: list) -> Tower:
     """Tower whose transitions are the natural surjections, identity on labels."""
-    return Tower(name, stages, [_identity_transition] * (len(stages) - 1))
+    return Tower(name, stages, _identity_transition)
 
 
 def _require_completable(ideal: Ideal):
@@ -367,39 +364,30 @@ def completed_complex(cx: GradedComplex, ideal: Ideal, depth: int) -> Tower:
     return _surjection_tower(name, stages)
 
 
-def koszul_power_tower(
-    scene: AffineScene, ideal: Ideal, depth: int, fixed_elements=()
-) -> Tower:
-    """Stages Kos(O_Y; fixed, f_1^r, ..., f_t^r) with slotwise transitions.
+def koszul_power_tower(scene: AffineScene, ideal: Ideal, depth: int) -> Tower:
+    """Stages Kos(O_Y; f_1^r, ..., f_t^r) with slotwise transitions.
 
     The transition stage r+1 -> r multiplies the exterior slot of f_j^r by
-    f_j (and fixed slots by 1), the standard Koszul comparison map.
+    f_j, the standard Koszul comparison map.
     """
     _require_completable(ideal)
-    fixed = tuple(fixed_elements)
-    nfixed = len(fixed)
     gens = ideal.generators
     stages = []
     for r in range(1, depth + 1):
-        elements = fixed + tuple(g ** r for g in gens)
-        stages.append(build_koszul(scene, elements))
+        stages.append(build_koszul(scene, tuple(g ** r for g in gens)))
         stages[-1].name = f"kos-stage-{r}"
 
-    def make_transition(r):
-        def transition(i, d, label):
-            m, S = label
-            mult = scene.ring.one()
-            for s in S:
-                if s >= nfixed:
-                    mult = mult * gens[s - nfixed]
-            return {(mono_mul(m, mm), S): c for mm, c in mult.terms.items()}
-
-        return transition
+    def transition(i, d, label):
+        m, S = label
+        mult = scene.ring.one()
+        for s in S:
+            mult = mult * gens[s]
+        return {(mono_mul(m, mm), S): c for mm, c in mult.terms.items()}
 
     return Tower(
         name=f"koszul-tower({scene.ring.variables})",
         stages=stages,
-        transition_fns=[make_transition(r) for r in range(1, depth)],
+        transition=transition,
     )
 
 

@@ -1,9 +1,10 @@
 """Truncated differential operators on affine space.
 
-Operators are stored normal-ordered on the basis x^a d^b with |b| bounded
-by the algebra's order p; composition rewrites with [d_i, x_j] = delta_ij
-exactly.  Weights: weight(x_i) = w_i, weight(d_i) = -w_i, so every
-construction here stays weight-graded with finite graded pieces.
+An operator x^a d^b (normal-ordered, |b| bounded by the algebra's order p)
+is the label (a, b); the filtered Spencer resolution and the Kashiwara
+quotient are built on these labels.  Weights: weight(x_i) = w_i,
+weight(d_i) = -w_i, so every construction here stays weight-graded with
+finite graded pieces.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from .complexes import (
     GradedComplex,
@@ -20,12 +20,11 @@ from .complexes import (
     build_spencer_of_module,
     homology_table,
     ideal_multiples,
-    label_mul,
     subset_weight,
 )
-from .errors import BudgetExceeded, InternalInvariantError, SceneError
-from .linalg import GradedPiece
-from .rings import AffineScene, Ideal, Polynomial, WeightedRing, mono_mul
+from .errors import InternalInvariantError, SceneError
+from .modules import graded_component_basis, o_piece
+from .rings import AffineScene, Ideal, WeightedRing, mono_mul
 
 
 @dataclass(frozen=True)
@@ -43,23 +42,6 @@ class WeylAlgebra:
     def nvars(self) -> int:
         return self.ring.nvars
 
-    def zero(self) -> DiffOperator:
-        return DiffOperator(self, {})
-
-    def from_polynomial(self, p: Polynomial) -> DiffOperator:
-        zero_b = (0,) * self.nvars
-        return DiffOperator(self, {(m, zero_b): c for m, c in p.terms.items()})
-
-    def partial(self, i: int) -> DiffOperator:
-        a = (0,) * self.nvars
-        b = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return DiffOperator(self, {(a, b): Fraction(1)})
-
-    def monomial_op(self, a: tuple, b: tuple, coeff=1) -> DiffOperator:
-        if sum(b) > self.order_bound:
-            raise BudgetExceeded(f"operator order {sum(b)} exceeds bound {self.order_bound}")
-        return DiffOperator(self, {(tuple(a), tuple(b)): Fraction(coeff)})
-
     def basis_of_weight(self, d: int, max_order: int | None = None) -> tuple:
         """All (a, b) with |b| <= max_order and weight d, sorted."""
         p = self.order_bound if max_order is None else max_order
@@ -69,126 +51,6 @@ class WeylAlgebra:
             for a in self.ring.monomials_of_weight(wa):
                 out.append((a, b))
         return tuple(sorted(out))
-
-
-class DiffOperator:
-    """Normal-ordered operator: finite map (x-exponents, d-exponents) -> Fraction."""
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: WeylAlgebra, terms: dict):
-        self.algebra = algebra
-        self.terms = {k: Fraction(c) for k, c in terms.items() if c != 0}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def order(self) -> int:
-        return max((sum(b) for _a, b in self.terms), default=0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiffOperator)
-            and self.algebra == other.algebra
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, frozenset(self.terms.items())))
-
-    def __add__(self, other: DiffOperator) -> DiffOperator:
-        res = dict(self.terms)
-        for k, c in other.terms.items():
-            res[k] = res.get(k, Fraction(0)) + c
-        return DiffOperator(self.algebra, res)
-
-    def __sub__(self, other: DiffOperator) -> DiffOperator:
-        res = dict(self.terms)
-        for k, c in other.terms.items():
-            res[k] = res.get(k, Fraction(0)) - c
-        return DiffOperator(self.algebra, res)
-
-    def scale(self, c) -> DiffOperator:
-        return DiffOperator(self.algebra, {k: Fraction(c) * v for k, v in self.terms.items()})
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        ring = self.algebra.ring
-        chunks = []
-        for (a, b), c in sorted(self.terms.items()):
-            bits = []
-            xs = ring.mono_str(a)
-            if xs != "1":
-                bits.append(xs)
-            for i, e in enumerate(b):
-                if e == 1:
-                    bits.append(f"d_{ring.variables[i]}")
-                elif e > 1:
-                    bits.append(f"d_{ring.variables[i]}^{e}")
-            body = "*".join(bits) if bits else "1"
-            if c != 1 or not bits:
-                body = f"{c}*{body}" if bits else f"{c}"
-            chunks.append(body)
-        return " + ".join(chunks)
-
-
-def compose(A: DiffOperator, B: DiffOperator) -> DiffOperator:
-    """Normal-ordered product A∘B; errors if the combined order exceeds p.
-
-    Term by term: d^b x^c = sum_k prod_i C(b_i, k_i) * falling(c_i, k_i)
-    x^(c-k) d^(b-k), then the outer x^a and d^e just add exponents.
-    """
-    alg = A.algebra
-    if alg != B.algebra:
-        raise SceneError("operators from different algebras")
-    if A.order() + B.order() > alg.order_bound:
-        raise BudgetExceeded(
-            f"combined order {A.order()} + {B.order()} exceeds bound {alg.order_bound}"
-        )
-    n = alg.nvars
-    res: dict = {}
-    for (a, b), ca in A.terms.items():
-        for (c, e), cb in B.terms.items():
-            for k in _k_range(b, c):
-                coeff = ca * cb
-                for i in range(n):
-                    coeff *= comb(b[i], k[i]) * _falling(c[i], k[i])
-                if coeff == 0:
-                    continue
-                key = (
-                    mono_mul(a, tuple(c[i] - k[i] for i in range(n))),
-                    mono_mul(tuple(b[i] - k[i] for i in range(n)), e),
-                )
-                res[key] = res.get(key, Fraction(0)) + coeff
-    return DiffOperator(alg, res)
-
-
-def _falling(c: int, k: int) -> int:
-    out = 1
-    for j in range(k):
-        out *= c - j
-    return out
-
-
-def _k_range(b: tuple, c: tuple):
-    ranges = [range(min(bi, ci) + 1) for bi, ci in zip(b, c)]
-
-    def walk(prefix, idx):
-        if idx == len(ranges):
-            yield tuple(prefix)
-            return
-        for k in ranges[idx]:
-            yield from walk(prefix + [k], idx + 1)
-
-    yield from walk([], 0)
-
-
-def augmentation(A: DiffOperator) -> Polynomial:
-    """Evaluation at the constant 1: the pure-function part of A."""
-    ring = A.algebra.ring
-    zero_b = (0,) * A.algebra.nvars
-    return Polynomial(ring, {a: c for (a, b), c in A.terms.items() if b == zero_b})
 
 
 # -- the filtered Spencer resolution ------------------------------------------
@@ -297,32 +159,36 @@ def kashiwara_quotient(
 ) -> KashiwaraQuotient:
     """Left-coset components of I·F^p D inside F^p D, degreewise.
 
-    Left multiplication by a function touches only the polynomial part, so
-    the weight-d component is a direct sum over d-exponents of O/I slices.
-    The support condition is verified exactly: left multiplication by each
-    generator is the zero map on every computed component.
+    Left multiplication by a function touches only the polynomial part x^a
+    of a label (a, b), so the weight-d component is the direct sum over
+    |b| <= p of the O_Y slices of weight d + w(b), read off the cached
+    :func:`~.modules.o_piece`.  The support condition is verified exactly:
+    left multiplication by each generator is the zero map on every slice.
     """
     ring = alg.ring
-    floor = -alg.order_bound * max(ring.weights)
-    piece_objects: dict = {}
-    for d in range(floor, bound + 1):
-        piece_objects[d] = GradedPiece(
-            alg.basis_of_weight(d),
-            ideal_multiples(ideal.generators, d, alg.basis_of_weight, label_mul),
-        )
+    scene = AffineScene(ring, ideal)
+    p = alg.order_bound
+    floor = -p * max(ring.weights)
+    partials = [(b, ring.mono_weight(b)) for b in _multi_indices(ring.nvars, p)]
+    pieces = {
+        d: tuple(sorted(
+            (a, b) for b, wb in partials for a in graded_component_basis(scene, d + wb)
+        ))
+        for d in range(floor, bound + 1)
+    }
 
     def classes(w):
-        return piece_objects[w].basis if w in piece_objects else ()
+        return graded_component_basis(scene, w)
 
-    # support condition: g·(class) = 0 exactly
+    # support condition: g·(class) = 0 exactly, on every slice a piece reads
+    # (weight d + w(b) lies in 0..bound - floor)
     verified = all(
-        not piece_objects[d].reduce(row)
-        for d in range(floor, bound + 1)
-        for row in ideal_multiples(ideal.generators, d, classes, label_mul)
+        not o_piece(scene, e).reduce(row)
+        for e in range(bound - floor + 1)
+        for row in ideal_multiples(ideal.generators, e, classes, mono_mul)
     )
     if not verified:
         raise InternalInvariantError("Kashiwara quotient support condition failed")
-    pieces = {d: piece.basis for d, piece in piece_objects.items()}
     return KashiwaraQuotient(alg, ideal, floor, bound, pieces, verified)
 
 

@@ -24,7 +24,7 @@ class SceneError(SpencerlabError):
 
 
 class BudgetExceeded(SpencerlabError):
-    """A resource budget (Groebner pair budget, operator order) ran out."""
+    """The Groebner pair budget ran out."""
 
 
 class InternalInvariantError(AssertionError):

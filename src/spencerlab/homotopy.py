@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 
 from .complexes import (
     GradedComplex,
@@ -34,13 +33,11 @@ from .complexes import (
     divided_derivative,
     insert_sign,
     remove_sign,
-    subset_weight,
-    wedge_labels,
 )
 from .errors import InternalInvariantError, SceneError
-from .linalg import LinearMap, rank_kernel_image
+from .linalg import LinearMap
 from .modules import in_ideal_degreewise
-from .rings import INHOMOGENEOUS, AffineScene, Polynomial, WeightedRing, mono_mul
+from .rings import INHOMOGENEOUS, AffineScene, Polynomial, mono_mul
 
 
 @dataclass(frozen=True)
@@ -86,14 +83,6 @@ class Derivation:
             if not c.is_zero():
                 out = out + c * p.partial_derivative(i)
         return out
-
-    def bracket(self, other: Derivation) -> Derivation:
-        """Commutator [self, other], again a derivation of O_Y."""
-        coeffs = tuple(
-            self.apply(other.coefficients[i]) - other.apply(self.coefficients[i])
-            for i in range(self.scene.ring.nvars)
-        )
-        return Derivation(self.scene, coeffs)
 
     def is_euler(self) -> bool:
         ring = self.scene.ring
@@ -459,76 +448,3 @@ def acyclicity_certificate(
                 )
             cert.certified[(i, d)] = 0
     return cert
-
-
-# -- contraction pairing -------------------------------------------------------
-
-@dataclass
-class PairingReport:
-    nvars: int
-    polyvector_degree: int
-    weight_bound: int
-    checked: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-
-    @property
-    def bijective(self) -> bool:
-        return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.nvars,
-            "i": self.polyvector_degree,
-            "weight_bound": self.weight_bound,
-            "bijective": self.bijective,
-            "weights_checked": self.checked,
-            "failures": self.failures,
-        }
-
-
-def contraction_pairing(
-    n: int, i: int, bound: int, weights: tuple | None = None
-) -> PairingReport:
-    """Verify vol ⊗ ∧^i T -> Omega^(n-i) is bijective on each weight piece.
-
-    The contraction inserts the polyvector slots into the volume form one
-    at a time (last slot first); on the free module this sends the basis
-    polyvector d_T to ± dx_(complement of T).
-    """
-    if not 0 <= i <= n:
-        raise SceneError(f"polyvector degree {i} out of range 0..{n}")
-    ring = WeightedRing(
-        tuple(f"x{k+1}" for k in range(n)),
-        tuple(weights) if weights is not None else (1,) * n,
-    )
-    wtot = sum(ring.weights)
-    report = PairingReport(n, i, bound)
-    full = tuple(range(n))
-    for d in range(0, bound + 1):
-        source = []
-        columns = []
-        for T in combinations(range(n), i):
-            comp = tuple(k for k in full if k not in T)
-            sign = 1
-            remaining = list(full)
-            for t in reversed(T):  # contract the first slot with d_{t_1} last
-                pos = remaining.index(t)
-                sign *= (-1) ** pos
-                remaining.remove(t)
-            # source weight d: w(m) + w(vol) - w(T) = d
-            for m in ring.monomials_of_weight(d - wtot + subset_weight(ring, T)):
-                source.append((m, T))
-                columns.append(((m, comp), sign))
-        target = wedge_labels(ring, ring.weights, n - i, d)
-        report.checked.append(d)
-        if len(source) != len(target):
-            report.failures.append(d)
-            continue
-        if not source:
-            continue
-        index = {lbl: k for k, lbl in enumerate(target)}
-        cols = [{index[lbl]: Fraction(sign)} for lbl, sign in columns]
-        themap = LinearMap.from_sparse_columns(source, target, cols)
-        if rank_kernel_image(themap)[0] != len(source):
-            report.failures.append(d)
-    return report

@@ -114,12 +114,13 @@ def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 class Polynomial:
     """Exact multivariate polynomial; term map from exponent tuple to Fraction."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_degree")
 
     def __init__(self, ring: WeightedRing, terms: dict):
         self.ring = ring
         self.terms = {m: Fraction(c) for m, c in terms.items() if c != 0}
         self._hash = None
+        self._degree = None
 
     # -- basics ---------------------------------------------------------
 
@@ -208,12 +209,12 @@ class Polynomial:
 
         Raises on the zero polynomial, whose degree is undefined.
         """
-        if not self.terms:
-            raise SceneError("degree of the zero polynomial is undefined")
-        degs = {self.ring.mono_weight(m) for m in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return INHOMOGENEOUS
+        if self._degree is None:
+            if not self.terms:
+                raise SceneError("degree of the zero polynomial is undefined")
+            degs = {self.ring.mono_weight(m) for m in self.terms}
+            self._degree = degs.pop() if len(degs) == 1 else INHOMOGENEOUS
+        return self._degree
 
     def is_homogeneous(self) -> bool:
         return self.is_zero() or self.weighted_degree() != INHOMOGENEOUS

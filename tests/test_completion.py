@@ -105,12 +105,7 @@ def _constant_tower(stage_complex, depth, identity=True):
     def zero(i, d, label):
         return {}
 
-    fn = idt if identity else zero
-    return Tower(
-        "synthetic",
-        [stage_complex] * depth,
-        [fn] * (depth - 1),
-    )
+    return Tower("synthetic", [stage_complex] * depth, idt if identity else zero)
 
 
 def test_transition_not_well_defined_raises(a1):
@@ -124,7 +119,7 @@ def test_transition_not_well_defined_raises(a1):
     def identity(i, d, label):
         return {label: Fraction(1)}
 
-    t = Tower("bad", [quotient(x**2), quotient(x)], [identity])
+    t = Tower("bad", [quotient(x**2), quotient(x)], identity)
     with pytest.raises(InternalInvariantError, match="not well defined"):
         t.transition_matrix(1, 0, 1)
 
@@ -384,7 +379,7 @@ def test_tower_stage_with_nonzero_dd_raises():
     # stage 2's differential squares to the unit; the zero transition is a
     # chain map, so only the d∘d check can catch it
     good, bad = _one_cell_complex("good", 0), _one_cell_complex("bad", 1)
-    tower = Tower("dd", [good, bad], [lambda i, d, lbl: {}])
+    tower = Tower("dd", [good, bad], lambda i, d, lbl: {})
     with pytest.raises(InternalInvariantError, match=r"^bad: d∘d != 0 at \(i=2, d=0\)$"):
         tower_limit(tower, 0, weight_lo=0)
 

@@ -14,7 +14,6 @@ from spencerlab.complexes import (
 )
 from spencerlab.completion import completed_complex
 from spencerlab.diffops import filtered_spencer
-from spencerlab.homotopy import Derivation
 from spencerlab.linalg import GradedPiece
 from spencerlab.modules import free_module, module_as_complex
 from spencerlab.rings import AffineScene, Ideal, mono_mul, parse_polynomial, scene
@@ -136,12 +135,6 @@ def test_spencer_refuses_singular_scene(cusp):
 def test_spencer_refuses_form_degree_above_n(a2):
     with pytest.raises(SceneError, match=r"^no omega_3 on 2 variables$"):
         build_spencer_of_module(a2, 3)
-
-
-def test_bracket_feeds_spencer_second_sum(a1):
-    ddx = Derivation(a1, (a1.ring.one(),))
-    xddx = Derivation(a1, (a1.ring.var(0),))
-    assert ddx.bracket(xddx).coefficients == ddx.coefficients
 
 
 # -- structural ------------------------------------------------------------------

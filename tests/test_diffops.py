@@ -1,91 +1,22 @@
-import random
+import os
+from itertools import product
 
 import pytest
 
 from spencerlab.complexes import homology_table
 from spencerlab.diffops import (
     WeylAlgebra,
-    augmentation,
-    compose,
     filtered_spencer,
     kashiwara_quotient,
     pushforward_point,
 )
-from spencerlab.errors import BudgetExceeded, SceneError
+from spencerlab.errors import SceneError
+from spencerlab.groebner import buchberger
 from spencerlab.rings import Ideal, WeightedRing, parse_polynomial
+from spencerlab.scenes import load_scene
 
 R1 = WeightedRing(("x",), (1,))
 R2 = WeightedRing(("x", "y"), (1, 1))
-
-
-def test_compose_defining_relation():
-    alg = WeylAlgebra(R1, 2)
-    d = alg.partial(0)
-    x = alg.from_polynomial(parse_polynomial("x", R1))
-    assert str(compose(d, x)) == "1 + x*d_x"
-
-
-def test_compose_second_order():
-    alg = WeylAlgebra(R1, 2)
-    d2 = alg.monomial_op((0,), (2,))
-    x = alg.from_polynomial(parse_polynomial("x", R1))
-    got = compose(d2, x)
-    want = alg.monomial_op((1,), (2,)) + alg.monomial_op((0,), (1,), 2)
-    assert got == want
-
-
-def test_compose_already_normal():
-    alg = WeylAlgebra(R1, 2)
-    x = alg.from_polynomial(parse_polynomial("x", R1))
-    d = alg.partial(0)
-    assert str(compose(x, d)) == "x*d_x"
-
-
-def test_compose_order_budget():
-    alg = WeylAlgebra(R1, 2)
-    d2 = alg.monomial_op((0,), (2,))
-    with pytest.raises(BudgetExceeded):
-        compose(d2, alg.partial(0))
-
-
-def test_compose_associative_on_sample():
-    alg = WeylAlgebra(R2, 6)
-    rng = random.Random(7)
-    basis = []
-    for _ in range(24):
-        a = (rng.randrange(3), rng.randrange(3))
-        b = (rng.randrange(2), rng.randrange(2))
-        basis.append(alg.monomial_op(a, b, rng.randrange(1, 4)))
-    triples = 0
-    while triples < 100:
-        A, B, C = rng.choice(basis), rng.choice(basis), rng.choice(basis)
-        if A.order() + B.order() + C.order() > alg.order_bound:
-            continue
-        assert compose(compose(A, B), C) == compose(A, compose(B, C))
-        triples += 1
-
-
-def test_augmentation_examples():
-    alg = WeylAlgebra(R1, 3)
-    A = alg.monomial_op((2,), (0,)) + alg.monomial_op((1,), (1,))
-    assert str(augmentation(A)) == "x^2"
-    assert augmentation(alg.monomial_op((0,), (3,))).is_zero()
-    B = (
-        alg.from_polynomial(parse_polynomial("3", R1))
-        + alg.monomial_op((0,), (1,), 2)
-        + alg.monomial_op((1,), (2,))
-    )
-    assert str(augmentation(B)) == "3"
-
-
-def test_augmentation_is_module_map_over_order_zero():
-    alg = WeylAlgebra(R1, 3)
-    rng = random.Random(3)
-    for _ in range(30):
-        f = parse_polynomial(f"{rng.randrange(1,4)}*x^{rng.randrange(3)}", R1)
-        A = alg.from_polynomial(f)
-        B = alg.monomial_op((rng.randrange(3),), (rng.randrange(3),), rng.randrange(1, 3))
-        assert augmentation(compose(A, B)) == f * augmentation(B)
 
 
 # -- filtered Spencer -------------------------------------------------------------
@@ -156,6 +87,38 @@ def test_kashiwara_origin_in_plane():
         kq = kashiwara_quotient(WeylAlgebra(R2, p), ideal, 2)
         want = sum(1 for k in range(p + 1) for _ in range(k + 1))
         assert kq.total_dimension == want  # multi-indices |b| <= p
+
+
+SCENES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenes")
+CORPUS_WITH_IDEAL = [
+    name
+    for name in sorted(os.listdir(SCENES))
+    if name.endswith(".scene") and not load_scene(os.path.join(SCENES, name)).ideal.is_trivial
+]
+
+
+@pytest.mark.parametrize("name", CORPUS_WITH_IDEAL)
+def test_kashiwara_dims_match_groebner_standard_monomials(name):
+    # independent oracle: F^p D / I·F^p D is the sum over |b| <= p of O_Y
+    # shifted by w(b), and dim (O_Y)_e counts the weight-e monomials outside
+    # the leading ideal of a Groebner basis
+    sc = load_scene(os.path.join(SCENES, name))
+    ring = sc.ring
+    lms = buchberger(sc.ideal).leading_monomials()
+
+    def standard(e):
+        return sum(
+            1 for m in ring.monomials_of_weight(e)
+            if not any(all(a >= b for a, b in zip(m, lm)) for lm in lms)
+        )
+
+    for p in (1, 2, 3):
+        orders = [b for b in product(range(p + 1), repeat=ring.nvars) if sum(b) <= p]
+        kq = kashiwara_quotient(WeylAlgebra(ring, p), sc.ideal, 6)
+        assert kq.pieces
+        for d, piece in kq.pieces.items():
+            want = sum(standard(d + ring.mono_weight(b)) for b in orders)
+            assert len(piece) == want, (p, d)
 
 
 # -- pushforward -------------------------------------------------------------------

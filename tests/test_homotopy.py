@@ -18,7 +18,6 @@ from spencerlab.homotopy import (
     _form_lie,
     acyclicity_certificate,
     cartan_check,
-    contraction_pairing,
     euler_derivation,
     interior_product_matrix,
     lie_derivative_matrix,
@@ -301,23 +300,6 @@ def test_lie_derivative_commutes_with_differential(cusp):
             left = lie_derivative_matrix(xi, dr, i + 1, d).compose(dr.differential(i, d))
             right = dr.differential(i, d).compose(lie_derivative_matrix(xi, dr, i, d))
             assert left.matrix == right.matrix
-
-
-# -- contraction pairing -------------------------------------------------------------
-
-
-def test_contraction_pairing_full_range():
-    for i in (0, 1, 2):
-        assert contraction_pairing(2, i, 6).bijective
-
-
-def test_contraction_pairing_weighted():
-    assert contraction_pairing(2, 1, 10, weights=(2, 3)).bijective
-
-
-def test_contraction_pairing_out_of_range():
-    with pytest.raises(SceneError):
-        contraction_pairing(2, 3, 4)
 
 
 def test_certificates_hold_across_every_corpus_cone():

@@ -1,7 +1,10 @@
-"""No name is imported without being referenced (an AST check; no linter needed).
+"""No name is imported without being referenced, and no private helper of
+the package is left without a caller (AST checks; no linter needed).
 
-Covers every module of the package except ``__init__.py``, whose imports
-are the public re-exports, and every test module.
+The import check covers every module of the package except
+``__init__.py``, whose imports are the public re-exports, and every test
+module.  The helper check covers the package only: a helper that only
+tests call is dead code.
 """
 
 import ast
@@ -53,3 +56,50 @@ def test_the_check_sees_an_unused_import():
 def test_no_unused_imports(path):
     with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def unreferenced_private_helpers(sources: dict) -> list:
+    """Module-level ``_name`` functions and classes referred to nowhere else.
+
+    ``sources`` maps a path to its source text; a reference is a name or an
+    attribute in any of them, outside the helper's own definition.
+    """
+    defined = []
+    referenced = set()
+    for path, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                    defined.append((path, stmt.lineno, stmt.name))
+                    names.discard(stmt.name)
+            referenced |= names
+    return sorted(d for d in defined if d[2] not in referenced)
+
+
+def test_the_check_sees_an_unreferenced_helper():
+    helpers = (
+        "def _used():\n    pass\n\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+        "class _Gone:\n    pass\n\n"
+        "def _called_elsewhere():\n    pass\n"
+    )
+    caller = "import m\n\ndef public():\n    return _used(), m._called_elsewhere()\n"
+    assert unreferenced_private_helpers({"m.py": helpers, "n.py": caller}) == [
+        ("m.py", 4, "_recursive"),
+        ("m.py", 7, "_Gone"),
+    ]
+
+
+def test_no_unreferenced_private_helpers():
+    sources = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                sources[name] = fh.read()
+    assert unreferenced_private_helpers(sources) == []
