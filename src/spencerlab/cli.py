@@ -1,8 +1,8 @@
 """Batch command line: scene files in, JSON (or plain tables) out.
 
-Exit codes: 0 success, 1 input error, 2 resource budget exceeded,
-3 internal invariant violation (a bug: d∘d != 0 or similar) or any other
-unexpected exception, reported in one line without a traceback.
+Exit codes: 0 success, 1 input error (usage errors too), 2 resource budget
+exceeded, 3 internal invariant violation (a bug: d∘d != 0 or similar) or any
+other unexpected exception, reported in one line without a traceback.
 Identical inputs produce byte-identical JSON (sorted keys throughout).
 """
 
@@ -195,8 +195,13 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error: exit 1, not 2
+        raise SpencerlabError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spencerlab",
         description="Exact graded homology of complexes on weighted affine cones.",
     )
@@ -270,9 +275,8 @@ def _check_args(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_args(args)
         scene = load_scene(args.scene)
         payload = {

@@ -25,7 +25,6 @@ transition multiplying each exterior slot by its generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -190,16 +189,19 @@ class _HomologySpace:
 
 # -- limits ---------------------------------------------------------------------
 
-@dataclass
 class LimitReport:
     """Per-(index, weight) lim / lim^1 with explicit stabilization flags."""
 
-    name: str
-    depth: int
-    weight_lo: int
-    weight_hi: int
-    indices: tuple
-    entries: dict = field(default_factory=dict)
+    def __init__(
+        self, name: str, depth: int, weight_lo: int, weight_hi: int, indices: tuple,
+        entries: dict | None = None,
+    ):
+        self.name = name
+        self.depth = depth
+        self.weight_lo = weight_lo
+        self.weight_hi = weight_hi
+        self.indices = indices
+        self.entries = {} if entries is None else entries
 
     def entry(self, i: int, d: int) -> dict:
         return self.entries[(i, d)]
@@ -415,16 +417,19 @@ def derived_completion(
     return tower, report
 
 
-@dataclass
 class CompletedKoszulReport:
     """Stagewise H^0 of a completed Koszul tower against the quotient oracle."""
 
-    name: str
-    depth: int
-    weight_hi: int
-    h0: dict = field(default_factory=dict)        # (r, d) -> dim
-    oracle: dict = field(default_factory=dict)    # (r, d) -> dim
-    positive_index: dict = field(default_factory=dict)  # (r, i, d) -> dim
+    def __init__(
+        self, name: str, depth: int, weight_hi: int, h0: dict | None = None,
+        oracle: dict | None = None, positive_index: dict | None = None,
+    ):
+        self.name = name
+        self.depth = depth
+        self.weight_hi = weight_hi
+        self.h0 = {} if h0 is None else h0  # (r, d) -> dim
+        self.oracle = {} if oracle is None else oracle  # (r, d) -> dim
+        self.positive_index = {} if positive_index is None else positive_index  # (r, i, d) -> dim
 
     @property
     def passed(self) -> bool:
@@ -479,16 +484,20 @@ def completed_koszul_h0(
 
 # -- embedding independence -------------------------------------------------------
 
-@dataclass
 class IndependenceReport:
-    scene_small: str
-    scene_big: str
-    weight_hi: int
-    derham_equal: bool = True
-    derham_mismatches: list = field(default_factory=list)
-    spencer_equal: bool | None = None
-    spencer_mismatches: list = field(default_factory=list)
-    unstabilized: list = field(default_factory=list)
+    def __init__(
+        self, scene_small: str, scene_big: str, weight_hi: int, derham_equal: bool = True,
+        derham_mismatches: list | None = None, spencer_equal: bool | None = None,
+        spencer_mismatches: list | None = None, unstabilized: list | None = None,
+    ):
+        self.scene_small = scene_small
+        self.scene_big = scene_big
+        self.weight_hi = weight_hi
+        self.derham_equal = derham_equal
+        self.derham_mismatches = [] if derham_mismatches is None else derham_mismatches
+        self.spencer_equal = spencer_equal
+        self.spencer_mismatches = [] if spencer_mismatches is None else spencer_mismatches
+        self.unstabilized = [] if unstabilized is None else unstabilized
 
     @property
     def equal(self) -> bool:

@@ -46,7 +46,6 @@ complex.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -355,16 +354,19 @@ class GradedComplex:
         return h
 
 
-@dataclass
 class HomologyTable:
     """dim H at each (homological index, weight) up to the degree bound."""
 
-    name: str
-    direction: int
-    indices: tuple
-    weight_lo: int
-    weight_hi: int
-    entries: dict = field(default_factory=dict)
+    def __init__(
+        self, name: str, direction: int, indices: tuple, weight_lo: int, weight_hi: int,
+        entries: dict | None = None,
+    ):
+        self.name = name
+        self.direction = direction
+        self.indices = indices
+        self.weight_lo = weight_lo
+        self.weight_hi = weight_hi
+        self.entries = {} if entries is None else entries
 
     def dim(self, i: int, d: int) -> int:
         return self.entries.get((i, d), 0)

@@ -9,7 +9,6 @@ finite graded pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,19 +23,18 @@ from .complexes import (
 )
 from .errors import InternalInvariantError, SceneError
 from .modules import graded_component_basis, o_piece
-from .rings import AffineScene, Ideal, WeightedRing, mono_mul
+from .rings import AffineScene, Ideal, WeightedRing, _Value, mono_mul
 
 
-@dataclass(frozen=True)
-class WeylAlgebra:
+class WeylAlgebra(_Value):
     """Differential operators of order <= order_bound on the ring's affine space."""
 
-    ring: WeightedRing
-    order_bound: int
+    _fields = ("ring", "order_bound")
 
-    def __post_init__(self):
-        if self.order_bound < 0:
+    def __init__(self, ring: WeightedRing, order_bound: int):
+        if order_bound < 0:
             raise SceneError("order bound must be >= 0")
+        super().__init__(ring, order_bound)
 
     @property
     def nvars(self) -> int:
@@ -110,16 +108,19 @@ def filtered_spencer(ring: WeightedRing, p: int) -> GradedComplex:
 
 # -- Kashiwara quotient --------------------------------------------------------
 
-@dataclass
 class KashiwaraQuotient:
     """Graded components of F^p D / I·F^p D with the support check recorded."""
 
-    algebra: WeylAlgebra
-    ideal: Ideal
-    weight_lo: int
-    weight_hi: int
-    pieces: dict = field(default_factory=dict)  # weight -> tuple of (a, b) classes
-    support_verified: bool = True
+    def __init__(
+        self, algebra: WeylAlgebra, ideal: Ideal, weight_lo: int, weight_hi: int,
+        pieces: dict | None = None, support_verified: bool = True,
+    ):
+        self.algebra = algebra
+        self.ideal = ideal
+        self.weight_lo = weight_lo
+        self.weight_hi = weight_hi
+        self.pieces = {} if pieces is None else pieces  # weight -> tuple of (a, b) classes
+        self.support_verified = support_verified
 
     @property
     def total_dimension(self) -> int:

@@ -9,7 +9,6 @@ exhaustion raises instead of hanging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, SceneError
@@ -17,6 +16,7 @@ from .rings import (
     Ideal,
     Polynomial,
     WeightedRing,
+    _Value,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -26,16 +26,15 @@ from .rings import (
 DEFAULT_PAIR_BUDGET = 10 ** 5
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(_Value):
     """Total multiplicative well-order on monomials of a fixed ring."""
 
-    kind: str  # "wdegrevlex" or "lex"
-    ring: WeightedRing
+    _fields = ("kind", "ring")
 
-    def __post_init__(self):
-        if self.kind not in ("wdegrevlex", "lex"):
-            raise SceneError(f"unknown monomial order {self.kind!r}")
+    def __init__(self, kind: str, ring: WeightedRing):
+        if kind not in ("wdegrevlex", "lex"):
+            raise SceneError(f"unknown monomial order {kind!r}")
+        super().__init__(kind, ring)
 
     def key(self, m: tuple):
         if self.kind == "lex":
@@ -59,10 +58,11 @@ def lex(ring: WeightedRing) -> MonomialOrder:
     return MonomialOrder("lex", ring)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    generators: tuple  # monic, reduced, sorted by leading monomial
-    order: MonomialOrder
+class GroebnerBasis(_Value):
+    _fields = ("generators", "order")  # generators: monic, reduced, sorted by leading monomial
+
+    def __init__(self, generators: tuple, order: MonomialOrder):
+        super().__init__(generators, order)
 
     @property
     def ring(self) -> WeightedRing:

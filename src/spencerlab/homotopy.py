@@ -22,7 +22,6 @@ Which flavor certified each piece is recorded in the certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
@@ -37,22 +36,20 @@ from .complexes import (
 from .errors import InternalInvariantError, SceneError
 from .linalg import LinearMap
 from .modules import in_ideal_degreewise
-from .rings import INHOMOGENEOUS, AffineScene, Polynomial, mono_mul
+from .rings import INHOMOGENEOUS, AffineScene, Polynomial, _Value, mono_mul
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(_Value):
     """A weight-homogeneous derivation of O_Y, given by its coefficients."""
 
-    scene: AffineScene
-    coefficients: tuple  # one Polynomial per ambient variable
+    _fields = ("scene", "coefficients")  # coefficients: one Polynomial per ambient variable
 
-    def __post_init__(self):
-        ring = self.scene.ring
-        if len(self.coefficients) != ring.nvars:
+    def __init__(self, scene: AffineScene, coefficients: tuple):
+        ring = scene.ring
+        if len(coefficients) != ring.nvars:
             raise SceneError("one coefficient per variable required")
         weights = set()
-        for i, c in enumerate(self.coefficients):
+        for i, c in enumerate(coefficients):
             if c.is_zero():
                 continue
             e = c.weighted_degree()
@@ -61,14 +58,13 @@ class Derivation:
             weights.add(e - ring.weights[i])
         if len(weights) > 1:
             raise SceneError("derivation is not weight-homogeneous")
-        object.__setattr__(self, "_weight", weights.pop() if weights else 0)
-        # Jacobian d(xi_s)/dx_k, read by every Lie derivative of a form label
-        object.__setattr__(self, "_jacobian", tuple(
-            tuple(c.partial_derivative(k) for k in range(ring.nvars))
-            for c in self.coefficients
-        ))
-        for g in self.scene.ideal.generators:
-            if not in_ideal_degreewise(self.scene, self.apply(g)):
+        (weight,) = weights or {0}
+        jacobian = tuple(  # d(xi_s)/dx_k, read by every Lie derivative of a form label
+            tuple(c.partial_derivative(k) for k in range(ring.nvars)) for c in coefficients
+        )
+        super().__init__(scene, coefficients, _weight=weight, _jacobian=jacobian)
+        for g in scene.ideal.generators:
+            if not in_ideal_degreewise(scene, self.apply(g)):
                 raise SceneError(
                     f"derivation is not tangent to the ideal: fails on {g}"
                 )
@@ -260,14 +256,17 @@ def _cartan_operator(cx: GradedComplex, op, i: int, d: int, shift: int = 0) -> L
 
 # -- reports -------------------------------------------------------------------
 
-@dataclass
 class CartanReport:
-    complex_name: str
-    derivation: str
-    weight_bound: int
-    identity: str
-    checked: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
+    def __init__(
+        self, complex_name: str, derivation: str, weight_bound: int, identity: str,
+        checked: list | None = None, violations: list | None = None,
+    ):
+        self.complex_name = complex_name
+        self.derivation = derivation
+        self.weight_bound = weight_bound
+        self.identity = identity
+        self.checked = [] if checked is None else checked
+        self.violations = [] if violations is None else violations
 
     @property
     def passed(self) -> bool:
@@ -350,14 +349,17 @@ def cartan_check(xi: Derivation, cx: GradedComplex, bound: int) -> CartanReport:
     raise SceneError(f"cartan_check unsupported on kind {cx.kind!r}")
 
 
-@dataclass
 class AcyclicityCertificate:
-    complex_name: str
-    derivation: str
-    weight_bound: int
-    flavor: str
-    certified: dict = field(default_factory=dict)  # (i, d) -> homology dim (0)
-    refused: list = field(default_factory=list)    # ((i, d), reason)
+    def __init__(
+        self, complex_name: str, derivation: str, weight_bound: int, flavor: str,
+        certified: dict | None = None, refused: list | None = None,
+    ):
+        self.complex_name = complex_name
+        self.derivation = derivation
+        self.weight_bound = weight_bound
+        self.flavor = flavor
+        self.certified = {} if certified is None else certified  # (i, d) -> homology dim (0)
+        self.refused = [] if refused is None else refused          # ((i, d), reason)
 
     @property
     def valid(self) -> bool:

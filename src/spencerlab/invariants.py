@@ -8,7 +8,6 @@ and milnor_tjurina asserts that instead of assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InternalInvariantError, SceneError
@@ -17,10 +16,10 @@ from .modules import derivation_space, graded_component_basis
 from .rings import AffineScene, Ideal, Polynomial
 
 
-@dataclass
 class SmoothnessReport:
-    smooth: bool
-    witness: tuple = ()  # Groebner basis of the singular-locus ideal
+    def __init__(self, smooth: bool, witness: tuple = ()):
+        self.smooth = smooth
+        self.witness = witness  # Groebner basis of the singular-locus ideal
 
     def to_json(self) -> dict:
         out = {"smooth": self.smooth}
@@ -70,11 +69,11 @@ def jacobian_smoothness(
     return SmoothnessReport(False, gb.generators)
 
 
-@dataclass
 class MilnorTjurina:
-    mu: int | None          # None encodes the infinite marker
-    tau: int | None
-    basis: tuple = ()       # standard monomials of the Jacobian ideal
+    def __init__(self, mu: int | None, tau: int | None, basis: tuple = ()):
+        self.mu = mu            # None encodes the infinite marker
+        self.tau = tau
+        self.basis = basis      # standard monomials of the Jacobian ideal
 
     def to_json(self, ring) -> dict:
         return {
@@ -115,7 +114,6 @@ def milnor_tjurina(
     return MilnorTjurina(mu, tau, mu_basis)
 
 
-@dataclass
 class SpencerH0Report:
     """Degreewise dims of O_Y / alpha(T_Y), plus the Jacobian comparison.
 
@@ -126,11 +124,15 @@ class SpencerH0Report:
     lies in T_Y).
     """
 
-    weight_hi: int
-    construction: str = "derivation-values"
-    table: dict = field(default_factory=dict)           # weight -> dim
-    jacobian_table: dict | None = None                  # weight -> dim
-    alpha_generators: tuple = ()
+    def __init__(
+        self, weight_hi: int, construction: str = "derivation-values", table: dict | None = None,
+        jacobian_table: dict | None = None, alpha_generators: tuple = (),
+    ):
+        self.weight_hi = weight_hi
+        self.construction = construction
+        self.table = {} if table is None else table     # weight -> dim
+        self.jacobian_table = jacobian_table            # weight -> dim
+        self.alpha_generators = alpha_generators
 
     @property
     def matches_jacobian(self) -> bool | None:

@@ -37,7 +37,6 @@ for each entry they return, and ``is_relation`` builds none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -368,7 +367,6 @@ def rank_kernel_image(m: LinearMap):
     return len(pivots), kernel
 
 
-@dataclass
 class GradedPiece:
     """One graded component: ambient labels modulo a relation span.
 
@@ -379,21 +377,14 @@ class GradedPiece:
     matrices in this package rarely have more than a few entries per row.
     """
 
-    ambient: tuple
-    basis: tuple = field(init=False)
-    _index: dict = field(init=False, repr=False)
-    _basis_pos: dict = field(init=False, repr=False)  # ambient index -> basis position
-    _sparse_rows: dict = field(init=False, repr=False)  # pivot col -> {col: int}
-    _pivots: list = field(init=False, repr=False)
-
     def __init__(self, ambient, relations):
         self.ambient = tuple(ambient)
         self._index = {lbl: i for i, lbl in enumerate(self.ambient)}
-        self._sparse_rows = _gauss_jordan(
+        self._sparse_rows = _gauss_jordan(  # pivot col -> {col: int}
             row for row in map(self._indexed, relations) if row
         )
         self._pivots = sorted(self._sparse_rows)
-        self._basis_pos = {}
+        self._basis_pos = {}  # ambient index -> basis position
         for i in range(len(self.ambient)):
             if i not in self._sparse_rows:
                 self._basis_pos[i] = len(self._basis_pos)

@@ -12,7 +12,6 @@ presented module's pieces are those of :func:`module_as_complex`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -20,7 +19,7 @@ from math import gcd, lcm
 from .complexes import GradedComplex, ideal_multiples
 from .errors import SceneError
 from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve_columns
-from .rings import INHOMOGENEOUS, AffineScene, Polynomial, mono_mul
+from .rings import INHOMOGENEOUS, AffineScene, Polynomial, _Value, mono_mul
 
 
 @lru_cache(maxsize=None)
@@ -55,8 +54,7 @@ def in_ideal_degreewise(scene: AffineScene, p: Polynomial) -> bool:
     return not reduce_poly(scene, p)
 
 
-@dataclass(frozen=True)
-class PresentedModule:
+class PresentedModule(_Value):
     """Graded O_Y-module with labeled generators and polynomial relations.
 
     ``generators`` maps labels to integer weights (negative weights are
@@ -65,20 +63,19 @@ class PresentedModule:
     on top, so relations only need the genuinely module-level part.
     """
 
-    scene: AffineScene
-    generators: tuple  # ((label, weight), ...)
-    relations: tuple = ()  # ((poly_per_generator, ...), ...)
-    name: str = "module"
+    _fields = ("scene", "generators", "relations", "name")
 
-    def __post_init__(self):
-        weights = dict(self.generators)
-        if len(weights) != len(self.generators):
+    def __init__(
+        self, scene: AffineScene, generators: tuple, relations: tuple = (), name: str = "module"
+    ):
+        weights = dict(generators)
+        if len(weights) != len(generators):
             raise SceneError("duplicate generator labels")
-        for rel in self.relations:
-            if len(rel) != len(self.generators):
+        for rel in relations:
+            if len(rel) != len(generators):
                 raise SceneError("relation length must match generator count")
             degs = set()
-            for (label, w), p in zip(self.generators, rel):
+            for (label, w), p in zip(generators, rel):
                 if p.is_zero():
                     continue
                 e = p.weighted_degree()
@@ -87,6 +84,7 @@ class PresentedModule:
                 degs.add(e + w)
             if len(degs) > 1:
                 raise SceneError("relation is not weight-homogeneous")
+        super().__init__(scene, generators, relations, name)
 
     def labels(self, d: int) -> tuple:
         """Ambient labels (monomial, generator label) of weight d."""
@@ -143,13 +141,13 @@ def free_module(scene: AffineScene, labels_weights, name="free") -> PresentedMod
 
 # -- derivation modules ------------------------------------------------------
 
-@dataclass(frozen=True)
-class DerivationSpace:
+class DerivationSpace(_Value):
     """Weight-t derivations of O_Y: kernel of the tangency evaluation map."""
 
-    scene: AffineScene
-    weight: int
-    basis: tuple  # tuple of coefficient tuples (Polynomial per variable)
+    _fields = ("scene", "weight", "basis")  # basis: a tuple of coefficient tuples
+
+    def __init__(self, scene: AffineScene, weight: int, basis: tuple):
+        super().__init__(scene, weight, basis)
 
     @property
     def dim(self) -> int:

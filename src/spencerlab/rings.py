@@ -13,7 +13,6 @@ runs degreewise on these weights.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,24 +23,51 @@ INHOMOGENEOUS = "inhomogeneous"
 _NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
 
-@dataclass(frozen=True)
-class WeightedRing:
+class _Value:
+    """Immutable value: equality, hash and repr over the fields in ``_fields``.
+
+    A subclass's ``__init__`` checks its arguments, then passes the field values
+    in ``_fields`` order, and by keyword any cached attributes equality ignores.
+    """
+
+    def __init__(self, *values, **cached):
+        vars(self).update(zip(self._fields, values), _values=values, **cached)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class WeightedRing(_Value):
     """A polynomial ring QQ[x_1..x_n] with positive integer weights."""
 
-    variables: tuple[str, ...]
-    weights: tuple[int, ...]
+    _fields = ("variables", "weights")
 
-    def __post_init__(self):
-        if len(self.variables) != len(self.weights):
+    def __init__(self, variables: tuple[str, ...], weights: tuple[int, ...]):
+        if len(variables) != len(weights):
             raise SceneError("variables and weights must have equal length")
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise SceneError("variable names must be distinct")
-        for name in self.variables:
+        for name in variables:
             if not _NAME_RE.fullmatch(name):
                 raise SceneError(f"bad variable name {name!r}")
-        for w in self.weights:
+        for w in weights:
             if not isinstance(w, int) or w <= 0:
                 raise SceneError(f"weights must be positive integers, got {w!r}")
+        super().__init__(variables, weights)
 
     @property
     def nvars(self) -> int:
@@ -403,40 +429,38 @@ def parse_polynomial(text: str, ring: WeightedRing) -> Polynomial:
 
 # -- ideals and scenes -------------------------------------------------------
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(_Value):
     """Ideal given by a generator list; zero generators are dropped."""
 
-    generators: tuple[Polynomial, ...]
+    _fields = ("generators",)
 
-    def __post_init__(self):
-        gens = tuple(g for g in self.generators if not g.is_zero())
+    def __init__(self, generators: tuple[Polynomial, ...]):
+        gens = tuple(g for g in generators if not g.is_zero())
         rings = {g.ring for g in gens}
         if len(rings) > 1:
             raise SceneError("ideal generators live in different rings")
-        object.__setattr__(self, "generators", gens)
+        super().__init__(gens)
 
     @property
     def is_trivial(self) -> bool:
         return not self.generators
 
 
-@dataclass(frozen=True)
-class AffineScene:
+class AffineScene(_Value):
     """A weighted ambient ring plus a weighted-homogeneous ideal for Y."""
 
-    ring: WeightedRing
-    ideal: Ideal
+    _fields = ("ring", "ideal")
 
-    def __post_init__(self):
-        for g in self.ideal.generators:
-            if g.ring != self.ring:
+    def __init__(self, ring: WeightedRing, ideal: Ideal):
+        for g in ideal.generators:
+            if g.ring != ring:
                 raise SceneError("ideal generator not in the scene ring")
             if g.weighted_degree() == INHOMOGENEOUS:
                 raise SceneError(
                     f"generator {g} is not weighted-homogeneous for weights "
-                    f"{self.ring.weights}"
+                    f"{ring.weights}"
                 )
+        super().__init__(ring, ideal)
 
     @property
     def nvars(self) -> int:

@@ -10,8 +10,9 @@
     x^3 - y^2
 
 The [ideal] section lists one polynomial per line and may be empty or
-absent (Y = X).  '#' starts a comment.  Any other section is an input
-error; settings such as the degree bound are command-line options.
+absent (Y = X).  '#' starts a comment.  A non-UTF-8 file, any other
+section, a repeated section and a repeated [ring] key are input errors;
+settings such as the degree bound are command-line options.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .rings import AffineScene, Ideal, WeightedRing, parse_polynomial
 
 def parse_scene_text(text: str, name: str = "<scene>") -> AffineScene:
     section = None
+    seen: set = set()
     ring_data: dict = {}
     ideal_lines: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -32,11 +34,16 @@ def parse_scene_text(text: str, name: str = "<scene>") -> AffineScene:
             section = line[1:-1].strip().lower()
             if section not in ("ring", "ideal"):
                 raise SceneError(f"{name}:{lineno}: unknown section [{section}]")
+            if section in seen:
+                raise SceneError(f"{name}:{lineno}: repeated section [{section}]")
+            seen.add(section)
             continue
         if section == "ring":
             if "=" not in line:
                 raise SceneError(f"{name}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key.lower() in ring_data:
+                raise SceneError(f"{name}:{lineno}: repeated key {key!r} in [ring]")
             ring_data[key.lower()] = value
         elif section == "ideal":
             ideal_lines.append((lineno, line))
@@ -63,7 +70,7 @@ def load_scene(path: str) -> AffineScene:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SceneError(f"cannot read scene file {path}: {exc}") from None
     return parse_scene_text(text, name=path)
 

@@ -248,6 +248,13 @@ BAD_INPUTS = [
     ("filtered-spencer", "a2.scene", "--p", "0"),
     ("kashiwara", "cusp.scene", "--p", "-1"),
     ("derham", "missing.scene"),
+    # usage errors: argparse's own exit 2 is reserved for an exhausted budget
+    ("foo", "cusp.scene"),
+    ("jet", "cusp.scene", "--r", "3"),
+    ("spencer", "a2.scene", "--module", "omega2"),
+    ("koszul", "cusp.scene"),
+    ("independence", "cusp.scene"),
+    ("derham", "cusp.scene", "--bogus"),
 ]
 
 
@@ -277,6 +284,65 @@ def test_negative_degree_bound_exits_1(capsys, command):
     # 0 stays a valid bound
     assert main([command, scene_path("cusp.scene"), "--degree-bound", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["degree_bound"] == 0
+
+
+def test_non_integer_degree_bound_exits_1(capsys):
+    # kept out of BAD_INPUTS, whose runner appends a valid --degree-bound
+    code = main(["derham", scene_path("cusp.scene"), "--degree-bound", "x"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: argument --degree-bound: invalid int value: 'x'\n"
+
+
+def test_no_arguments_exits_1_in_one_line():
+    proc = subprocess.run(
+        [sys.executable, "-m", "spencerlab.cli"], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: the following arguments are required: command\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["derham", "--help"]], ids=" ".join)
+def test_help_exits_0(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "spencerlab.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: spencerlab")
+    assert proc.stderr == ""
+
+
+SCENE_FILE_ERRORS = {
+    "not-utf8": (b"\xff\xfe[ring]\n", "cannot read scene file "),
+    "second-ring": (
+        b"[ring]\nvariables = x, y\nweights = 1, 1\n[ring]\nvariables = z\n",
+        ":4: repeated section [ring]",
+    ),
+    "second-ideal": (
+        b"[ring]\nvariables = x, y\nweights = 1, 1\n[ideal]\nx\n\n[IDEAL]\ny\n",
+        ":7: repeated section [ideal]",
+    ),
+    "repeated-key": (
+        b"[ring]\nvariables = x, y\nweights = 1, 1\nVariables = z\n",
+        ":4: repeated key 'Variables' in [ring]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENE_FILE_ERRORS))
+def test_scene_file_input_errors_exit_1(tmp_path, capsys, case):
+    data, message = SCENE_FILE_ERRORS[case]
+    path = tmp_path / "input.scene"
+    path.write_bytes(data)
+    code = main(["derham", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert str(path) in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_unexpected_exception_exits_3_in_one_line(monkeypatch, capsys):

@@ -5,10 +5,16 @@ The import check covers every module of the package except
 ``__init__.py``, whose imports are the public re-exports, and every test
 module.  The helper check covers the package only: a helper that only
 tests call is dead code.
+
+Every CLI call starts a fresh interpreter, so importing ``spencerlab.cli``
+must stay cheap: it loads neither ``dataclasses`` nor ``inspect`` (with
+``ast``, ``dis`` and ``tokenize`` behind it).
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -103,3 +109,12 @@ def test_no_unreferenced_private_helpers():
             with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
                 sources[name] = fh.read()
     assert unreferenced_private_helpers(sources) == []
+
+
+def test_cold_cli_import_loads_no_dataclasses_or_inspect():
+    # -S: no site-packages hooks, so only the package's own imports count
+    code = "import sys, spencerlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
