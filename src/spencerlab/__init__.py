@@ -28,7 +28,7 @@ from .modules import (
     graded_component_basis,
 )
 from .linalg import GradedPiece, LinearMap, rank_kernel_image
-from .groebner import buchberger, normal_form, quotient_dimension, wdegrevlex
+from .groebner import buchberger, normal_form, quotient_dimension
 from .complexes import (
     GradedComplex,
     HomologyTable,
@@ -48,7 +48,6 @@ from .homotopy import (
     lie_derivative_matrix,
 )
 from .diffops import (
-    WeylAlgebra,
     filtered_spencer,
     kashiwara_quotient,
     pushforward_point,

@@ -26,7 +26,7 @@ from .completion import (
     embedding_independence,
     tower_limit,
 )
-from .diffops import WeylAlgebra, filtered_spencer, kashiwara_quotient, pushforward_point
+from .diffops import filtered_spencer, kashiwara_quotient, pushforward_point
 from .errors import BudgetExceeded, InternalInvariantError, SpencerlabError
 from .homotopy import acyclicity_certificate, cartan_check, euler_derivation
 from .invariants import jacobian_smoothness, milnor_tjurina, spencer_h0
@@ -111,8 +111,7 @@ def cmd_filtered_spencer(scene, args):
 def cmd_kashiwara(scene, args):
     if scene.ideal.is_trivial:
         raise SpencerlabError("kashiwara needs a scene with a nonempty ideal")
-    alg = WeylAlgebra(scene.ring, args.p)
-    kq = kashiwara_quotient(alg, scene.ideal, args.degree_bound)
+    kq = kashiwara_quotient(scene, args.p, args.degree_bound)
     return {"kashiwara": kq.to_json()}
 
 

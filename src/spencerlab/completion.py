@@ -83,10 +83,6 @@ class Tower:
     def indices(self) -> tuple:
         return self.stages[0].indices
 
-    @property
-    def weight_floor(self) -> int:
-        return min(s.weight_floor for s in self.stages)
-
     def transition_matrix(self, r: int, i: int, d: int) -> LinearMap:
         """Induced map stage(r+1).piece(i,d) -> stage(r).piece(i,d)."""
         key = (r, i, d)
@@ -147,7 +143,7 @@ class Tower:
         cols = self.homology_space(r, i, d).express(
             [tmat.apply(rep) for rep in upper.reps]
         )
-        return LinearMap.from_sparse_columns(range(n_upper), range(n_lower), cols)
+        return LinearMap(range(n_upper), range(n_lower), cols)
 
 
 class _HomologySpace:
@@ -236,7 +232,7 @@ class LimitReport:
         }
 
 
-def tower_limit(tower: Tower, bound: int, weight_lo: int | None = None) -> LimitReport:
+def tower_limit(tower: Tower, bound: int, weight_lo: int) -> LimitReport:
     """lim and lim^1 of the homology towers, cellwise and exact.
 
     A cell is stabilized when the dimensions of the images of the deep
@@ -250,12 +246,9 @@ def tower_limit(tower: Tower, bound: int, weight_lo: int | None = None) -> Limit
     the stage's cached ranks is the cell's dimension, and a homology space
     with representatives is built only for the other cells.
     """
-    lo = tower.weight_floor if weight_lo is None else weight_lo
-    report = LimitReport(
-        tower.name, tower.depth, lo, bound, tower.indices
-    )
+    report = LimitReport(tower.name, tower.depth, weight_lo, bound, tower.indices)
     R = tower.depth
-    for d in range(lo, bound + 1):
+    for d in range(weight_lo, bound + 1):
         for i in tower.indices:
             dims = [tower.cell_dim(r, i, d) for r in range(1, R + 1)]
             stabilized = False
@@ -420,16 +413,13 @@ def derived_completion(
 class CompletedKoszulReport:
     """Stagewise H^0 of a completed Koszul tower against the quotient oracle."""
 
-    def __init__(
-        self, name: str, depth: int, weight_hi: int, h0: dict | None = None,
-        oracle: dict | None = None, positive_index: dict | None = None,
-    ):
+    def __init__(self, name: str, depth: int, weight_hi: int):
         self.name = name
         self.depth = depth
         self.weight_hi = weight_hi
-        self.h0 = {} if h0 is None else h0  # (r, d) -> dim
-        self.oracle = {} if oracle is None else oracle  # (r, d) -> dim
-        self.positive_index = {} if positive_index is None else positive_index  # (r, i, d) -> dim
+        self.h0: dict = {}  # (r, d) -> dim
+        self.oracle: dict = {}  # (r, d) -> dim
+        self.positive_index: dict = {}  # (r, i, d) -> dim
 
     @property
     def passed(self) -> bool:
@@ -485,19 +475,15 @@ def completed_koszul_h0(
 # -- embedding independence -------------------------------------------------------
 
 class IndependenceReport:
-    def __init__(
-        self, scene_small: str, scene_big: str, weight_hi: int, derham_equal: bool = True,
-        derham_mismatches: list | None = None, spencer_equal: bool | None = None,
-        spencer_mismatches: list | None = None, unstabilized: list | None = None,
-    ):
+    def __init__(self, scene_small: str, scene_big: str, weight_hi: int):
         self.scene_small = scene_small
         self.scene_big = scene_big
         self.weight_hi = weight_hi
-        self.derham_equal = derham_equal
-        self.derham_mismatches = [] if derham_mismatches is None else derham_mismatches
-        self.spencer_equal = spencer_equal
-        self.spencer_mismatches = [] if spencer_mismatches is None else spencer_mismatches
-        self.unstabilized = [] if unstabilized is None else unstabilized
+        self.derham_equal = True
+        self.derham_mismatches: list = []
+        self.spencer_equal: bool | None = None
+        self.spencer_mismatches: list = []
+        self.unstabilized: list = []
 
     @property
     def equal(self) -> bool:

@@ -165,7 +165,7 @@ def induced_map(src: GradedPiece, tgt: GradedPiece, fn, error: str) -> LinearMap
         if not tgt.is_relation(out):
             raise InternalInvariantError(error)
     cols = [tgt.sparse_coords(image[lbl]) for lbl in src.basis]
-    return LinearMap.from_sparse_columns(src.basis, tgt.basis, cols)
+    return LinearMap(src.basis, tgt.basis, cols)
 
 
 class GradedComplex:
@@ -358,15 +358,14 @@ class HomologyTable:
     """dim H at each (homological index, weight) up to the degree bound."""
 
     def __init__(
-        self, name: str, direction: int, indices: tuple, weight_lo: int, weight_hi: int,
-        entries: dict | None = None,
+        self, name: str, direction: int, indices: tuple, weight_lo: int, weight_hi: int
     ):
         self.name = name
         self.direction = direction
         self.indices = indices
         self.weight_lo = weight_lo
         self.weight_hi = weight_hi
-        self.entries = {} if entries is None else entries
+        self.entries: dict = {}
 
     def dim(self, i: int, d: int) -> int:
         return self.entries.get((i, d), 0)
@@ -382,11 +381,9 @@ class HomologyTable:
         return out
 
 
-def homology_table(
-    complex_: GradedComplex, bound: int, weight_lo: int | None = None
-) -> HomologyTable:
+def homology_table(complex_: GradedComplex, bound: int) -> HomologyTable:
     """Homology dimensions per (index, weight); aborts if d∘d != 0."""
-    lo = complex_.weight_floor if weight_lo is None else weight_lo
+    lo = complex_.weight_floor
     table = HomologyTable(
         name=complex_.name,
         direction=complex_.direction,

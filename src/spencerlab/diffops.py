@@ -1,8 +1,8 @@
 """Truncated differential operators on affine space.
 
-An operator x^a d^b (normal-ordered, |b| bounded by the algebra's order p)
-is the label (a, b); the filtered Spencer resolution and the Kashiwara
-quotient are built on these labels.  Weights: weight(x_i) = w_i,
+An operator x^a d^b (normal-ordered, |b| bounded by an order p) is the
+label (a, b); the filtered Spencer resolution and the Kashiwara quotient
+each list their own labels of a weight.  Weights: weight(x_i) = w_i,
 weight(d_i) = -w_i, so every construction here stays weight-graded with
 finite graded pieces.
 """
@@ -23,32 +23,7 @@ from .complexes import (
 )
 from .errors import InternalInvariantError, SceneError
 from .modules import graded_component_basis, o_piece
-from .rings import AffineScene, Ideal, WeightedRing, _Value, mono_mul
-
-
-class WeylAlgebra(_Value):
-    """Differential operators of order <= order_bound on the ring's affine space."""
-
-    _fields = ("ring", "order_bound")
-
-    def __init__(self, ring: WeightedRing, order_bound: int):
-        if order_bound < 0:
-            raise SceneError("order bound must be >= 0")
-        super().__init__(ring, order_bound)
-
-    @property
-    def nvars(self) -> int:
-        return self.ring.nvars
-
-    def basis_of_weight(self, d: int, max_order: int | None = None) -> tuple:
-        """All (a, b) with |b| <= max_order and weight d, sorted."""
-        p = self.order_bound if max_order is None else max_order
-        out = []
-        for b in _multi_indices(self.nvars, p):
-            wa = d + self.ring.mono_weight(b)
-            for a in self.ring.monomials_of_weight(wa):
-                out.append((a, b))
-        return tuple(sorted(out))
+from .rings import AffineScene, WeightedRing, mono_mul
 
 
 # -- the filtered Spencer resolution ------------------------------------------
@@ -64,7 +39,6 @@ def filtered_spencer(ring: WeightedRing, p: int) -> GradedComplex:
     if p < 1:
         raise SceneError("filtered Spencer needs p >= 1")
     n = ring.nvars
-    alg = WeylAlgebra(ring, p)
 
     def ambient(i, d):
         if i == -1:
@@ -72,8 +46,9 @@ def filtered_spencer(ring: WeightedRing, p: int) -> GradedComplex:
         out = []
         for S in combinations(range(n), i):
             wS = subset_weight(ring, S)
-            for (a, b) in alg.basis_of_weight(d + wS, max_order=p - i):
-                out.append((a, b, S))
+            for b in _multi_indices(n, p - i):
+                for a in ring.monomials_of_weight(d + wS + ring.mono_weight(b)):
+                    out.append((a, b, S))
         return tuple(sorted(out))
 
     def diff(i, label):
@@ -112,11 +87,11 @@ class KashiwaraQuotient:
     """Graded components of F^p D / I·F^p D with the support check recorded."""
 
     def __init__(
-        self, algebra: WeylAlgebra, ideal: Ideal, weight_lo: int, weight_hi: int,
+        self, scene: AffineScene, p: int, weight_lo: int, weight_hi: int,
         pieces: dict | None = None, support_verified: bool = True,
     ):
-        self.algebra = algebra
-        self.ideal = ideal
+        self.scene = scene
+        self.p = p
         self.weight_lo = weight_lo
         self.weight_hi = weight_hi
         self.pieces = {} if pieces is None else pieces  # weight -> tuple of (a, b) classes
@@ -127,13 +102,13 @@ class KashiwaraQuotient:
         return sum(len(v) for v in self.pieces.values())
 
     def to_json(self) -> dict:
-        ring = self.algebra.ring
+        ring = self.scene.ring
         out = {}
         for d, basis in sorted(self.pieces.items()):
             if basis:
                 out[str(d)] = [_op_label_str(ring, a, b) for a, b in basis]
         return {
-            "p": self.algebra.order_bound,
+            "p": self.p,
             "weight_lo": self.weight_lo,
             "weight_hi": self.weight_hi,
             "total_dimension": self.total_dimension,
@@ -155,9 +130,7 @@ def _op_label_str(ring, a, b) -> str:
     return "*".join(bits) if bits else "1"
 
 
-def kashiwara_quotient(
-    alg: WeylAlgebra, ideal: Ideal, bound: int
-) -> KashiwaraQuotient:
+def kashiwara_quotient(scene: AffineScene, p: int, bound: int) -> KashiwaraQuotient:
     """Left-coset components of I·F^p D inside F^p D, degreewise.
 
     Left multiplication by a function touches only the polynomial part x^a
@@ -166,9 +139,9 @@ def kashiwara_quotient(
     :func:`~.modules.o_piece`.  The support condition is verified exactly:
     left multiplication by each generator is the zero map on every slice.
     """
-    ring = alg.ring
-    scene = AffineScene(ring, ideal)
-    p = alg.order_bound
+    if p < 0:
+        raise SceneError("order bound must be >= 0")
+    ring = scene.ring
     floor = -p * max(ring.weights)
     partials = [(b, ring.mono_weight(b)) for b in _multi_indices(ring.nvars, p)]
     pieces = {
@@ -186,11 +159,11 @@ def kashiwara_quotient(
     verified = all(
         not o_piece(scene, e).reduce(row)
         for e in range(bound - floor + 1)
-        for row in ideal_multiples(ideal.generators, e, classes, mono_mul)
+        for row in ideal_multiples(scene.ideal.generators, e, classes, mono_mul)
     )
     if not verified:
         raise InternalInvariantError("Kashiwara quotient support condition failed")
-    return KashiwaraQuotient(alg, ideal, floor, bound, pieces, verified)
+    return KashiwaraQuotient(scene, p, floor, bound, pieces, verified)
 
 
 # -- pushforward to the point ---------------------------------------------------

@@ -1,15 +1,17 @@
 """Buchberger-based ideal arithmetic at desk scale.
 
-Supports two monomial orders (weighted degrevlex, which respects the
-grading, and lex), reduced Groebner bases with the coprime-leading-term
-pair criterion, normal forms, and standard-monomial enumeration for
-finite quotient dimensions.  A pair budget guards against runaway runs;
-exhaustion raises instead of hanging.
+Everything runs in one monomial order, weighted degrevlex (weighted
+degree first, ties by reverse lex), which respects the grading.  Supports
+reduced Groebner bases with the coprime-leading-term pair criterion,
+normal forms, and standard-monomial enumeration for finite quotient
+dimensions.  A pair budget guards against runaway runs; exhaustion
+raises instead of hanging.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .errors import BudgetExceeded, SceneError
 from .rings import (
@@ -26,50 +28,30 @@ from .rings import (
 DEFAULT_PAIR_BUDGET = 10 ** 5
 
 
-class MonomialOrder(_Value):
-    """Total multiplicative well-order on monomials of a fixed ring."""
-
-    _fields = ("kind", "ring")
-
-    def __init__(self, kind: str, ring: WeightedRing):
-        if kind not in ("wdegrevlex", "lex"):
-            raise SceneError(f"unknown monomial order {kind!r}")
-        super().__init__(kind, ring)
-
-    def key(self, m: tuple):
-        if self.kind == "lex":
-            return m
-        return (self.ring.mono_weight(m), tuple(-e for e in reversed(m)))
-
-    def leading_monomial(self, p: Polynomial) -> tuple:
-        if p.is_zero():
-            raise SceneError("zero polynomial has no leading monomial")
-        return max(p.terms, key=self.key)
-
-    def leading_coefficient(self, p: Polynomial) -> Fraction:
-        return p.terms[self.leading_monomial(p)]
+def _order_key(ring: WeightedRing, m: tuple) -> tuple:
+    """Weighted degrevlex: weighted degree first, ties by reverse lex."""
+    return (ring.mono_weight(m), tuple(-e for e in reversed(m)))
 
 
-def wdegrevlex(ring: WeightedRing) -> MonomialOrder:
-    return MonomialOrder("wdegrevlex", ring)
+def _leading_monomial(p: Polynomial) -> tuple:
+    if p.is_zero():
+        raise SceneError("zero polynomial has no leading monomial")
+    return max(p.terms, key=partial(_order_key, p.ring))
 
 
-def lex(ring: WeightedRing) -> MonomialOrder:
-    return MonomialOrder("lex", ring)
+def _monic(p: Polynomial) -> Polynomial:
+    return p.scale(Fraction(1) / p.terms[_leading_monomial(p)])
 
 
 class GroebnerBasis(_Value):
-    _fields = ("generators", "order")  # generators: monic, reduced, sorted by leading monomial
+    # generators: monic, reduced, sorted by leading monomial
+    _fields = ("generators", "ring")
 
-    def __init__(self, generators: tuple, order: MonomialOrder):
-        super().__init__(generators, order)
-
-    @property
-    def ring(self) -> WeightedRing:
-        return self.order.ring
+    def __init__(self, generators: tuple, ring: WeightedRing):
+        super().__init__(generators, ring)
 
     def leading_monomials(self) -> tuple:
-        return tuple(self.order.leading_monomial(g) for g in self.generators)
+        return tuple(_leading_monomial(g) for g in self.generators)
 
     def is_unit_ideal(self) -> bool:
         zero = (0,) * self.ring.nvars
@@ -78,12 +60,11 @@ class GroebnerBasis(_Value):
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of p on division by the basis; no term divisible by any LM."""
-    order = gb.order
     lms = gb.leading_monomials()
     rem = p.ring.zero()
     work = p
     while not work.is_zero():
-        lm = order.leading_monomial(work)
+        lm = _leading_monomial(work)
         lc = work.terms[lm]
         for g, glm in zip(gb.generators, lms):
             if mono_divides(glm, lm):
@@ -96,8 +77,8 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     return rem
 
 
-def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lf, lg = order.leading_monomial(f), order.leading_monomial(g)
+def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
+    lf, lg = _leading_monomial(f), _leading_monomial(g)
     l = mono_lcm(lf, lg)
     cf, cg = f.terms[lf], g.terms[lg]
     return f.mul_mono(mono_div(l, lf), Fraction(1) / cf) - g.mul_mono(
@@ -105,11 +86,7 @@ def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     )
 
 
-def buchberger(
-    ideal: Ideal,
-    order: MonomialOrder | None = None,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-) -> GroebnerBasis:
+def buchberger(ideal: Ideal, pair_budget: int = DEFAULT_PAIR_BUDGET) -> GroebnerBasis:
     """Reduced Groebner basis via Buchberger with normal pair selection.
 
     Pairs are processed by (weighted degree of the lcm, lcm) ascending;
@@ -118,18 +95,10 @@ def buchberger(
     if ideal.is_trivial:
         raise SceneError("Groebner basis of the zero ideal is empty; handle upstream")
     ring = ideal.generators[0].ring
-    if order is None:
-        order = wdegrevlex(ring)
-    if order.ring != ring:
-        raise SceneError("order ring mismatch")
-
-    basis: list[Polynomial] = []
-    for g in ideal.generators:
-        monic = g.scale(Fraction(1) / order.leading_coefficient(g))
-        basis.append(monic)
+    basis = [_monic(g) for g in ideal.generators]
 
     def pair_key(i, j):
-        l = mono_lcm(order.leading_monomial(basis[i]), order.leading_monomial(basis[j]))
+        l = mono_lcm(_leading_monomial(basis[i]), _leading_monomial(basis[j]))
         # the trailing indices make tie-breaking (hence budget accounting)
         # independent of set iteration order
         return (ring.mono_weight(l), l, i, j)
@@ -145,24 +114,22 @@ def buchberger(
                 f"Buchberger pair budget {pair_budget} exhausted"
             )
         fi, fj = basis[i], basis[j]
-        li, lj = order.leading_monomial(fi), order.leading_monomial(fj)
+        li, lj = _leading_monomial(fi), _leading_monomial(fj)
         if mono_lcm(li, lj) == mono_mul(li, lj):  # coprime criterion
             continue
-        s = _spoly(fi, fj, order)
-        r = normal_form(s, GroebnerBasis(tuple(basis), order))
+        r = normal_form(_spoly(fi, fj), GroebnerBasis(tuple(basis), ring))
         if r.is_zero():
             continue
-        r = r.scale(Fraction(1) / order.leading_coefficient(r))
-        basis.append(r)
+        basis.append(_monic(r))
         k = len(basis) - 1
         pairs.update((m, k) for m in range(k))
-    return _reduce_basis(basis, order)
+    return _reduce_basis(basis, ring)
 
 
-def _reduce_basis(basis: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:
+def _reduce_basis(basis: list[Polynomial], ring: WeightedRing) -> GroebnerBasis:
     # Minimal: drop generators whose LM is divisible by another LM.
     keep = []
-    lms = [order.leading_monomial(g) for g in basis]
+    lms = [_leading_monomial(g) for g in basis]
     for i, g in enumerate(basis):
         if any(
             j != i
@@ -175,21 +142,15 @@ def _reduce_basis(basis: list[Polynomial], order: MonomialOrder) -> GroebnerBasi
     # Reduced: every tail term reduced modulo the others.
     reduced = []
     for i, g in enumerate(keep):
-        others = GroebnerBasis(tuple(keep[:i] + keep[i + 1:]), order)
-        r = normal_form(g, others) if others.generators else g
-        r = r.scale(Fraction(1) / order.leading_coefficient(r))
-        reduced.append(r)
-    reduced.sort(key=lambda g: order.key(order.leading_monomial(g)))
-    return GroebnerBasis(tuple(reduced), order)
+        others = GroebnerBasis(tuple(keep[:i] + keep[i + 1:]), ring)
+        reduced.append(_monic(normal_form(g, others) if others.generators else g))
+    reduced.sort(key=lambda g: _order_key(ring, _leading_monomial(g)))
+    return GroebnerBasis(tuple(reduced), ring)
 
 
-def quotient_dimension(
-    ideal: Ideal,
-    order: MonomialOrder | None = None,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-):
+def quotient_dimension(ideal: Ideal, pair_budget: int = DEFAULT_PAIR_BUDGET):
     """(dimension, standard monomial basis) of the quotient, or None if infinite."""
-    gb = buchberger(ideal, order, pair_budget)
+    gb = buchberger(ideal, pair_budget)
     ring = gb.ring
     n = ring.nvars
     lms = gb.leading_monomials()
@@ -216,7 +177,3 @@ def quotient_dimension(
     walk([])
     standard.sort(key=lambda m: (ring.mono_weight(m), m))
     return len(standard), tuple(standard)
-
-
-def ideal_membership(p: Polynomial, gb: GroebnerBasis) -> bool:
-    return normal_form(p, gb).is_zero()

@@ -152,15 +152,9 @@ def _jet_lie_diag(xi: Derivation, label, jet_order: int) -> dict:
     delta(h) = sum_{|a|>=1} (-1)^{|a|+1} (d^a h / a!) delta^a.
     """
     c, S, beta = label
-    ring = xi.scene.ring
-    n = ring.nvars
+    n = xi.scene.ring.nvars
     # form slot and coefficient slot together (xi(c) plus d(xi) insertions)
     out = _form_lie(xi, label)
-
-    def add(S2, cpoly, beta2, scalar=1):
-        for mm, cc in cpoly.terms.items():
-            key = (mm, S2, beta2)
-            out[key] = out.get(key, Fraction(0)) + scalar * cc
 
     # delta slots: diag(delta^beta) via delta(h) = sum (-1)^(|a|+1) (d^a h/a!) delta^a
     for j in range(n):
@@ -179,7 +173,9 @@ def _jet_lie_diag(xi: Derivation, label, jet_order: int) -> dict:
             beta2 = mono_mul(tuple(base), alpha)
             if sum(beta2) > jet_order:
                 continue
-            add(S, xi.scene.ring.monomial(c) * part.scale(sign * beta[j]), beta2)
+            for mm, cc in part.mul_mono(c, sign * beta[j]).terms.items():
+                key = (mm, S, beta2)
+                out[key] = out.get(key, Fraction(0)) + cc
     return out
 
 
@@ -258,15 +254,14 @@ def _cartan_operator(cx: GradedComplex, op, i: int, d: int, shift: int = 0) -> L
 
 class CartanReport:
     def __init__(
-        self, complex_name: str, derivation: str, weight_bound: int, identity: str,
-        checked: list | None = None, violations: list | None = None,
+        self, complex_name: str, derivation: str, weight_bound: int, identity: str
     ):
         self.complex_name = complex_name
         self.derivation = derivation
         self.weight_bound = weight_bound
         self.identity = identity
-        self.checked = [] if checked is None else checked
-        self.violations = [] if violations is None else violations
+        self.checked: list = []
+        self.violations: list = []
 
     @property
     def passed(self) -> bool:
@@ -350,16 +345,13 @@ def cartan_check(xi: Derivation, cx: GradedComplex, bound: int) -> CartanReport:
 
 
 class AcyclicityCertificate:
-    def __init__(
-        self, complex_name: str, derivation: str, weight_bound: int, flavor: str,
-        certified: dict | None = None, refused: list | None = None,
-    ):
+    def __init__(self, complex_name: str, derivation: str, weight_bound: int, flavor: str):
         self.complex_name = complex_name
         self.derivation = derivation
         self.weight_bound = weight_bound
         self.flavor = flavor
-        self.certified = {} if certified is None else certified  # (i, d) -> homology dim (0)
-        self.refused = [] if refused is None else refused          # ((i, d), reason)
+        self.certified: dict = {}  # (i, d) -> homology dim (0)
+        self.refused: list = []  # ((i, d), reason)
 
     @property
     def valid(self) -> bool:

@@ -124,15 +124,10 @@ class SpencerH0Report:
     lies in T_Y).
     """
 
-    def __init__(
-        self, weight_hi: int, construction: str = "derivation-values", table: dict | None = None,
-        jacobian_table: dict | None = None, alpha_generators: tuple = (),
-    ):
+    def __init__(self, weight_hi: int):
         self.weight_hi = weight_hi
-        self.construction = construction
-        self.table = {} if table is None else table     # weight -> dim
-        self.jacobian_table = jacobian_table            # weight -> dim
-        self.alpha_generators = alpha_generators
+        self.table: dict = {}  # weight -> dim
+        self.jacobian_table: dict | None = None  # weight -> dim
 
     @property
     def matches_jacobian(self) -> bool | None:
@@ -145,7 +140,7 @@ class SpencerH0Report:
 
     def to_json(self) -> dict:
         out = {
-            "construction": self.construction,
+            "construction": "derivation-values",
             "weight_hi": self.weight_hi,
             "table": {str(d): v for d, v in sorted(self.table.items()) if v},
         }
@@ -168,7 +163,7 @@ def spencer_h0(scene: AffineScene, bound: int) -> SpencerH0Report:
                 if not c.is_zero() and c not in seen:
                     seen.add(c)
                     alpha_gens.append(c)
-    report = SpencerH0Report(weight_hi=bound, alpha_generators=tuple(alpha_gens))
+    report = SpencerH0Report(weight_hi=bound)
     quotient = AffineScene(
         ring, Ideal(tuple(scene.ideal.generators) + tuple(alpha_gens))
     )

@@ -19,8 +19,8 @@ against one set of sparse columns in a single elimination;
 each entry they hand out by its row's lead, so every result is the same
 exact rational as an elimination over ``Fraction`` would give.  Every vector
 handed in or out is sparse, ``{position: Fraction}`` with zeros dropped.
-:class:`LinearMap` stores sparse columns, so composition, sums,
-comparisons and ``apply`` cost O(nonzeros).
+:class:`LinearMap` is built from and stores sparse columns, so
+composition, sums, comparisons and ``apply`` cost O(nonzeros).
 
 ``rank_kernel_image`` is the last dense route: it eliminates the dense
 ``matrix`` view of a map through ``rref``, the dense-in/dense-out adapter
@@ -215,39 +215,21 @@ class LinearMap:
 
     __slots__ = ("source_basis", "target_basis", "columns")
 
-    def __init__(self, source_basis, target_basis, rows):
-        """Build from dense rows; rows[i][j] is target i's coefficient in the image of j."""
+    def __init__(self, source_basis, target_basis, columns):
+        """Build from ``{target position: coefficient}`` columns, dropping zeros."""
         self.source_basis = tuple(source_basis)
         self.target_basis = tuple(target_basis)
-        if len(rows) != len(self.target_basis):
-            raise InternalInvariantError("row count must match target basis")
-        cols: list = [{} for _ in self.source_basis]
-        for i, row in enumerate(rows):
-            if len(row) != len(self.source_basis):
-                raise InternalInvariantError("column count must match source basis")
-            for col, a in zip(cols, row):
-                if a:
-                    col[i] = a
-        self.columns = tuple(cols)
-
-    @classmethod
-    def from_sparse_columns(cls, source_basis, target_basis, columns) -> LinearMap:
-        """Build from ``{target position: coefficient}`` columns, dropping zeros."""
-        m = cls.__new__(cls)
-        m.source_basis = tuple(source_basis)
-        m.target_basis = tuple(target_basis)
-        m.columns = tuple({i: a for i, a in col.items() if a} for col in columns)
-        if len(m.columns) != len(m.source_basis):
+        self.columns = tuple({i: a for i, a in col.items() if a} for col in columns)
+        if len(self.columns) != len(self.source_basis):
             raise InternalInvariantError("column count must match source basis")
-        return m
 
     @classmethod
     def zero(cls, source_basis, target_basis) -> LinearMap:
-        return cls.from_sparse_columns(source_basis, target_basis, [{}] * len(source_basis))
+        return cls(source_basis, target_basis, [{}] * len(source_basis))
 
     @classmethod
     def identity(cls, basis) -> LinearMap:
-        return cls.from_sparse_columns(basis, basis, ({j: _ONE} for j in range(len(basis))))
+        return cls(basis, basis, ({j: _ONE} for j in range(len(basis))))
 
     @property
     def shape(self):
@@ -255,7 +237,7 @@ class LinearMap:
 
     @property
     def matrix(self) -> tuple:
-        """Dense view, built on each read: matrix[i][j] as in the dense constructor."""
+        """Dense view, built on each read: matrix[i][j] is entry i of column j."""
         rows = [[_ZERO] * len(self.source_basis) for _ in self.target_basis]
         for j, col in enumerate(self.columns):
             for i, a in col.items():
@@ -301,9 +283,7 @@ class LinearMap:
                 for i, a in outer[k].items():
                     acc[i] = acc.get(i, _ZERO) + a * b
             cols.append(acc)
-        return LinearMap.from_sparse_columns(
-            first.source_basis, self.target_basis, cols
-        )
+        return LinearMap(first.source_basis, self.target_basis, cols)
 
     def add(self, other: LinearMap) -> LinearMap:
         bases = (self.source_basis, self.target_basis)
@@ -315,12 +295,12 @@ class LinearMap:
             for i, b in cb.items():
                 acc[i] = acc.get(i, _ZERO) + b
             cols.append(acc)
-        return LinearMap.from_sparse_columns(self.source_basis, self.target_basis, cols)
+        return LinearMap(self.source_basis, self.target_basis, cols)
 
     def scale(self, c) -> LinearMap:
         c = Fraction(c)
         cols = ({i: c * a for i, a in col.items()} for col in self.columns)
-        return LinearMap.from_sparse_columns(self.source_basis, self.target_basis, cols)
+        return LinearMap(self.source_basis, self.target_basis, cols)
 
     def is_zero(self) -> bool:
         return not any(self.columns)
@@ -338,7 +318,7 @@ class LinearMap:
         cols = solve_columns(self.columns, [{j: _ONE} for j in range(n)])
         if None in cols:
             raise InternalInvariantError("map is singular")
-        return LinearMap.from_sparse_columns(self.target_basis, self.source_basis, cols)
+        return LinearMap(self.target_basis, self.source_basis, cols)
 
 
 def rank_kernel_image(m: LinearMap):

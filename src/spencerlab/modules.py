@@ -196,7 +196,7 @@ def derivation_space(scene: AffineScene, t: int) -> DerivationSpace:
         _stacked_coords(scene, [g.partial_derivative(i).mul_mono(m) for g in gens], weights)
         for (i, m) in source
     ]
-    _rank, kernel = rank_kernel_image(LinearMap.from_sparse_columns(source, target, cols))
+    _rank, kernel = rank_kernel_image(LinearMap(source, target, cols))
     basis = []
     for vec in kernel:
         coeffs = [ring.zero()] * n

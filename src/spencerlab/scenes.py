@@ -10,9 +10,10 @@
     x^3 - y^2
 
 The [ideal] section lists one polynomial per line and may be empty or
-absent (Y = X).  '#' starts a comment.  A non-UTF-8 file, any other
-section, a repeated section and a repeated [ring] key are input errors;
-settings such as the degree bound are command-line options.
+absent (Y = X).  '#' starts a comment.  [ring] takes the keys
+``variables`` and ``weights`` only.  A non-UTF-8 file, any other section,
+a repeated section, and an unknown or repeated [ring] key are input
+errors; settings such as the degree bound are command-line options.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ def parse_scene_text(text: str, name: str = "<scene>") -> AffineScene:
             if "=" not in line:
                 raise SceneError(f"{name}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key.lower() not in ("variables", "weights"):
+                raise SceneError(f"{name}:{lineno}: unknown key {key!r} in [ring]")
             if key.lower() in ring_data:
                 raise SceneError(f"{name}:{lineno}: repeated key {key!r} in [ring]")
             ring_data[key.lower()] = value

@@ -24,7 +24,7 @@ from spencerlab.completion import (
     embedding_independence,
     tower_limit,
 )
-from spencerlab.diffops import WeylAlgebra, filtered_spencer, kashiwara_quotient
+from spencerlab.diffops import filtered_spencer, kashiwara_quotient
 from spencerlab.homotopy import acyclicity_certificate, cartan_check, euler_derivation
 from spencerlab.invariants import milnor_tjurina
 from spencerlab.modules import free_module, graded_component_basis
@@ -122,7 +122,7 @@ def test_criterion_5_kashiwara_quotient():
     ring = WeightedRing(("x",), (1,))
     ideal = Ideal((parse_polynomial("x", ring),))
     for p in range(0, 5):
-        kq = kashiwara_quotient(WeylAlgebra(ring, p), ideal, 4)
+        kq = kashiwara_quotient(AffineScene(ring, ideal), p, 4)
         assert kq.total_dimension == p + 1
         assert kq.support_verified  # left multiplication by x is nilpotent
     _report(5, "Kashiwara quotient dimensions", t0, 5)

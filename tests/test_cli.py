@@ -328,6 +328,10 @@ SCENE_FILE_ERRORS = {
         b"[ring]\nvariables = x, y\nweights = 1, 1\nVariables = z\n",
         ":4: repeated key 'Variables' in [ring]",
     ),
+    "unknown-key": (
+        b"[ring]\nvariables = x\nweights = 1\nweigths = 5\nideal = x\n",
+        ":4: unknown key 'weigths' in [ring]",
+    ),
 }
 
 

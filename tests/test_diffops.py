@@ -4,15 +4,10 @@ from itertools import product
 import pytest
 
 from spencerlab.complexes import homology_table
-from spencerlab.diffops import (
-    WeylAlgebra,
-    filtered_spencer,
-    kashiwara_quotient,
-    pushforward_point,
-)
+from spencerlab.diffops import filtered_spencer, kashiwara_quotient, pushforward_point
 from spencerlab.errors import SceneError
 from spencerlab.groebner import buchberger
-from spencerlab.rings import Ideal, WeightedRing, parse_polynomial
+from spencerlab.rings import AffineScene, Ideal, WeightedRing, parse_polynomial
 from spencerlab.scenes import load_scene
 
 R1 = WeightedRing(("x",), (1,))
@@ -57,22 +52,28 @@ def test_filtered_spencer_rejects_p0():
 def test_kashiwara_point_in_line():
     ideal = Ideal((parse_polynomial("x", R1),))
     for p in range(0, 5):
-        kq = kashiwara_quotient(WeylAlgebra(R1, p), ideal, 4)
+        kq = kashiwara_quotient(AffineScene(R1, ideal), p, 4)
         assert kq.total_dimension == p + 1
         weights = sorted(d for d, basis in kq.pieces.items() if basis)
         assert weights == list(range(-p, 1))
         assert kq.support_verified
 
 
+def test_kashiwara_quotient_keeps_its_scene_and_order():
+    sc = AffineScene(R2, Ideal((parse_polynomial("x", R2),)))
+    kq = kashiwara_quotient(sc, 2, 3)
+    assert kq.scene is sc and kq.p == 2 and kq.to_json()["p"] == 2
+
+
 def test_kashiwara_p0_is_functions_on_point():
     ideal = Ideal((parse_polynomial("x", R1),))
-    kq = kashiwara_quotient(WeylAlgebra(R1, 0), ideal, 4)
+    kq = kashiwara_quotient(AffineScene(R1, ideal), 0, 4)
     assert kq.total_dimension == 1
 
 
 def test_kashiwara_line_in_plane_pattern():
     ideal = Ideal((parse_polynomial("x", R2),))
-    kq = kashiwara_quotient(WeylAlgebra(R2, 1), ideal, 3)
+    kq = kashiwara_quotient(AffineScene(R2, ideal), 1, 3)
     # classes y^k, y^k d_x, y^k d_y: weight-d piece has dim 3 for d >= 1
     for d in range(1, 4):
         assert len(kq.pieces[d]) == 3
@@ -84,7 +85,7 @@ def test_kashiwara_origin_in_plane():
     # two generators: operators supported at the origin of the plane
     ideal = Ideal((parse_polynomial("x", R2), parse_polynomial("y", R2)))
     for p in (0, 1, 2):
-        kq = kashiwara_quotient(WeylAlgebra(R2, p), ideal, 2)
+        kq = kashiwara_quotient(AffineScene(R2, ideal), p, 2)
         want = sum(1 for k in range(p + 1) for _ in range(k + 1))
         assert kq.total_dimension == want  # multi-indices |b| <= p
 
@@ -114,7 +115,7 @@ def test_kashiwara_dims_match_groebner_standard_monomials(name):
 
     for p in (1, 2, 3):
         orders = [b for b in product(range(p + 1), repeat=ring.nvars) if sum(b) <= p]
-        kq = kashiwara_quotient(WeylAlgebra(ring, p), sc.ideal, 6)
+        kq = kashiwara_quotient(sc, p, 6)
         assert kq.pieces
         for d, piece in kq.pieces.items():
             want = sum(standard(d + ring.mono_weight(b)) for b in orders)

@@ -1,14 +1,7 @@
 import pytest
 
 from spencerlab.errors import BudgetExceeded
-from spencerlab.groebner import (
-    buchberger,
-    ideal_membership,
-    lex,
-    normal_form,
-    quotient_dimension,
-    wdegrevlex,
-)
+from spencerlab.groebner import buchberger, normal_form, quotient_dimension
 from spencerlab.modules import in_ideal_degreewise
 from spencerlab.rings import Ideal, WeightedRing, parse_polynomial, scene
 
@@ -27,6 +20,7 @@ def gens(ring, *texts):
 def test_already_reduced():
     gb = buchberger(gens(R11, "x^2", "y"))
     assert sorted(str(g) for g in gb.generators) == ["x^2", "y"]
+    assert gb.ring == R11
 
 
 def test_cusp_jacobian_basis():
@@ -42,7 +36,7 @@ def test_constant_ideal_gives_unit():
 
 def test_idempotent():
     gb = buchberger(gens(R23, "x^3 - y^2", "3*x^2", "-2*y"))
-    again = buchberger(Ideal(gb.generators), gb.order)
+    again = buchberger(Ideal(gb.generators))
     assert again.generators == gb.generators
 
 
@@ -58,7 +52,7 @@ def test_normal_form_idempotent_and_membership():
     for text in ("x^5", "x^3*y - y^3", "x^4 + x*y^2"):
         r = normal_form(p(text), gb)
         assert normal_form(r, gb) == r
-        assert ideal_membership(p(text) - r, gb)
+        assert normal_form(p(text) - r, gb).is_zero()
 
 
 def test_quotient_dimension_examples():
@@ -76,13 +70,11 @@ def test_quotient_dimension_unit_ideal():
 def test_quotient_dimension_order_independent():
     for texts in (("x^2", "y^3"), ("y^3", "x^2")):
         assert quotient_dimension(gens(R11, *texts))[0] == 6
-    for order in (wdegrevlex(R23), lex(R23)):
-        dim, _ = quotient_dimension(gens(R23, "3*x^2", "-2*y"), order)
-        assert dim == 2
+    dim, _ = quotient_dimension(gens(R23, "3*x^2", "-2*y"))
+    assert dim == 2
     # a non-monomial quotient: Q[x,y]/(x^2 - y, y^2) has dimension 4
-    for order in (wdegrevlex(R11), lex(R11)):
-        dim, _ = quotient_dimension(gens(R11, "x^2 - y", "y^2"), order)
-        assert dim == 4
+    dim, _ = quotient_dimension(gens(R11, "x^2 - y", "y^2"))
+    assert dim == 4
 
 
 def test_budget_exhaustion_raises():
@@ -108,7 +100,7 @@ def test_membership_matches_degreewise_linear_oracle():
         for d in range(0, 13):
             for m in ring.monomials_of_weight(d):
                 candidate = ring.monomial(m)
-                assert ideal_membership(candidate, gb) == in_ideal_degreewise(
+                assert normal_form(candidate, gb).is_zero() == in_ideal_degreewise(
                     s, candidate
                 )
 

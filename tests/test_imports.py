@@ -1,10 +1,13 @@
-"""No name is imported without being referenced, and no private helper of
-the package is left without a caller (AST checks; no linter needed).
+"""No name is imported without being referenced, no private helper of the
+package is left without a caller, and no defaulted parameter of the
+package is left unset by every call (AST checks; no linter needed).
 
 The import check covers every module of the package except
 ``__init__.py``, whose imports are the public re-exports, and every test
 module.  The helper check covers the package only: a helper that only
-tests call is dead code.
+tests call is dead code.  The parameter check reads the package's
+definitions and the calls in the package and the tests: a default that
+no call overrides is a knob with one value.
 
 Every CLI call starts a fresh interpreter, so importing ``spencerlab.cli``
 must stay cheap: it loads neither ``dataclasses`` nor ``inspect`` (with
@@ -118,3 +121,101 @@ def test_cold_cli_import_loads_no_dataclasses_or_inspect():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+def unset_parameters(sources: dict) -> list:
+    """Defaulted parameters of the package that no call passes.
+
+    ``sources`` maps a path to its source text.  Definitions are read from
+    the paths under ``src``: module-level functions and the methods of
+    module-level classes.  Calls are read from every source and matched by
+    the called name, so a call to any function of that name counts.  A
+    call passes a parameter by keyword, or positionally when it has enough
+    positional arguments (``self`` and ``cls`` not counted); a call with
+    ``*args`` or ``**kwargs`` passes everything.  A class's ``__init__`` is
+    matched by calls to the class name; other dunders are exempt.
+    """
+    defs = []  # (path, owning class or None, function definition)
+    calls: dict = {}  # called name -> [(positional count or None, keywords)]
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        if path.startswith(os.path.join("src", "")):
+            for stmt in tree.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    defs.append((path, None, stmt))
+                elif isinstance(stmt, ast.ClassDef):
+                    for fn in stmt.body:
+                        if isinstance(fn, ast.FunctionDef):
+                            defs.append((path, stmt, fn))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name = node.func.id
+            elif isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+            else:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            )
+            npos = None if starred else len(node.args)
+            calls.setdefault(name, []).append((npos, {k.arg for k in node.keywords}))
+    out = []
+    for path, owner, fn in defs:
+        name = fn.name
+        if name.startswith("__") and name.endswith("__"):
+            if owner is None or name != "__init__":
+                continue
+            name = owner.name
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        decorators = {d.id for d in fn.decorator_list if isinstance(d, ast.Name)}
+        if owner is not None and "staticmethod" not in decorators:
+            positional = positional[1:]
+        defaulted = [
+            (i, p.arg) for i, p in enumerate(positional)
+            if i >= len(positional) - len(a.defaults)
+        ]
+        defaulted += [
+            (None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+        ]
+        for i, param in defaulted:
+            if not any(
+                npos is None or param in kws or (i is not None and npos > i)
+                for npos, kws in calls.get(name, ())
+            ):
+                where = f"{owner.name}.{fn.name}" if owner else fn.name
+                out.append((path, fn.lineno, where, param))
+    return sorted(out)
+
+
+def test_the_check_sees_an_unset_parameter():
+    package = (
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n\n"
+        "class K:\n"
+        "    def __init__(self, x, y=None):\n        pass\n\n"
+        "    def m(self, z=0):\n        pass\n\n"
+        "    def __setattr__(self, name, value=None):\n        pass\n\n"
+        "    @staticmethod\n"
+        "    def s(u=0, v=0):\n        pass\n\n"
+        "def g(e=0):\n    pass\n"
+    )
+    caller = (
+        "f(0, 1)\nf(0, d=4)\nK(1)\nk.m(z=1)\nK.s(5)\n"
+        "args = ()\ng(*args)\n"
+    )
+    sources = {os.path.join("src", "m.py"): package, os.path.join("tests", "t.py"): caller}
+    assert unset_parameters(sources) == [
+        (os.path.join("src", "m.py"), 1, "f", "c"),
+        (os.path.join("src", "m.py"), 5, "K.__init__", "y"),
+        (os.path.join("src", "m.py"), 15, "K.s", "v"),
+    ]
+
+
+def test_no_unset_parameters():
+    sources = {}
+    for path in _checked_files():
+        with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+            sources[path] = fh.read()
+    assert unset_parameters(sources) == []

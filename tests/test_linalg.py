@@ -30,7 +30,7 @@ def test_zero_map():
 
 
 def test_proportional_rows():
-    m = LinearMap(("a", "b"), ("u", "v"), ((F(1), F(2)), (F(2), F(4))))
+    m = _dense_map(("a", "b"), ("u", "v"), ((F(1), F(2)), (F(2), F(4))))
     rank, kernel = rank_kernel_image(m)
     assert rank == 1
     assert len(kernel) == 1
@@ -55,7 +55,7 @@ entries = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 )
 def test_rank_nullity_random(matrix):
     nrows, ncols = len(matrix), len(matrix[0])
-    m = LinearMap(
+    m = _dense_map(
         tuple(range(ncols)), tuple(range(nrows)), tuple(tuple(r) for r in matrix)
     )
     rank, kernel = rank_kernel_image(m)
@@ -100,6 +100,19 @@ def test_bareiss_rref_matches_plain_gauss(matrix):
     want_rows, want_piv = _plain_rref(matrix)
     assert got_piv == want_piv
     assert [list(r) for r in got_rows] == [list(r) for r in want_rows]
+
+
+def _dense_map(source_basis, target_basis, rows):
+    """A map from dense rows: rows[i][j] is target i's coefficient in the image of j.
+
+    Kept as a dense oracle for the sparse-column :class:`LinearMap`.
+    """
+    assert len(rows) == len(target_basis)
+    assert all(len(row) == len(source_basis) for row in rows)
+    columns = [
+        {i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(source_basis))
+    ]
+    return LinearMap(source_basis, target_basis, columns)
 
 
 def _bareiss_rref(rows):
@@ -292,7 +305,7 @@ def test_graded_piece_matches_bareiss_normal_form(matrix, drawn, coeffs):
 @given(_sparse_matrices(8, 12, 0.3))
 def test_kernel_is_canonical_rref_null_space(matrix):
     nrows, ncols = len(matrix), len(matrix[0])
-    m = LinearMap(
+    m = _dense_map(
         tuple(range(ncols)), tuple(range(nrows)), tuple(tuple(r) for r in matrix)
     )
     rank, kernel = rank_kernel_image(m)
@@ -354,9 +367,9 @@ def test_solve_outside_span_and_empty():
 
 
 def test_compose_skips_zeros_exactly():
-    a = LinearMap(("p", "q"), ("u", "v", "w"),
-                  ((F(1), F(0)), (F(0), F(0)), (F(-2), F(3, 5))))
-    b = LinearMap(("s", "t"), ("p", "q"), ((F(0), F(7)), (F(1, 3), F(0))))
+    a = _dense_map(("p", "q"), ("u", "v", "w"),
+                   ((F(1), F(0)), (F(0), F(0)), (F(-2), F(3, 5))))
+    b = _dense_map(("s", "t"), ("p", "q"), ((F(0), F(7)), (F(1, 3), F(0))))
     got = a.compose(b)
     assert got.source_basis == ("s", "t") and got.target_basis == ("u", "v", "w")
     assert got.matrix == ((F(0), F(7)), (F(0), F(0)), (F(1, 5), F(-14)))
@@ -389,8 +402,15 @@ def test_relation_rows_rebuild_the_same_piece(matrix):
         assert rebuilt.is_relation(rel)
 
 
+def test_constructor_drops_zeros_and_checks_the_column_count():
+    m = LinearMap(("a", "b"), ("u",), [{0: F(0)}, {0: F(2)}])
+    assert m.columns == ({}, {0: F(2)})
+    with pytest.raises(InternalInvariantError, match="column count"):
+        LinearMap(("a", "b"), ("u",), [{0: F(1)}])
+
+
 def test_inverse_roundtrip():
-    m = LinearMap(("a", "b"), ("a", "b"), ((F(2), F(1)), (F(1), F(1))))
+    m = _dense_map(("a", "b"), ("a", "b"), ((F(2), F(1)), (F(1), F(1))))
     inv = m.inverse()
     assert m.compose(inv).is_identity()
     assert inv.compose(m).is_identity()
@@ -398,7 +418,7 @@ def test_inverse_roundtrip():
 
 
 def test_inverse_of_singular_or_nonsquare_map_raises():
-    singular = LinearMap(("a", "b"), ("u", "v"), ((F(1), F(2)), (F(2), F(4))))
+    singular = _dense_map(("a", "b"), ("u", "v"), ((F(1), F(2)), (F(2), F(4))))
     with pytest.raises(InternalInvariantError, match="singular"):
         singular.inverse()
     with pytest.raises(InternalInvariantError, match="non-square"):
@@ -483,8 +503,8 @@ def test_sparse_maps_match_dense_oracle(family):
     src = tuple(f"s{j}" for j in range(n))
     mid = tuple(range(k))
     tgt = tuple(f"t{i}" for i in range(m))
-    A, B, C = LinearMap(mid, tgt, a), LinearMap(src, mid, b), LinearMap(mid, tgt, c)
-    S = LinearMap(mid, mid, sq)
+    A, B, C = _dense_map(mid, tgt, a), _dense_map(src, mid, b), _dense_map(mid, tgt, c)
+    S = _dense_map(mid, mid, sq)
     dense_a = tuple(map(tuple, a))
     assert A.matrix == dense_a and A.shape == (m, k)
     assert A.compose(B).matrix == _dense_compose(a, b, n)
@@ -498,9 +518,9 @@ def test_sparse_maps_match_dense_oracle(family):
     assert S.is_identity() == _dense_is_identity(sq, k)
     assert (A == C) == (A.matrix == C.matrix)
     assert (A.add(C) == C.add(A)) and hash(A.add(C)) == hash(C.add(A))
-    # from_sparse_columns, handed zeros too, agrees with the dense constructor
+    # the sparse-column constructor, handed zeros too, agrees with the dense oracle
     sparse = [{i: row[j] for i, row in enumerate(a)} for j in range(k)]
-    assert LinearMap.from_sparse_columns(mid, tgt, sparse) == A
+    assert LinearMap(mid, tgt, sparse) == A
     assert all(0 not in col.values() for col in A.compose(B).columns)
 
 

@@ -42,6 +42,16 @@ def test_unknown_section():
         parse_scene_text("[nonsense]\n")
 
 
+def test_unknown_ring_key_reports_name_and_line():
+    text = "[ring]\nvariables = x\nweights = 1\nweigths = 5\nideal = x\n"
+    with pytest.raises(SceneError) as err:
+        parse_scene_text(text, name="typo.scene")
+    assert str(err.value) == "typo.scene:4: unknown key 'weigths' in [ring]"
+    # keys are case-insensitive, as for the repeated-key check
+    s = parse_scene_text("[ring]\nVariables = x\nWEIGHTS = 1\n")
+    assert s.ring.variables == ("x",) and s.ring.weights == (1,)
+
+
 def test_bad_polynomial_reports_line():
     with pytest.raises(SceneError) as err:
         parse_scene_text("[ring]\nvariables = x\nweights = 1\n[ideal]\nx + qq\n")
