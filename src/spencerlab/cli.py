@@ -1,8 +1,9 @@
 """Batch command line: scene files in, JSON (or plain tables) out.
 
 Exit codes: 0 success, 1 input error (usage errors too), 2 resource budget
-exceeded, 3 internal invariant violation (a bug: d∘d != 0 or similar) or any
-other unexpected exception, reported in one line without a traceback.
+exceeded (the Groebner pair budget or memory), 3 internal invariant violation
+(a bug: d∘d != 0 or similar) or any other unexpected exception, reported in
+one line without a traceback.
 Identical inputs produce byte-identical JSON (sorted keys throughout).
 """
 
@@ -71,9 +72,7 @@ def _render(payload: dict, fmt: str) -> str:
 def _complex_for(scene: AffineScene, spec: str):
     if spec == "derham":
         return build_de_rham(scene)
-    if spec in ("jet0", "jet1", "jet2"):
-        return build_jet_complex(scene, int(spec[3:]))
-    raise SpencerlabError(f"unknown complex {spec!r} (use derham, jet0, jet1, jet2)")
+    return build_jet_complex(scene, int(spec[3:]))
 
 
 def cmd_derham(scene, args):
@@ -236,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("euler-certify", help="Cartan check plus acyclicity certificate")
     common(p)
-    p.add_argument("--complex", default="derham", metavar="KIND",
-                   help="derham (default), jet0, jet1, jet2")
+    p.add_argument("--complex", choices=("derham", "jet0", "jet1", "jet2"),
+                   default="derham")
 
     common(sub.add_parser("milnor", help="Milnor and Tjurina numbers"))
     common(sub.add_parser("smooth", help="Jacobian smoothness test"))
@@ -274,8 +273,10 @@ def _check_args(args):
 
 
 def main(argv=None) -> int:
+    command = "spencerlab"
     try:
         args = build_parser().parse_args(argv)
+        command = args.command
         _check_args(args)
         scene = load_scene(args.scene)
         payload = {
@@ -288,6 +289,9 @@ def main(argv=None) -> int:
         return 0
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # memory is an exhausted resource, not a bug
+        print(f"budget exceeded: memory exhausted during {command}", file=sys.stderr)
         return 2
     except SpencerlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

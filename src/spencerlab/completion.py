@@ -199,9 +199,6 @@ class LimitReport:
         self.indices = indices
         self.entries = {} if entries is None else entries
 
-    def entry(self, i: int, d: int) -> dict:
-        return self.entries[(i, d)]
-
     def all_stabilized(self) -> bool:
         return all(e["stabilized"] for e in self.entries.values())
 
@@ -282,7 +279,7 @@ def tower_limit(tower: Tower, bound: int, weight_lo: int) -> LimitReport:
                         for k in range(r + 1, R):
                             comp = comp.compose(trans[k - 1])
                             img.append(rank_kernel_image(comp)[0])
-                        if len(img) >= 2 and img[-1] == img[-2]:
+                        if img[-1] == img[-2]:
                             stable_val[r] = img[-1]
                     good = sorted(stable_val)
                     if len(good) >= 2 and stable_val[good[-1]] == stable_val[good[-2]]:
@@ -290,9 +287,8 @@ def tower_limit(tower: Tower, bound: int, weight_lo: int) -> LimitReport:
                         lim = stable_val[good[-1]]
                         lim1 = 0
                         r0 = next(
-                            (r for r in good
-                             if all(stable_val[s] == lim for s in good if s >= r)),
-                            good[0],
+                            r for r in good
+                            if all(stable_val[s] == lim for s in good if s >= r)
                         )
             report.entries[(i, d)] = {
                 "lim": lim,
@@ -413,10 +409,7 @@ def derived_completion(
 class CompletedKoszulReport:
     """Stagewise H^0 of a completed Koszul tower against the quotient oracle."""
 
-    def __init__(self, name: str, depth: int, weight_hi: int):
-        self.name = name
-        self.depth = depth
-        self.weight_hi = weight_hi
+    def __init__(self):
         self.h0: dict = {}  # (r, d) -> dim
         self.oracle: dict = {}  # (r, d) -> dim
         self.positive_index: dict = {}  # (r, i, d) -> dim
@@ -426,20 +419,6 @@ class CompletedKoszulReport:
         return all(
             self.h0[key] == self.oracle[key] for key in self.h0
         )
-
-    def to_json(self) -> dict:
-        return {
-            "tower": self.name,
-            "depth": self.depth,
-            "weight_hi": self.weight_hi,
-            "passed": self.passed,
-            "h0_stages": {
-                f"{r},{d}": v for (r, d), v in sorted(self.h0.items())
-            },
-            "oracle": {
-                f"{r},{d}": v for (r, d), v in sorted(self.oracle.items())
-            },
-        }
 
 
 def completed_koszul_h0(
@@ -454,9 +433,7 @@ def completed_koszul_h0(
     _require_completable(scene.ideal)
     ring = scene.ring
     ambient = AffineScene(ring, Ideal(()))
-    report = CompletedKoszulReport(
-        name="completed-koszul-h0", depth=depth, weight_hi=bound
-    )
+    report = CompletedKoszulReport()
     for r in range(1, depth + 1):
         powers = tuple(g ** r for g in scene.ideal.generators)
         elements = other.generators + powers

@@ -277,7 +277,7 @@ class GradedComplex:
             self._commutators[key] = {lbl: c for lbl, c in out.items() if c}
         return self._commutators[key]
 
-    def induced(self, src_pos, tgt_pos, fn, what="map"):
+    def induced(self, src_pos, tgt_pos, fn, what):
         """Matrix of an ambient-level operator between two pieces of this complex.
 
         ``fn(label) -> dict over target ambient labels``; see :func:`induced_map`.
@@ -357,14 +357,8 @@ class GradedComplex:
 class HomologyTable:
     """dim H at each (homological index, weight) up to the degree bound."""
 
-    def __init__(
-        self, name: str, direction: int, indices: tuple, weight_lo: int, weight_hi: int
-    ):
-        self.name = name
-        self.direction = direction
+    def __init__(self, indices: tuple):
         self.indices = indices
-        self.weight_lo = weight_lo
-        self.weight_hi = weight_hi
         self.entries: dict = {}
 
     def dim(self, i: int, d: int) -> int:
@@ -383,15 +377,8 @@ class HomologyTable:
 
 def homology_table(complex_: GradedComplex, bound: int) -> HomologyTable:
     """Homology dimensions per (index, weight); aborts if d∘d != 0."""
-    lo = complex_.weight_floor
-    table = HomologyTable(
-        name=complex_.name,
-        direction=complex_.direction,
-        indices=complex_.indices,
-        weight_lo=lo,
-        weight_hi=bound,
-    )
-    for d in range(lo, bound + 1):
+    table = HomologyTable(complex_.indices)
+    for d in range(complex_.weight_floor, bound + 1):
         for i in complex_.indices:
             if i + complex_.direction in complex_.indices:
                 complex_.check_dd_zero(i, d)

@@ -52,8 +52,6 @@ def filtered_spencer(ring: WeightedRing, p: int) -> GradedComplex:
         return tuple(sorted(out))
 
     def diff(i, label):
-        if i == -1:
-            return {}
         if i == 0:
             a, b, _S = label
             if any(b):
@@ -88,13 +86,13 @@ class KashiwaraQuotient:
 
     def __init__(
         self, scene: AffineScene, p: int, weight_lo: int, weight_hi: int,
-        pieces: dict | None = None, support_verified: bool = True,
+        pieces: dict, support_verified: bool,
     ):
         self.scene = scene
         self.p = p
         self.weight_lo = weight_lo
         self.weight_hi = weight_hi
-        self.pieces = {} if pieces is None else pieces  # weight -> tuple of (a, b) classes
+        self.pieces = pieces  # weight -> tuple of (a, b) classes
         self.support_verified = support_verified
 
     @property
@@ -179,19 +177,8 @@ def pushforward_point(form_degree: int, scene: AffineScene, bound: int) -> Homol
     cx = build_spencer_of_module(scene, form_degree)
     n = scene.ring.nvars
     shift = sum(scene.ring.weights)
-    raw = homology_table(cx, bound)
-    out = HomologyTable(
-        name=f"pushforward(omega_{form_degree})",
-        direction=1,
-        indices=tuple(range(n + 1)),
-        weight_lo=0,
-        weight_hi=bound,
-    )
-    for (i, d), v in raw.entries.items():
-        i2, d2 = n - i, d + shift
-        if out.weight_lo <= d2 <= out.weight_hi:
-            out.entries[(i2, d2)] = v
-    for i in out.indices:
-        for d in range(out.weight_lo, out.weight_hi + 1):
-            out.entries.setdefault((i, d), 0)
+    out = HomologyTable(tuple(range(n + 1)))
+    for (i, d), v in homology_table(cx, bound).entries.items():
+        if 0 <= d + shift <= bound:
+            out.entries[(n - i, d + shift)] = v
     return out

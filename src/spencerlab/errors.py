@@ -12,11 +12,9 @@ class SpencerlabError(Exception):
 class ParseError(SpencerlabError):
     """Syntax error in a polynomial or scene file; carries a position."""
 
-    def __init__(self, message, position=None):
+    def __init__(self, message, position):
         self.position = position
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
+        super().__init__(f"{message} (at position {position})")
 
 
 class SceneError(SpencerlabError):

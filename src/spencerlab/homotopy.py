@@ -171,8 +171,6 @@ def _jet_lie_diag(xi: Derivation, label, jet_order: int) -> dict:
                 continue
             sign = (-1) ** (sum(alpha) + 1)
             beta2 = mono_mul(tuple(base), alpha)
-            if sum(beta2) > jet_order:
-                continue
             for mm, cc in part.mul_mono(c, sign * beta[j]).terms.items():
                 key = (mm, S, beta2)
                 out[key] = out.get(key, Fraction(0)) + cc

@@ -60,9 +60,6 @@ def jacobian_smoothness(
     if scene.ideal.is_trivial:
         return SmoothnessReport(True)
     sing = Ideal(tuple(scene.ideal.generators) + tuple(_jacobian_minors(scene)))
-    if sing.is_trivial:
-        # all minors and generators vanish identically; nothing is smooth here
-        return SmoothnessReport(False, ())
     gb = buchberger(sing, pair_budget=pair_budget)
     if gb.is_unit_ideal():
         return SmoothnessReport(True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .complexes import GradedComplex, ideal_multiples
 from .errors import SceneError
@@ -66,7 +66,7 @@ class PresentedModule(_Value):
     _fields = ("scene", "generators", "relations", "name")
 
     def __init__(
-        self, scene: AffineScene, generators: tuple, relations: tuple = (), name: str = "module"
+        self, scene: AffineScene, generators: tuple, relations: tuple, name: str
     ):
         weights = dict(generators)
         if len(weights) != len(generators):
@@ -179,7 +179,6 @@ def _stacked_coords(scene: AffineScene, polys, weights) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
 def derivation_space(scene: AffineScene, t: int) -> DerivationSpace:
     ring = scene.ring
     n = ring.nvars
@@ -203,20 +202,19 @@ def derivation_space(scene: AffineScene, t: int) -> DerivationSpace:
         for k, c in vec.items():
             i, m = source[k]
             coeffs[i] = coeffs[i] + ring.monomial(m, c)
-        basis.append(tuple(_normalize(coeffs, ring)))
+        basis.append(tuple(_normalize(coeffs)))
     basis.sort(key=lambda cs: tuple(sorted(cs[i].terms.items()) for i in range(n)).__repr__())
     return DerivationSpace(scene, t, tuple(basis))
 
 
-def _normalize(coeffs, ring):
-    """Scale a coefficient tuple to primitive integers, first sign positive."""
-    dens = [c.denominator for p in coeffs for c in p.terms.values()]
-    if not dens:
-        return coeffs
-    scaled = [p.scale(lcm(*dens)) for p in coeffs]
-    g = gcd(*(c.numerator for p in scaled for c in p.terms.values()))
-    if g > 1:
-        scaled = [p.scale(Fraction(1, g)) for p in scaled]
+def _normalize(coeffs):
+    """Scale a coefficient tuple to primitive integers, first sign positive.
+
+    The tuple comes from a canonical kernel vector, which has an entry 1,
+    so clearing its denominators already leaves content 1.
+    """
+    den = lcm(*(c.denominator for p in coeffs for c in p.terms.values()))
+    scaled = [p.scale(den) for p in coeffs]
     for p in scaled:
         if p.terms:
             lead = p.sorted_terms()[0][1]

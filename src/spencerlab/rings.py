@@ -462,10 +462,6 @@ class AffineScene(_Value):
                 )
         super().__init__(ring, ideal)
 
-    @property
-    def nvars(self) -> int:
-        return self.ring.nvars
-
 
 def scene(variables, weights, generators=()) -> AffineScene:
     """Convenience constructor used all over the tests."""

@@ -363,3 +363,20 @@ def test_unexpected_exception_exits_3_in_one_line(monkeypatch, capsys):
     assert "Traceback" not in captured.err
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.err.startswith("internal error: ZeroDivisionError: ")
+
+
+def test_memory_error_exits_2_in_one_line(monkeypatch, capsys):
+    import spencerlab.cli as cli
+
+    def exhausted(scene, args):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli.COMMANDS, "milnor", exhausted)
+    code = main(["milnor", scene_path("cusp.scene")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("budget exceeded: ")
+    assert "milnor" in captured.err

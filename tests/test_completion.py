@@ -232,6 +232,13 @@ def test_classical_and_derived_agree_in_index_zero_for_coherent_inputs(cusp):
             assert a["lim"] == b["lim"]
 
 
+def test_completion_along_the_zero_ideal_is_refused(a1):
+    with pytest.raises(SceneError, match="completion needs a nonzero ideal"):
+        derived_completion(a1, Ideal(()), 2, 3)
+    with pytest.raises(SceneError, match="completion needs a nonzero ideal"):
+        koszul_power_tower(a1, Ideal(()), 2)
+
+
 def test_derived_completion_idempotent_on_tables():
     a1, Ix, _ = line_data()
     bound, depth = 4, 7
@@ -281,6 +288,22 @@ def test_check_extension_validates(cusp):
         check_extension(cusp, scene(["x", "y", "z"], [2, 3, 6], ["x^3 - y^2"]))
     with pytest.raises(SceneError):
         check_extension(cusp, scene(["x", "u", "z"], [2, 3, 6], ["x^3 - u^2", "z"]))
+
+
+def test_check_extension_rejects_fewer_variables_and_a_changed_ideal(cusp):
+    with pytest.raises(SceneError, match="fewer variables"):
+        check_extension(cusp, scene(["x"], [2]))
+    with pytest.raises(SceneError, match="original generators plus the fresh variables"):
+        check_extension(cusp, scene(["x", "y", "z"], [2, 3, 6], ["x^3 + y^2", "z"]))
+
+
+@pytest.mark.parametrize("spencer_order", [None, 1])
+def test_independence_reports_an_unstabilized_cell(cusp, spencer_order):
+    # a one-stage tower confirms no nonzero limit, so H^0 at weight 0 stays open
+    big = scene(["x", "y", "z"], [2, 3, 6], ["x^3 - y^2", "z"])
+    rep = embedding_independence(cusp, big, 1, 4, spencer_order=spencer_order)
+    assert rep.unstabilized == [(0, 0)]
+    assert rep.equal is False
 
 
 def test_independence_cusp(cusp):

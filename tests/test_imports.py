@@ -1,13 +1,15 @@
 """No name is imported without being referenced, no private helper of the
 package is left without a caller, and no defaulted parameter of the
-package is left unset by every call (AST checks; no linter needed).
+package is left unset by every call or passed by every call (AST checks;
+no linter needed).
 
 The import check covers every module of the package except
 ``__init__.py``, whose imports are the public re-exports, and every test
 module.  The helper check covers the package only: a helper that only
 tests call is dead code.  The parameter check reads the package's
 definitions and the calls in the package and the tests: a default that
-no call overrides is a knob with one value.
+no call overrides is a knob with one value, and a default that every call
+overrides is never used.
 
 Every CLI call starts a fresh interpreter, so importing ``spencerlab.cli``
 must stay cheap: it loads neither ``dataclasses`` nor ``inspect`` (with
@@ -123,8 +125,8 @@ def test_cold_cli_import_loads_no_dataclasses_or_inspect():
     assert proc.stdout == "[]\n"
 
 
-def unset_parameters(sources: dict) -> list:
-    """Defaulted parameters of the package that no call passes.
+def _defaulted_parameter_calls(sources: dict) -> list:
+    """Each defaulted parameter of the package with the calls that may reach it.
 
     ``sources`` maps a path to its source text.  Definitions are read from
     the paths under ``src``: module-level functions and the methods of
@@ -134,6 +136,9 @@ def unset_parameters(sources: dict) -> list:
     positional arguments (``self`` and ``cls`` not counted); a call with
     ``*args`` or ``**kwargs`` passes everything.  A class's ``__init__`` is
     matched by calls to the class name; other dunders are exempt.
+
+    Returns ``(path, line, "owner.function", parameter, passes)`` where
+    ``passes`` holds one flag per matched call: whether it passes the parameter.
     """
     defs = []  # (path, owning class or None, function definition)
     calls: dict = {}  # called name -> [(positional count or None, keywords)]
@@ -180,14 +185,39 @@ def unset_parameters(sources: dict) -> list:
         defaulted += [
             (None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
         ]
+        where = f"{owner.name}.{fn.name}" if owner else fn.name
         for i, param in defaulted:
-            if not any(
+            passes = [
                 npos is None or param in kws or (i is not None and npos > i)
                 for npos, kws in calls.get(name, ())
-            ):
-                where = f"{owner.name}.{fn.name}" if owner else fn.name
-                out.append((path, fn.lineno, where, param))
-    return sorted(out)
+            ]
+            out.append((path, fn.lineno, where, param, passes))
+    return out
+
+
+def unset_parameters(sources: dict) -> list:
+    """Defaulted parameters of the package that no call passes.
+
+    A default that no call overrides is a knob with one value.
+    """
+    return sorted(
+        (path, line, where, param)
+        for path, line, where, param, passes in _defaulted_parameter_calls(sources)
+        if not any(passes)
+    )
+
+
+def always_passed_parameters(sources: dict) -> list:
+    """Defaulted parameters of the package that every call passes.
+
+    A parameter with at least one call, each of which passes it, has a
+    default that nothing uses: it should be required.
+    """
+    return sorted(
+        (path, line, where, param)
+        for path, line, where, param, passes in _defaulted_parameter_calls(sources)
+        if passes and all(passes)
+    )
 
 
 def test_the_check_sees_an_unset_parameter():
@@ -213,9 +243,38 @@ def test_the_check_sees_an_unset_parameter():
     ]
 
 
-def test_no_unset_parameters():
+def _checked_sources() -> dict:
     sources = {}
     for path in _checked_files():
         with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
             sources[path] = fh.read()
-    assert unset_parameters(sources) == []
+    return sources
+
+
+def test_no_unset_parameters():
+    assert unset_parameters(_checked_sources()) == []
+
+
+def test_the_check_sees_an_always_passed_parameter():
+    package = (
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n\n"
+        "class K:\n"
+        "    def __init__(self, x, y=None):\n        pass\n\n"
+        "def g(e=0):\n    pass\n\n"
+        "def h(u=0):\n    pass\n"
+    )
+    caller = (
+        "f(0, 1, d=4)\nf(0, 2, c=3, d=5)\nK(1, 2)\nK(1, y=3)\n"
+        "args = ()\ng(*args)\n"
+    )
+    sources = {os.path.join("src", "m.py"): package, os.path.join("tests", "t.py"): caller}
+    assert always_passed_parameters(sources) == [
+        (os.path.join("src", "m.py"), 1, "f", "b"),
+        (os.path.join("src", "m.py"), 1, "f", "d"),
+        (os.path.join("src", "m.py"), 5, "K.__init__", "y"),
+        (os.path.join("src", "m.py"), 8, "g", "e"),
+    ]
+
+
+def test_no_always_passed_parameters():
+    assert always_passed_parameters(_checked_sources()) == []

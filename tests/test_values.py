@@ -1,9 +1,9 @@
 """Value semantics of the package's immutable records.
 
 The seven value types compare and hash by their declared fields, refuse
-assignment, and print like ``Name(field=value, ...)``.  They are
-``lru_cache`` keys (``o_piece``, ``derivation_space``,
-``graded_component_basis``), so two separately built equal values must
+assignment, and print like ``Name(field=value, ...)``.  Scenes are
+``lru_cache`` keys (``o_piece``, which ``graded_component_basis`` and
+``derivation_space`` read), so two separately built equal values must
 hit the same cache entry.
 """
 
@@ -136,4 +136,4 @@ def test_constructors_check_their_arguments_and_take_keywords():
         kashiwara_quotient(cusp(), -1, 4)
     assert GroebnerBasis(generators=(), ring=R) == GroebnerBasis((), R)
     assert DerivationSpace(scene=cusp(), weight=0, basis=()).weight == 0
-    assert PresentedModule(cusp(), (("1", 0),), name="m").relations == ()
+    assert PresentedModule(cusp(), (("1", 0),), relations=(), name="m").relations == ()
