@@ -154,7 +154,7 @@ def cmd_complete(scene, args):
         ideal = other.ideal
         base = scene
     tower = completed_complex(build_de_rham(base), ideal, args.r_max)
-    report = tower_limit(tower, args.degree_bound, weight_lo=0)
+    report = tower_limit(tower, args.degree_bound)
     return {"r_max": args.r_max, "limits": report.to_json()}
 
 

@@ -14,9 +14,10 @@ With positive generator weights it is computed degreewise: the weight-d
 slice of I^r is empty once r times the minimal generator weight exceeds
 d, so every graded piece of an adic tower is literally constant from a
 finite stage on.  Towers keep exact transition chain maps; limits are
-read off the induced maps on homology with an explicit Mittag-Leffler
-stabilization test, and a cell that has not stabilized by the last stage
-is reported as such instead of being guessed.
+read off the induced maps on homology: a cell is stabilized when those
+maps are isomorphisms from some stage on, confirmed by at least two of
+them, and a cell that has not stabilized by the last stage is reported as
+such instead of being guessed.
 
 Derived completion follows the Koszul-tower model: stage r is the Koszul
 complex on the r-th powers of the ideal generators, with the standard
@@ -117,13 +118,11 @@ class Tower:
     def cell_dim(self, r: int, i: int, d: int) -> int:
         """Number of chosen homology representatives of stage r at (i, d).
 
-        d∘d = 0 through (i, d) is checked first; then a zero
-        ``homology_dim``, read off the stage's cached ranks, means every
-        cycle is a boundary, and no homology space is built.
+        A zero ``homology_dim`` (which checks d∘d = 0 into the cell), read
+        off the stage's cached ranks, means every cycle is a boundary, and
+        no homology space is built.
         """
-        stage = self.stage(r)
-        stage.check_dd_zero(i - stage.direction, d)
-        if stage.homology_dim(i, d) == 0:
+        if self.stage(r).homology_dim(i, d) == 0:
             return 0
         return self.homology_space(r, i, d).dim
 
@@ -229,23 +228,23 @@ class LimitReport:
         }
 
 
-def tower_limit(tower: Tower, bound: int, weight_lo: int) -> LimitReport:
-    """lim and lim^1 of the homology towers, cellwise and exact.
+def tower_limit(tower: Tower, bound: int) -> LimitReport:
+    """lim and lim^1 of the homology towers, cellwise and exact, from the
+    towers' weight floor up to ``bound``.
 
-    A cell is stabilized when the dimensions of the images of the deep
-    composites H(r+k) -> H(r) repeat at their final value (Mittag-Leffler
-    on finite-dimensional pieces) and that stable value is confirmed on at
-    least the last two stages.  Then lim is the stable image dimension and
-    lim^1 = 0; otherwise the cell reports not stabilized.
+    A cell is stabilized when the transitions H(r+1) -> H(r) are
+    isomorphisms from some onset r0 on, confirmed by at least two of them;
+    then lim is the dimension of the last stage and lim^1 = 0.  Any other
+    cell reports not stabilized, with lim, lim^1 and r0 unset: stages whose
+    transitions are not yet isomorphisms do not determine the limit.
 
-    Each stage's cell dimension comes from :meth:`Tower.cell_dim`: after
-    d∘d = 0 is checked through the cell, a zero ``homology_dim`` read off
-    the stage's cached ranks is the cell's dimension, and a homology space
-    with representatives is built only for the other cells.
+    Each stage's cell dimension comes from :meth:`Tower.cell_dim`, and
+    every transition is checked to be a chain map before it is ranked.
     """
-    report = LimitReport(tower.name, tower.depth, weight_lo, bound, tower.indices)
     R = tower.depth
-    for d in range(weight_lo, bound + 1):
+    lo = tower.stage(1).weight_floor
+    report = LimitReport(tower.name, R, lo, bound, tower.indices)
+    for d in range(lo, bound + 1):
         for i in tower.indices:
             dims = [tower.cell_dim(r, i, d) for r in range(1, R + 1)]
             stabilized = False
@@ -254,42 +253,16 @@ def tower_limit(tower: Tower, bound: int, weight_lo: int) -> LimitReport:
                 stabilized, lim, lim1, r0 = True, 0, 0, 1
             else:
                 trans = [tower.homology_transition(r, i, d) for r in range(1, R)]
-                ranks = [rank_kernel_image(t)[0] for t in trans]
                 iso = [
-                    dims[r - 1] == dims[r] and ranks[r - 1] == dims[r]
+                    dims[r - 1] == dims[r] == rank_kernel_image(trans[r - 1])[0]
                     for r in range(1, R)
                 ]
-                # Case A: the transitions are isomorphisms from some stage on,
-                # confirmed by at least two of them.
-                onset = None
-                for r in range(1, R):
-                    if all(iso[s - 1] for s in range(r, R)):
-                        onset = r
-                        break
-                if onset is not None and R - onset >= 2:
+                # the first stage from which every transition is an isomorphism
+                onset = R
+                while onset > 1 and iso[onset - 2]:
+                    onset -= 1
+                if R - onset >= 2:
                     stabilized, lim, lim1, r0 = True, dims[R - 1], 0, onset
-                elif R >= 3 and dims[-1] == dims[-2] == dims[-3]:
-                    # Case B: Mittag-Leffler image stabilization, only
-                    # meaningful once the stage dimensions themselves have
-                    # settled (images into a still-growing tail say nothing).
-                    stable_val: dict = {}
-                    for r in range(1, R - 1):
-                        comp = trans[r - 1]
-                        img = [ranks[r - 1]]
-                        for k in range(r + 1, R):
-                            comp = comp.compose(trans[k - 1])
-                            img.append(rank_kernel_image(comp)[0])
-                        if img[-1] == img[-2]:
-                            stable_val[r] = img[-1]
-                    good = sorted(stable_val)
-                    if len(good) >= 2 and stable_val[good[-1]] == stable_val[good[-2]]:
-                        stabilized = True
-                        lim = stable_val[good[-1]]
-                        lim1 = 0
-                        r0 = next(
-                            r for r in good
-                            if all(stable_val[s] == lim for s in good if s >= r)
-                        )
             report.entries[(i, d)] = {
                 "lim": lim,
                 "lim1": lim1,
@@ -394,7 +367,7 @@ def derived_completion(
     """
     _require_completable(ideal)
     tower = koszul_power_tower(module_scene, ideal, depth)
-    raw = tower_limit(tower, bound, weight_lo=0)
+    raw = tower_limit(tower, bound)
     report = LimitReport(
         name=raw.name,
         depth=raw.depth,
@@ -541,13 +514,9 @@ def embedding_independence(
     def ambient_scene(s):
         return AffineScene(s.ring, Ideal(()))
 
-    def limits(cx, ideal):
-        tower = completed_complex(cx, ideal, depth)
-        return tower_limit(tower, bound, weight_lo=min(cx.weight_floor, 0))
-
     def compare(cx_small, cx_big, mismatches):
-        lim_s = limits(cx_small, small.ideal)
-        lim_b = limits(cx_big, big.ideal)
+        lim_s = tower_limit(completed_complex(cx_small, small.ideal, depth), bound)
+        lim_b = tower_limit(completed_complex(cx_big, big.ideal, depth), bound)
         for cell in sorted(set(lim_s.entries) | set(lim_b.entries)):
             a = lim_s.entries.get(cell)
             b = lim_b.entries.get(cell)

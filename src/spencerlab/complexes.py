@@ -340,6 +340,9 @@ class GradedComplex:
         self._dd_checked.add((i, d))
 
     def homology_dim(self, i: int, d: int) -> int:
+        """dim H at (i, d), after d∘d = 0 into (i, d) is checked."""
+        if i - self.direction in self.indices:
+            self.check_dd_zero(i - self.direction, d)
         out_rank = self.rank(i, d)
         in_rank = self.rank(i - self.direction, d)
         h = self.piece(i, d).dim - out_rank - in_rank
@@ -379,9 +382,6 @@ def homology_table(complex_: GradedComplex, bound: int) -> HomologyTable:
     """Homology dimensions per (index, weight); aborts if d∘d != 0."""
     table = HomologyTable(complex_.indices)
     for d in range(complex_.weight_floor, bound + 1):
-        for i in complex_.indices:
-            if i + complex_.direction in complex_.indices:
-                complex_.check_dd_zero(i, d)
         for i in complex_.indices:
             table.entries[(i, d)] = complex_.homology_dim(i, d)
     return table

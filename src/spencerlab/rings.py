@@ -57,6 +57,8 @@ class WeightedRing(_Value):
     _fields = ("variables", "weights")
 
     def __init__(self, variables: tuple[str, ...], weights: tuple[int, ...]):
+        if not variables:
+            raise SceneError("a ring needs at least one variable")
         if len(variables) != len(weights):
             raise SceneError("variables and weights must have equal length")
         if len(set(variables)) != len(variables):

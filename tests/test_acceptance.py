@@ -133,7 +133,7 @@ def test_criterion_6_completed_de_rham_of_cusp():
     bound, depth = 10, 4
     ambient = AffineScene(CUSP.ring, Ideal(()))
     tower = completed_complex(build_de_rham(ambient), CUSP.ideal, depth)
-    report = tower_limit(tower, bound, weight_lo=0)
+    report = tower_limit(tower, bound)
     assert report.all_stabilized()
     # entries are constant from the first stage with 6r > d (they may
     # coincide even earlier); the detected onset must not come later
@@ -165,7 +165,7 @@ def test_criterion_8_derived_completion():
     # (a) free module: index 0 matches the classical tower and negatives vanish
     _tw, rep = derived_completion(line, Ix, 8, 5)
     Ox = free_module(line, [("1", 0)], name="O")
-    classical = tower_limit(adic_tower(Ox, Ix, 8), 5, weight_lo=0)
+    classical = tower_limit(adic_tower(Ox, Ix, 8), 5)
     for d in range(0, 6):
         assert rep.entries[(0, d)]["lim"] == classical.entries[(0, d)]["lim"] == 1
         e = rep.entries[(-1, d)]

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from spencerlab.cli import main
+from spencerlab.complexes import GradedComplex
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
@@ -99,6 +100,63 @@ def test_complete_command(capsys):
     )
     payload = json.loads(out)["limits"]
     assert payload["entries"]["0"]["0"]["lim"] == 1
+
+
+def test_complete_along_a_scene_file_uses_its_ideal(capsys):
+    # a2 completed along node's ideal builds the same tower as node along self
+    opts = ("--r-max", "4", "--degree-bound", "5")
+    code, along = run_cli(
+        capsys, "complete", scene_path("a2.scene"), "--along", scene_path("node.scene"), *opts
+    )
+    assert code == 0
+    code, own = run_cli(capsys, "complete", scene_path("node.scene"), *opts)
+    assert code == 0
+    assert json.loads(along)["limits"] == json.loads(own)["limits"]
+
+
+@pytest.mark.parametrize(
+    ("complex_", "scene"), [("derham", "quadric_cone.scene"), ("jet1", "cusp.scene")]
+)
+def test_euler_certify_checks_dd_zero(monkeypatch, capsys, complex_, scene):
+    calls = []
+    check = GradedComplex.check_dd_zero
+
+    def spy(self, i, d):
+        calls.append((i, d))
+        return check(self, i, d)
+
+    monkeypatch.setattr(GradedComplex, "check_dd_zero", spy)
+    code, _out = run_cli(
+        capsys, "euler-certify", scene_path(scene), "--complex", complex_,
+        "--degree-bound", "6",
+    )
+    assert code == 0
+    assert calls
+
+
+NO_VARIABLES = "[ring]\nvariables =\nweights =\n\n[ideal]\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "ideal"),
+    [
+        (["filtered-spencer", "--p", "1"], ""),
+        (["spencer-h0"], ""),
+        (["derham"], ""),
+        (["kashiwara", "--p", "1"], "1\n"),
+        (["smooth"], "1\n"),
+    ],
+    ids=["filtered-spencer", "spencer-h0", "derham", "kashiwara", "smooth"],
+)
+def test_scene_without_variables_exits_1(tmp_path, capsys, argv, ideal):
+    # written to tmp_path: tests/test_corpus.py runs every file in scenes/
+    path = tmp_path / "empty.scene"
+    path.write_text(NO_VARIABLES + ideal)
+    code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: a ring needs at least one variable\n"
 
 
 def test_missing_scene_is_input_error(capsys):
@@ -248,6 +306,7 @@ BAD_INPUTS = [
     ("filtered-spencer", "a2.scene", "--p", "0"),
     ("kashiwara", "cusp.scene", "--p", "-1"),
     ("derham", "missing.scene"),
+    ("complete", "a2.scene", "--along", "cusp.scene"),
     # usage errors: argparse's own exit 2 is reserved for an exhausted budget
     ("foo", "cusp.scene"),
     ("jet", "cusp.scene", "--r", "3"),

@@ -80,7 +80,7 @@ def test_adic_unit_ideal_kills_everything(a1):
 def test_adic_limits_weightwise():
     _a1, Ix, Ox = line_data()
     t = adic_tower(Ox, Ix, 8)
-    rep = tower_limit(t, 5, weight_lo=0)
+    rep = tower_limit(t, 5)
     for d in range(0, 6):
         e = rep.entries[(0, d)]
         assert e["stabilized"] and e["lim"] == 1 and e["lim1"] == 0
@@ -127,19 +127,23 @@ def test_transition_not_well_defined_raises(a1):
 def test_constant_tower_limits(a1):
     Ox = free_module(a1, [("1", 0)], name="O")
     cx = module_as_complex(Ox)
-    rep = tower_limit(_constant_tower(cx, 4), 3, weight_lo=0)
+    rep = tower_limit(_constant_tower(cx, 4), 3)
     for d in range(0, 4):
         e = rep.entries[(0, d)]
         assert e["stabilized"] and e["lim"] == 1 and e["lim1"] == 0
 
 
 def test_zero_transition_tower_limits(a1):
+    # a finite prefix of zero maps does not determine the limit: a tower
+    # that is zero up to stage R and the identity after it has lim = k, so
+    # every cell of the constant tower with zero transitions stays open
     Ox = free_module(a1, [("1", 0)], name="O")
     cx = module_as_complex(Ox)
-    rep = tower_limit(_constant_tower(cx, 4, identity=False), 3, weight_lo=0)
+    rep = tower_limit(_constant_tower(cx, 4, identity=False), 3)
     for d in range(0, 4):
         e = rep.entries[(0, d)]
-        assert e["stabilized"] and e["lim"] == 0 and e["lim1"] == 0
+        assert not e["stabilized"], d
+        assert e["lim"] is None and e["lim1"] is None and e["r0"] is None, d
 
 
 # -- completed complexes -------------------------------------------------------------
@@ -148,7 +152,7 @@ def test_zero_transition_tower_limits(a1):
 def test_completed_de_rham_of_cusp_stabilizes(cusp):
     amb = AffineScene(cusp.ring, Ideal(()))
     tower = completed_complex(build_de_rham(amb), cusp.ideal, 4)
-    rep = tower_limit(tower, 10, weight_lo=0)
+    rep = tower_limit(tower, 10)
     assert rep.all_stabilized()
     assert rep.lim_table() == {(0, 0): 1}
     # stabilization onset respects 6r > d
@@ -161,7 +165,7 @@ def test_completed_koszul_along_x(a2):
     kz = build_koszul(a2, [a2.ring.var(0), a2.ring.var(1)])
     Ix = Ideal((parse_polynomial("x", a2.ring),))
     tower = completed_complex(kz, Ix, 4)
-    rep = tower_limit(tower, 6, weight_lo=0)
+    rep = tower_limit(tower, 6)
     # H0 of every stage is Q[x,y]/(x, y): a constant tower
     for r in range(1, 5):
         t = homology_table(tower.stage(r), 4)
@@ -193,7 +197,7 @@ def test_completed_tower_transitions_are_chain_maps(cusp):
 def test_derived_completion_of_free_module():
     a1, Ix, Ox = line_data()
     _tower, rep = derived_completion(a1, Ix, 8, 5)
-    adic = tower_limit(adic_tower(Ox, Ix, 8), 5, weight_lo=0)
+    adic = tower_limit(adic_tower(Ox, Ix, 8), 5)
     for d in range(0, 6):
         assert rep.entries[(0, d)]["lim"] == adic.entries[(0, d)]["lim"]
         eneg = rep.entries[(-1, d)]
@@ -224,7 +228,7 @@ def test_classical_and_derived_agree_in_index_zero_for_coherent_inputs(cusp):
     amb = AffineScene(cusp.ring, Ideal(()))
     Oamb = free_module(amb, [("1", 0)], name="O")
     _tower, rep = derived_completion(amb, cusp.ideal, 5, 8)
-    adic = tower_limit(adic_tower(Oamb, cusp.ideal, 5), 8, weight_lo=0)
+    adic = tower_limit(adic_tower(Oamb, cusp.ideal, 5), 8)
     for d in range(0, 9):
         a = adic.entries[(0, d)]
         b = rep.entries[(0, d)]
@@ -355,7 +359,7 @@ def test_derived_completion_two_generators():
             assert all(v == 0 for v in e["stage_dims"])
     # index 0 matches the classical adic completion where both stabilize
     Oamb = free_module(amb, [("1", 0)], name="O")
-    classical = tower_limit(adic_tower(Oamb, ideal, 4), 6, weight_lo=0)
+    classical = tower_limit(adic_tower(Oamb, ideal, 4), 6)
     for d in range(0, 7):
         a, b = classical.entries[(0, d)], rep.entries[(0, d)]
         if a["stabilized"] and b["stabilized"]:
@@ -404,7 +408,13 @@ def test_tower_stage_with_nonzero_dd_raises():
     good, bad = _one_cell_complex("good", 0), _one_cell_complex("bad", 1)
     tower = Tower("dd", [good, bad], lambda i, d, lbl: {})
     with pytest.raises(InternalInvariantError, match=r"^bad: d∘d != 0 at \(i=2, d=0\)$"):
-        tower_limit(tower, 0, weight_lo=0)
+        tower_limit(tower, 0)
+
+
+def test_homology_dim_checks_dd_zero_into_the_cell():
+    bad = _one_cell_complex("bad", 1)
+    with pytest.raises(InternalInvariantError, match=r"^bad: d∘d != 0 at \(i=2, d=0\)$"):
+        bad.homology_dim(1, 0)
 
 
 SCENES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenes")
@@ -625,7 +635,7 @@ def test_completed_jet_complex_resolves_the_completed_structure_sheaf(name, r, b
     sc, over = _oracle_scene(name, base)
     bound = 6
     tower = completed_complex(build_jet_complex(over, r), sc.ideal, 6)
-    report = tower_limit(tower, bound, weight_lo=0)
+    report = tower_limit(tower, bound)
     want = _standard_monomial_dims(over, bound)
     assert set(report.entries) == {(i, d) for i in range(r + 1) for d in range(bound + 1)}
     for (i, d), e in report.entries.items():

@@ -132,6 +132,11 @@ def test_partial_derivative_examples():
 # -- scenes ------------------------------------------------------------------------
 
 
+def test_ring_needs_a_variable():
+    with pytest.raises(SceneError, match="at least one variable"):
+        WeightedRing((), ())
+
+
 def test_scene_rejects_inhomogeneous_generator():
     with pytest.raises(SceneError):
         scene(["x", "y"], [3, 2], ["x^3 + y^4"])  # weights 9 vs 8
