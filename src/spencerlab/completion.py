@@ -187,16 +187,13 @@ class _HomologySpace:
 class LimitReport:
     """Per-(index, weight) lim / lim^1 with explicit stabilization flags."""
 
-    def __init__(
-        self, name: str, depth: int, weight_lo: int, weight_hi: int, indices: tuple,
-        entries: dict | None = None,
-    ):
+    def __init__(self, name: str, depth: int, weight_lo: int, weight_hi: int, indices: tuple):
         self.name = name
         self.depth = depth
         self.weight_lo = weight_lo
         self.weight_hi = weight_hi
         self.indices = indices
-        self.entries = {} if entries is None else entries
+        self.entries: dict = {}  # (index, weight) -> entry
 
     def all_stabilized(self) -> bool:
         return all(e["stabilized"] for e in self.entries.values())
@@ -367,15 +364,9 @@ def derived_completion(
     """
     _require_completable(ideal)
     tower = koszul_power_tower(module_scene, ideal, depth)
-    raw = tower_limit(tower, bound)
-    report = LimitReport(
-        name=raw.name,
-        depth=raw.depth,
-        weight_lo=raw.weight_lo,
-        weight_hi=raw.weight_hi,
-        indices=tuple(sorted(-i for i in raw.indices)),
-        entries={(-i, d): e for (i, d), e in raw.entries.items()},
-    )
+    report = tower_limit(tower, bound)
+    report.indices = tuple(sorted(-i for i in report.indices))
+    report.entries = {(-i, d): e for (i, d), e in report.entries.items()}
     return tower, report
 
 

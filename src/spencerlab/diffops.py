@@ -155,7 +155,7 @@ def kashiwara_quotient(scene: AffineScene, p: int, bound: int) -> KashiwaraQuoti
     # support condition: g·(class) = 0 exactly, on every slice a piece reads
     # (weight d + w(b) lies in 0..bound - floor)
     verified = all(
-        not o_piece(scene, e).reduce(row)
+        o_piece(scene, e).is_relation(row)
         for e in range(bound - floor + 1)
         for row in ideal_multiples(scene.ideal.generators, e, classes, mono_mul)
     )

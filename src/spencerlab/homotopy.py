@@ -35,7 +35,7 @@ from .complexes import (
 )
 from .errors import InternalInvariantError, SceneError
 from .linalg import LinearMap
-from .modules import in_ideal_degreewise
+from .modules import o_piece
 from .rings import INHOMOGENEOUS, AffineScene, Polynomial, _Value, mono_mul
 
 
@@ -64,7 +64,8 @@ class Derivation(_Value):
         )
         super().__init__(scene, coefficients, _weight=weight, _jacobian=jacobian)
         for g in scene.ideal.generators:
-            if not in_ideal_degreewise(scene, self.apply(g)):
+            image = self.apply(g)  # zero or homogeneous
+            if image.terms and not o_piece(scene, image.weighted_degree()).is_relation(image.terms):
                 raise SceneError(
                     f"derivation is not tangent to the ideal: fails on {g}"
                 )

@@ -29,10 +29,10 @@ stays so until the benchmark changes; its kernel comes back sparse.
 
 :class:`GradedPiece` is the quotient-space workhorse used by every graded
 construction: an ambient labeled basis, a relation span kept as the
-kernel's primitive integer pivot rows, and a normal form ``reduce`` onto
-the non-pivot labels.  The normal form runs on integers with one common
-denominator, so ``reduce`` and ``sparse_coords`` build a ``Fraction`` only
-for each entry they return, and ``is_relation`` builds none.
+kernel's primitive integer pivot rows, and one normal form onto the
+non-pivot labels.  The normal form runs on integers with one common
+denominator; ``sparse_coords`` hands it out by basis position and builds a
+``Fraction`` only for each entry it returns, and ``is_relation`` builds none.
 """
 
 from __future__ import annotations
@@ -348,8 +348,8 @@ def rank_kernel_image(m: LinearMap):
 class GradedPiece:
     """One graded component: ambient labels modulo a relation span.
 
-    ``basis`` is the non-pivot subset of ``ambient``; ``reduce`` is the
-    normal form modulo the relation row space, supported on ``basis``.
+    ``basis`` is the non-pivot subset of ``ambient``; ``sparse_coords`` is
+    the normal form modulo the relation row space, in ``basis`` positions.
     The relations go into the elimination kernel as sparse rows and the
     piece keeps the kernel's primitive integer pivot rows; relation
     matrices in this package rarely have more than a few entries per row.
@@ -388,12 +388,6 @@ class GradedPiece:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def reduce(self, vec: dict) -> dict:
-        """Normal form of an ambient vector modulo the relation span."""
-        acc, den = self._normal_form(vec)
-        amb = self.ambient
-        return {amb[j]: _ratio(v, den) for j, v in acc.items()}
 
     def sparse_coords(self, vec: dict) -> dict:
         """Normal form as ``{basis position: Fraction}``, zeros dropped."""

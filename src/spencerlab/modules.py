@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .complexes import GradedComplex, ideal_multiples
 from .errors import SceneError
-from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve_columns
-from .rings import INHOMOGENEOUS, AffineScene, Polynomial, _Value, mono_mul
+from .linalg import GradedPiece, LinearMap, rank_kernel_image
+from .rings import INHOMOGENEOUS, AffineScene, _Value, mono_mul
 
 
 @lru_cache(maxsize=None)
@@ -37,21 +36,6 @@ def graded_component_basis(scene: AffineScene, d: int) -> tuple:
     if d < 0:
         return ()
     return o_piece(scene, d).basis
-
-
-def reduce_poly(scene: AffineScene, p: Polynomial) -> dict:
-    """Normal form of a homogeneous polynomial in its O_Y graded piece."""
-    if p.is_zero():
-        return {}
-    d = p.weighted_degree()
-    if d == INHOMOGENEOUS:
-        raise SceneError("degreewise reduction needs a homogeneous polynomial")
-    return o_piece(scene, d).reduce(dict(p.terms))
-
-
-def in_ideal_degreewise(scene: AffineScene, p: Polynomial) -> bool:
-    """Membership of a homogeneous polynomial via the linear-algebra slice."""
-    return not reduce_poly(scene, p)
 
 
 class PresentedModule(_Value):
@@ -149,37 +133,20 @@ class DerivationSpace(_Value):
     def __init__(self, scene: AffineScene, weight: int, basis: tuple):
         super().__init__(scene, weight, basis)
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
-    def express(self, coeffs) -> tuple:
-        """Coordinates of a tangent coefficient tuple in this basis."""
-        scene = self.scene
-        weights = [self.weight + w for w in scene.ring.weights]
-        cols = [_stacked_coords(scene, b, weights) for b in self.basis]
-        (sol,) = solve_columns(cols, [_stacked_coords(scene, coeffs, weights)])
-        if sol is None:
-            raise SceneError("vector is not in the derivation space")
-        return tuple(sol.get(j, Fraction(0)) for j in range(self.dim))
-
-
-def _stacked_coords(scene: AffineScene, polys, weights) -> dict:
-    """Sparse coordinates of polys[k] in the O_Y piece of weights[k], stacked in order."""
+def _stacked_coords(polys, pieces) -> dict:
+    """Sparse coordinates of polys[k] in pieces[k], stacked in order."""
     out: dict = {}
     base = 0
-    for p, w in zip(polys, weights):
-        basis = graded_component_basis(scene, w)
-        red = reduce_poly(scene, p)
-        for k, m in enumerate(basis):
-            c = red.get(m)
-            if c:
-                out[base + k] = c
-        base += len(basis)
+    for p, piece in zip(polys, pieces):
+        for k, c in piece.sparse_coords(p.terms).items():
+            out[base + k] = c
+        base += piece.dim
     return out
 
 
 def derivation_space(scene: AffineScene, t: int) -> DerivationSpace:
+    """Weight-t derivations; the basis is the canonical kernel as eliminated, unscaled."""
     ring = scene.ring
     n = ring.nvars
     source = []
@@ -189,10 +156,10 @@ def derivation_space(scene: AffineScene, t: int) -> DerivationSpace:
     if not source:
         return DerivationSpace(scene, t, ())
     gens = scene.ideal.generators
-    weights = [t + g.weighted_degree() for g in gens]
-    target = [(j, m) for j, w in enumerate(weights) for m in graded_component_basis(scene, w)]
+    pieces = [o_piece(scene, t + g.weighted_degree()) for g in gens]
+    target = [(j, m) for j, piece in enumerate(pieces) for m in piece.basis]
     cols = [
-        _stacked_coords(scene, [g.partial_derivative(i).mul_mono(m) for g in gens], weights)
+        _stacked_coords([g.partial_derivative(i).mul_mono(m) for g in gens], pieces)
         for (i, m) in source
     ]
     _rank, kernel = rank_kernel_image(LinearMap(source, target, cols))
@@ -202,23 +169,6 @@ def derivation_space(scene: AffineScene, t: int) -> DerivationSpace:
         for k, c in vec.items():
             i, m = source[k]
             coeffs[i] = coeffs[i] + ring.monomial(m, c)
-        basis.append(tuple(_normalize(coeffs)))
-    basis.sort(key=lambda cs: tuple(sorted(cs[i].terms.items()) for i in range(n)).__repr__())
+        basis.append(tuple(coeffs))
     return DerivationSpace(scene, t, tuple(basis))
 
-
-def _normalize(coeffs):
-    """Scale a coefficient tuple to primitive integers, first sign positive.
-
-    The tuple comes from a canonical kernel vector, which has an entry 1,
-    so clearing its denominators already leaves content 1.
-    """
-    den = lcm(*(c.denominator for p in coeffs for c in p.terms.values()))
-    scaled = [p.scale(den) for p in coeffs]
-    for p in scaled:
-        if p.terms:
-            lead = p.sorted_terms()[0][1]
-            if lead < 0:
-                scaled = [q.scale(-1) for q in scaled]
-            break
-    return scaled

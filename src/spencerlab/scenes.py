@@ -59,14 +59,20 @@ def parse_scene_text(text: str, name: str = "<scene>") -> AffineScene:
         weights = tuple(int(w.strip()) for w in ring_data["weights"].split(",") if w.strip())
     except ValueError as exc:
         raise SceneError(f"{name}: weights must be integers: {exc}") from None
-    ring = WeightedRing(variables, weights)
+    try:
+        ring = WeightedRing(variables, weights)
+    except SceneError as exc:
+        raise SceneError(f"{name}: {exc}") from None
     gens = []
     for lineno, line in ideal_lines:
         try:
             gens.append(parse_polynomial(line, ring))
         except ParseError as exc:
             raise SceneError(f"{name}:{lineno}: {exc}") from None
-    return AffineScene(ring, Ideal(tuple(gens)))
+    try:
+        return AffineScene(ring, Ideal(tuple(gens)))
+    except SceneError as exc:
+        raise SceneError(f"{name}: {exc}") from None
 
 
 def load_scene(path: str) -> AffineScene:

@@ -156,7 +156,30 @@ def test_scene_without_variables_exits_1(tmp_path, capsys, argv, ideal):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "error: a ring needs at least one variable\n"
+    assert captured.err == f"error: {path}: a ring needs at least one variable\n"
+
+
+@pytest.mark.parametrize(
+    ("ring", "ideal", "message"),
+    [
+        ("variables = x, y\nweights = 0, 1\n", "",
+         "weights must be positive integers, got 0"),
+        ("variables = x, y\nweights = 1, 2\n", "x + y\n",
+         "generator y + x is not weighted-homogeneous for weights (1, 2)"),
+        ("variables = x, x\nweights = 1, 1\n", "", "variable names must be distinct"),
+    ],
+    ids=["zero-weight", "inhomogeneous", "repeated-variable"],
+)
+def test_invalid_scene_error_names_the_file(tmp_path, capsys, ring, ideal, message):
+    # written to tmp_path: tests/test_corpus.py runs every file in scenes/;
+    # an empty variable list is test_scene_without_variables_exits_1
+    path = tmp_path / "bad.scene"
+    path.write_text(f"[ring]\n{ring}\n[ideal]\n{ideal}")
+    code = main(["derham", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
 
 
 def test_missing_scene_is_input_error(capsys):

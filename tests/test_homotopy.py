@@ -23,6 +23,7 @@ from spencerlab.homotopy import (
     lie_derivative_matrix,
 )
 from spencerlab.linalg import LinearMap
+from spencerlab.modules import derivation_space
 from spencerlab.rings import parse_polynomial, scene
 
 
@@ -46,6 +47,18 @@ def test_non_tangent_derivation_rejected(cusp):
 def test_tangency_accepts_euler_multiples(cusp):
     xi = euler_derivation(cusp)
     Derivation(cusp, tuple(c * cusp.ring.var(0) for c in xi.coefficients))
+
+
+def test_tangency_names_the_failing_generator(cusp):
+    # d/dx sends x^3 - y^2 to 3x^2, which is not in the ideal
+    with pytest.raises(SceneError, match=r"not tangent to the ideal: fails on x\^3 - y\^2$"):
+        Derivation(cusp, (cusp.ring.one(), cusp.ring.zero()))
+
+
+def test_tangency_accepts_a_non_euler_derivation(cusp):
+    (coeffs,) = derivation_space(cusp, 1).basis
+    xi = Derivation(cusp, coeffs)
+    assert xi.weight == 1 and not xi.is_euler()
 
 
 # -- Lie derivative ------------------------------------------------------------

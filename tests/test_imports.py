@@ -5,7 +5,9 @@ no linter needed).
 
 The import check covers every module of the package except
 ``__init__.py``, whose imports are the public re-exports, and every test
-module.  The helper check covers the package only: a helper that only
+module.  The helper check covers the package's module-level ``_name``
+functions and classes and the ``_name`` methods of its module-level
+classes, and counts references in the package only: a helper that only
 tests call is dead code.  The parameter check reads the package's
 definitions and the calls in the package and the tests: a default that
 no call overrides is a knob with one value, and a default that every call
@@ -20,6 +22,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -69,28 +72,38 @@ def test_no_unused_imports(path):
         assert unused_imports(fh.read()) == []
 
 
-def unreferenced_private_helpers(sources: dict) -> list:
-    """Module-level ``_name`` functions and classes referred to nowhere else.
+def _name_counts(node) -> Counter:
+    """How often each name is loaded, as a name or an attribute, under ``node``."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    )
 
-    ``sources`` maps a path to its source text; a reference is a name or an
-    attribute in any of them, outside the helper's own definition.
+
+def unreferenced_private_helpers(sources: dict) -> list:
+    """``_name`` helpers referred to nowhere else.
+
+    A helper is a module-level function or class, or a method defined in
+    the body of a module-level class.  ``sources`` maps a path to its
+    source text; a reference is a name or an attribute in any of them,
+    outside the helper's own definition.
     """
-    defined = []
-    referenced = set()
+    everywhere: Counter = Counter()
+    defined = []  # (path, line, name, references inside its own definition)
     for path, source in sources.items():
-        for stmt in ast.parse(source).body:
-            names = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
-                    defined.append((path, stmt.lineno, stmt.name))
-                    names.discard(stmt.name)
-            referenced |= names
-    return sorted(d for d in defined if d[2] not in referenced)
+        tree = ast.parse(source)
+        everywhere += _name_counts(tree)
+        for stmt in tree.body:
+            members = stmt.body if isinstance(stmt, ast.ClassDef) else []
+            for node in (stmt, *members):
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                ):
+                    defined.append((path, node.lineno, node.name, _name_counts(node)[node.name]))
+    return sorted(
+        (path, line, name) for path, line, name, own in defined if everywhere[name] <= own
+    )
 
 
 def test_the_check_sees_an_unreferenced_helper():
@@ -98,12 +111,22 @@ def test_the_check_sees_an_unreferenced_helper():
         "def _used():\n    pass\n\n"
         "def _recursive(n):\n    return _recursive(n - 1)\n\n"
         "class _Gone:\n    pass\n\n"
-        "def _called_elsewhere():\n    pass\n"
+        "def _called_elsewhere():\n    pass\n\n"
+        "class K:\n"
+        "    def __init__(self):\n        self._helper()\n\n"
+        "    def _helper(self):\n        return self._loop()\n\n"
+        "    def _loop(self):\n        return self._loop()\n\n"
+        "    def _orphan(self):\n        return self._orphan()\n\n"
+        "    def _method_called_elsewhere(self):\n        pass\n"
     )
-    caller = "import m\n\ndef public():\n    return _used(), m._called_elsewhere()\n"
+    caller = (
+        "import m\n\ndef public():\n"
+        "    return _used(), m._called_elsewhere(), m.K()._method_called_elsewhere()\n"
+    )
     assert unreferenced_private_helpers({"m.py": helpers, "n.py": caller}) == [
         ("m.py", 4, "_recursive"),
         ("m.py", 7, "_Gone"),
+        ("m.py", 23, "_orphan"),
     ]
 
 
