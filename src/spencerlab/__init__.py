@@ -22,11 +22,7 @@ from .rings import (
     parse_polynomial,
     scene,
 )
-from .modules import (
-    PresentedModule,
-    free_module,
-    graded_component_basis,
-)
+from .modules import PresentedModule, free_module, o_piece
 from .linalg import GradedPiece, LinearMap, rank_kernel_image
 from .groebner import buchberger, normal_form, quotient_dimension
 from .complexes import (

@@ -26,7 +26,6 @@ transition multiplying each exterior slot by its generator.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .complexes import (
@@ -39,7 +38,7 @@ from .complexes import (
 from .diffops import filtered_spencer
 from .errors import InternalInvariantError, SceneError
 from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve_columns
-from .modules import PresentedModule, graded_component_basis, module_as_complex
+from .modules import PresentedModule, module_as_complex, o_piece
 from .rings import AffineScene, Ideal, Polynomial, mono_mul
 
 
@@ -152,12 +151,12 @@ class _HomologySpace:
     differential, so that differential is eliminated once for its rank
     and its kernel.  They are reduced modulo the boundary span, the column
     span of the incoming differential, as a quotient piece over the column
-    indices whose relations are that differential's sparse columns.
+    indices whose relations are that differential's integer columns.
     """
 
     def __init__(self, cx: GradedComplex, i: int, d: int):
         in_map = cx.differential(i - cx.direction, d)
-        self._cycles_mod_b = GradedPiece(range(cx.piece(i, d).dim), in_map.columns)
+        self._cycles_mod_b = GradedPiece(range(cx.piece(i, d).dim), in_map.int_columns)
         self.reps = []
         self._solve_cols = []
         for v in cx.homology_cycles(i, d):
@@ -273,7 +272,7 @@ def tower_limit(tower: Tower, bound: int) -> LimitReport:
 # -- tower builders ---------------------------------------------------------------
 
 def _identity_transition(i, d, label):
-    return {label: Fraction(1)}
+    return {label: 1}
 
 
 def _surjection_tower(name: str, stages: list) -> Tower:
@@ -406,7 +405,7 @@ def completed_koszul_h0(
         quotient = AffineScene(ring, Ideal(elements))
         for d in range(0, bound + 1):
             report.h0[(r, d)] = table.dim(0, d)
-            report.oracle[(r, d)] = len(graded_component_basis(quotient, d))
+            report.oracle[(r, d)] = o_piece(quotient, d).dim
             for i in kz.indices:
                 if i >= 1:
                     report.positive_index[(r, i, d)] = table.dim(i, d)

@@ -51,7 +51,13 @@ from itertools import combinations
 from math import factorial
 
 from .errors import InternalInvariantError, SceneError
-from .linalg import GradedPiece, LinearMap, clear_denominators, rank_kernel_image
+from .linalg import (
+    GradedPiece,
+    LinearMap,
+    clear_denominators,
+    common_denominator,
+    rank_kernel_image,
+)
 from .rings import INHOMOGENEOUS, AffineScene, Polynomial, mono_mul
 
 
@@ -85,7 +91,7 @@ def exterior_derivative(label: tuple) -> dict:
         if not e or j in S:
             continue
         sign, Snew = insert_sign(j, S)
-        out[(m[:j] + (e - 1,) + m[j + 1:], Snew) + tail] = Fraction(sign * e)
+        out[(m[:j] + (e - 1,) + m[j + 1:], Snew) + tail] = sign * e
     return out
 
 
@@ -156,7 +162,7 @@ def induced_map(src: GradedPiece, tgt: GradedPiece, fn, error: str) -> LinearMap
     image = {lbl: fn(lbl) for lbl in src.ambient}
     # scale does not change whether a combination is a relation, so the
     # check combines the images cleared to one common denominator
-    cleared = dict(zip(image, clear_denominators(image.values())))
+    cleared = dict(zip(image, clear_denominators(image.values())[0]))
     for row in src.relation_rows():
         out: dict = {}
         for label, c in row.items():
@@ -164,8 +170,8 @@ def induced_map(src: GradedPiece, tgt: GradedPiece, fn, error: str) -> LinearMap
                 out[lbl] = out.get(lbl, 0) + c * v
         if not tgt.is_relation(out):
             raise InternalInvariantError(error)
-    cols = [tgt.sparse_coords(image[lbl]) for lbl in src.basis]
-    return LinearMap(src.basis, tgt.basis, cols)
+    cols, den = common_denominator(tgt.int_coords(image[lbl]) for lbl in src.basis)
+    return LinearMap(src.basis, tgt.basis, cols, den)
 
 
 class GradedComplex:
@@ -546,7 +552,7 @@ def build_jet_complex(scene: AffineScene, r: int) -> GradedComplex:
         out = exterior_derivative(label) if sum(beta) <= jet_order(i + 1) else {}
         for (db, Snew, _c), v in exterior_derivative((beta, S, c)).items():
             key = (c, Snew, db)
-            out[key] = out.get(key, Fraction(0)) + v
+            out[key] = out.get(key, 0) + v
         return out
 
     return GradedComplex(
@@ -598,7 +604,7 @@ def build_spencer_of_module(scene: AffineScene, form_degree: int) -> GradedCompl
         for t, s in enumerate(S):
             if m[s]:
                 sign, rest = remove_sign(t, S)
-                out[(m[:s] + (m[s] - 1,) + m[s + 1:], T, rest)] = Fraction(sign * m[s])
+                out[(m[:s] + (m[s] - 1,) + m[s + 1:], T, rest)] = sign * m[s]
         return out
 
     return GradedComplex(

@@ -9,7 +9,6 @@ finite graded pieces.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .complexes import (
@@ -22,7 +21,7 @@ from .complexes import (
     subset_weight,
 )
 from .errors import InternalInvariantError, SceneError
-from .modules import graded_component_basis, o_piece
+from .modules import o_piece
 from .rings import AffineScene, WeightedRing, mono_mul
 
 
@@ -56,7 +55,7 @@ def filtered_spencer(ring: WeightedRing, p: int) -> GradedComplex:
             a, b, _S = label
             if any(b):
                 return {}
-            return {(a,): Fraction(1)}
+            return {(a,): 1}
         a, b, S = label
         out: dict = {}
         for t, s in enumerate(S):
@@ -64,7 +63,7 @@ def filtered_spencer(ring: WeightedRing, p: int) -> GradedComplex:
             b2 = list(b)
             b2[s] += 1
             key = (a, tuple(b2), S[:t] + S[t + 1:])
-            out[key] = out.get(key, Fraction(0)) + sign
+            out[key] = out.get(key, 0) + sign
         return out
 
     floor = -(p * max(ring.weights) + sum(ring.weights))
@@ -144,13 +143,13 @@ def kashiwara_quotient(scene: AffineScene, p: int, bound: int) -> KashiwaraQuoti
     partials = [(b, ring.mono_weight(b)) for b in _multi_indices(ring.nvars, p)]
     pieces = {
         d: tuple(sorted(
-            (a, b) for b, wb in partials for a in graded_component_basis(scene, d + wb)
+            (a, b) for b, wb in partials for a in o_piece(scene, d + wb).basis
         ))
         for d in range(floor, bound + 1)
     }
 
     def classes(w):
-        return graded_component_basis(scene, w)
+        return o_piece(scene, w).basis
 
     # support condition: g·(class) = 0 exactly, on every slice a piece reads
     # (weight d + w(b) lies in 0..bound - floor)

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from .errors import InternalInvariantError, SceneError
 from .groebner import DEFAULT_PAIR_BUDGET, buchberger, quotient_dimension
-from .modules import derivation_space, graded_component_basis
+from .modules import derivation_space, o_piece
 from .rings import AffineScene, Ideal, Polynomial
 
 
@@ -152,20 +152,25 @@ class SpencerH0Report:
 def spencer_h0(scene: AffineScene, bound: int) -> SpencerH0Report:
     """Degree-zero Koszul/Spencer homology O_Y / alpha(T_Y), degreewise."""
     ring = scene.ring
+    # one generator per coefficient up to a nonzero scalar: each is keyed by
+    # its scaling to coefficient 1 at its lexicographically largest exponent
     alpha_gens: list = []
     seen = set()
     for t in range(-max(ring.weights), bound + 1):
         for coeffs in derivation_space(scene, t).basis:
             for c in coeffs:
-                if not c.is_zero() and c not in seen:
-                    seen.add(c)
+                if c.is_zero():
+                    continue
+                key = c.scale(1 / c.terms[max(c.terms)])
+                if key not in seen:
+                    seen.add(key)
                     alpha_gens.append(c)
     report = SpencerH0Report(weight_hi=bound)
     quotient = AffineScene(
         ring, Ideal(tuple(scene.ideal.generators) + tuple(alpha_gens))
     )
     for d in range(0, bound + 1):
-        report.table[d] = len(graded_component_basis(quotient, d))
+        report.table[d] = o_piece(quotient, d).dim
     if len(scene.ideal.generators) == 1:
         f = scene.ideal.generators[0]
         jac = AffineScene(
@@ -179,6 +184,6 @@ def spencer_h0(scene: AffineScene, bound: int) -> SpencerH0Report:
             ),
         )
         report.jacobian_table = {
-            d: len(graded_component_basis(jac, d)) for d in range(0, bound + 1)
+            d: o_piece(jac, d).dim for d in range(0, bound + 1)
         }
     return report

@@ -18,21 +18,24 @@ against one set of sparse columns in a single elimination;
 ``Fraction`` appears only at the exit: ``rref`` and ``solve_columns`` divide
 each entry they hand out by its row's lead, so every result is the same
 exact rational as an elimination over ``Fraction`` would give.  Every vector
-handed in or out is sparse, ``{position: Fraction}`` with zeros dropped.
-:class:`LinearMap` is built from and stores sparse columns, so
-composition, sums, comparisons and ``apply`` cost O(nonzeros).
+handed in or out is sparse, ``{position: coefficient}`` with zeros dropped.
 
-``rank_kernel_image`` is the last dense route: it eliminates the dense
-``matrix`` view of a map through ``rref``, the dense-in/dense-out adapter
-of the kernel, because the benchmark tracer reads the ``rref`` span.  It
-stays so until the benchmark changes; its kernel comes back sparse.
+:class:`LinearMap` stores primitive integer sparse columns over one
+denominator, in a canonical form, so composition, sums, comparisons and
+the ``d∘d = 0`` and chain-map checks cost O(nonzeros) integer operations
+and build no ``Fraction``; ``apply``, ``inverse`` and the ``columns`` and
+``matrix`` views are where rationals leave it.  ``rank_kernel_image``
+eliminates the map's dense integer rows through ``rref``, the
+dense-in/dense-out adapter of the kernel, because the benchmark tracer
+reads the ``rref`` span; its kernel comes back sparse.
 
 :class:`GradedPiece` is the quotient-space workhorse used by every graded
 construction: an ambient labeled basis, a relation span kept as the
 kernel's primitive integer pivot rows, and one normal form onto the
 non-pivot labels.  The normal form runs on integers with one common
-denominator; ``sparse_coords`` hands it out by basis position and builds a
-``Fraction`` only for each entry it returns, and ``is_relation`` builds none.
+denominator: ``int_coords`` hands it out by basis position as integers
+over that denominator, ``sparse_coords`` as Fractions, and ``is_relation``
+builds none.
 """
 
 from __future__ import annotations
@@ -62,18 +65,27 @@ def _integer_row(vec: dict):
     return {j: v.numerator * (den // v.denominator) for j, v in vec.items()}, den
 
 
-def clear_denominators(vecs) -> list:
-    """Sparse rational vectors times one common denominator, as ``{key: int}`` rows.
+def common_denominator(pairs) -> tuple:
+    """``(rows, den)`` from ``(row, d)`` pairs of integer rows: ``rows[k] / den == row / d``.
 
-    Every vector is scaled by the same positive factor, so linear
+    ``den`` is the least common multiple of the ``d``, 1 for no pairs.
+    """
+    pairs = list(pairs)
+    den = lcm(*(d for _row, d in pairs))
+    rows = [
+        row if d == den else {j: v * (den // d) for j, v in row.items()}
+        for row, d in pairs
+    ]
+    return rows, den
+
+
+def clear_denominators(vecs) -> tuple:
+    """``(rows, den)``: sparse rational vectors as ``{key: int}`` rows over one denominator.
+
+    Every vector is scaled by the same positive factor ``den``, so linear
     combinations keep their span and their zero-ness.
     """
-    cleared = [_integer_row(vec) for vec in vecs]
-    den = lcm(*(d for _row, d in cleared))
-    return [
-        row if d == den else {j: v * (den // d) for j, v in row.items()}
-        for row, d in cleared
-    ]
+    return common_denominator(map(_integer_row, vecs))
 
 
 def _ratio(v: int, den: int) -> Fraction:
@@ -152,11 +164,11 @@ def _gauss_jordan(rows) -> dict:
     return pivot_rows
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form and pivot column indices.
 
-    ``rows`` are dense and of equal length; the nonzero RREF rows come back
-    dense, in pivot order, as Fractions.
+    ``rows`` are dense, of equal length, with int or Fraction entries; the
+    nonzero RREF rows come back dense, in pivot order, as Fractions.
     """
     ncols = len(rows[0]) if rows else 0
     pivot_rows = _gauss_jordan({j: v for j, v in enumerate(row) if v} for row in rows)
@@ -205,23 +217,44 @@ def solve_columns(columns, targets) -> list:
 
 
 class LinearMap:
-    """Exact linear map, stored as sparse columns.
+    """Exact linear map, stored as primitive integer sparse columns over one denominator.
 
-    ``columns[j]`` maps target positions to the nonzero coefficients of the
-    image of source label j, so products, sums and comparisons cost
-    O(nonzeros).  ``matrix`` is a dense view built on each read.  Maps are
-    immutable by convention: nothing writes to ``columns`` once built.
+    ``int_columns[j]`` maps target positions to the nonzero integer
+    coefficients of ``den`` times the image of source label j.  The form is
+    canonical: ``den >= 1`` and the gcd of ``den`` and every entry is 1, so
+    ``==`` and ``hash`` are exact.  Products, sums and comparisons run on
+    integers in O(nonzeros); ``columns`` and ``matrix`` are rational views
+    built on each read.  Maps are immutable by convention.
     """
 
-    __slots__ = ("source_basis", "target_basis", "columns")
+    __slots__ = ("source_basis", "target_basis", "int_columns", "den")
 
-    def __init__(self, source_basis, target_basis, columns):
-        """Build from ``{target position: coefficient}`` columns, dropping zeros."""
+    def __init__(self, source_basis, target_basis, columns, den=1):
+        """Build from ``{target position: int or Fraction}`` columns divided by ``den``.
+
+        Zeros are dropped, denominators cleared into ``den`` and the result
+        divided by its content.
+        """
         self.source_basis = tuple(source_basis)
         self.target_basis = tuple(target_basis)
-        self.columns = tuple({i: a for i, a in col.items() if a} for col in columns)
-        if len(self.columns) != len(self.source_basis):
+        cols = [{i: a for i, a in col.items() if a} for col in columns]
+        if len(cols) != len(self.source_basis):
             raise InternalInvariantError("column count must match source basis")
+        if any(type(a) is not int for col in cols for a in col.values()):
+            cols, q = clear_denominators(cols)
+            den *= q
+        if den != 1:
+            g = den
+            for col in cols:
+                if col:
+                    g = gcd(g, *col.values())
+                    if g == 1:
+                        break
+            if g != 1:
+                cols = [{i: a // g for i, a in col.items()} for col in cols]
+                den //= g
+        self.int_columns = tuple(cols)
+        self.den = den
 
     @classmethod
     def zero(cls, source_basis, target_basis) -> LinearMap:
@@ -229,15 +262,21 @@ class LinearMap:
 
     @classmethod
     def identity(cls, basis) -> LinearMap:
-        return cls(basis, basis, ({j: _ONE} for j in range(len(basis))))
+        return cls(basis, basis, ({j: 1} for j in range(len(basis))))
 
     @property
     def shape(self):
         return len(self.target_basis), len(self.source_basis)
 
     @property
+    def columns(self) -> tuple:
+        """Rational view, built on each read: ``{target position: Fraction}`` per column."""
+        den = self.den
+        return tuple({i: _ratio(a, den) for i, a in col.items()} for col in self.int_columns)
+
+    @property
     def matrix(self) -> tuple:
-        """Dense view, built on each read: matrix[i][j] is entry i of column j."""
+        """Dense rational view, built on each read: matrix[i][j] is entry i of column j."""
         rows = [[_ZERO] * len(self.source_basis) for _ in self.target_basis]
         for j, col in enumerate(self.columns):
             for i, a in col.items():
@@ -248,14 +287,15 @@ class LinearMap:
         if not isinstance(other, LinearMap):
             return NotImplemented
         return (
-            self.columns == other.columns
+            self.den == other.den
+            and self.int_columns == other.int_columns
             and self.source_basis == other.source_basis
             and self.target_basis == other.target_basis
         )
 
     def __hash__(self):
-        cols = tuple(frozenset(col.items()) for col in self.columns)
-        return hash((self.source_basis, self.target_basis, cols))
+        cols = tuple(frozenset(col.items()) for col in self.int_columns)
+        return hash((self.source_basis, self.target_basis, self.den, cols))
 
     def __repr__(self):
         return (
@@ -266,58 +306,71 @@ class LinearMap:
     def apply(self, vec: dict) -> dict:
         """Image of a sparse ``{source position: coefficient}`` vector, zeros dropped."""
         out: dict = {}
+        cols = self.int_columns
         for j, x in vec.items():
-            for i, a in self.columns[j].items():
-                out[i] = out.get(i, _ZERO) + a * x
-        return {i: v for i, v in out.items() if v}
+            for i, a in cols[j].items():
+                out[i] = out.get(i, 0) + a * x
+        den = self.den
+        if den == 1:
+            return {i: v for i, v in out.items() if v}
+        return {i: Fraction(v, den) for i, v in out.items() if v}
 
     def compose(self, first: LinearMap) -> LinearMap:
         """self ∘ first."""
         if first.target_basis != self.source_basis:
             raise InternalInvariantError("composition basis mismatch")
-        outer = self.columns
+        outer = self.int_columns
         cols = []
-        for fcol in first.columns:
+        for fcol in first.int_columns:
             acc: dict = {}
             for k, b in fcol.items():
                 for i, a in outer[k].items():
-                    acc[i] = acc.get(i, _ZERO) + a * b
+                    acc[i] = acc.get(i, 0) + a * b
             cols.append(acc)
-        return LinearMap(first.source_basis, self.target_basis, cols)
+        return LinearMap(first.source_basis, self.target_basis, cols, self.den * first.den)
 
     def add(self, other: LinearMap) -> LinearMap:
         bases = (self.source_basis, self.target_basis)
         if (other.source_basis, other.target_basis) != bases:
             raise InternalInvariantError("sum of maps between different bases")
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
         cols = []
-        for ca, cb in zip(self.columns, other.columns):
-            acc = dict(ca)
+        for ca, cb in zip(self.int_columns, other.int_columns):
+            acc = {i: sa * a for i, a in ca.items()}
             for i, b in cb.items():
-                acc[i] = acc.get(i, _ZERO) + b
+                acc[i] = acc.get(i, 0) + sb * b
             cols.append(acc)
-        return LinearMap(self.source_basis, self.target_basis, cols)
+        return LinearMap(self.source_basis, self.target_basis, cols, den)
 
     def scale(self, c) -> LinearMap:
-        c = Fraction(c)
-        cols = ({i: c * a for i, a in col.items()} for col in self.columns)
-        return LinearMap(self.source_basis, self.target_basis, cols)
+        """c times the map, for an int or Fraction c."""
+        p = c.numerator
+        cols = ({i: p * a for i, a in col.items()} for col in self.int_columns)
+        return LinearMap(self.source_basis, self.target_basis, cols, self.den * c.denominator)
 
     def is_zero(self) -> bool:
-        return not any(self.columns)
+        return not any(self.int_columns)
 
     def is_identity(self) -> bool:
-        if self.source_basis != self.target_basis:
+        if self.den != 1 or self.source_basis != self.target_basis:
             return False
-        return all(col == {j: 1} for j, col in enumerate(self.columns))
+        return all(col == {j: 1} for j, col in enumerate(self.int_columns))
 
     def inverse(self) -> LinearMap:
-        """Column j of the inverse solves self(x) = e_j; all in one elimination."""
+        """Column j of the inverse solves self(x) = e_j; all in one elimination.
+
+        The integer columns are ``den`` times the map, so their solutions
+        are the inverse's columns divided by ``den``.
+        """
         n = len(self.source_basis)
         if len(self.target_basis) != n:
             raise InternalInvariantError("inverse of a non-square map")
-        cols = solve_columns(self.columns, [{j: _ONE} for j in range(n)])
+        cols = solve_columns(self.int_columns, [{j: 1} for j in range(n)])
         if None in cols:
             raise InternalInvariantError("map is singular")
+        den = self.den
+        cols = [{i: den * v for i, v in col.items()} for col in cols]
         return LinearMap(self.target_basis, self.source_basis, cols)
 
 
@@ -329,12 +382,16 @@ def rank_kernel_image(m: LinearMap):
     pivot column.  An RREF row is zero left of its pivot, so each vector's
     positions come out in ascending order.
 
-    This is the last dense route in the package: it eliminates the dense
-    ``matrix`` view through ``rref``, whose span the benchmark tracer
-    reads, and stays so until the benchmark moves that span.
+    The map's dense integer rows go through ``rref``, whose span the
+    benchmark tracer reads; they are ``den`` times the matrix, and an RREF
+    does not change under scaling, so rank and kernel are the map's own.
     """
     ncols = len(m.source_basis)
-    rr, pivots = rref(list(m.matrix))
+    rows = [[0] * ncols for _ in m.target_basis]
+    for j, col in enumerate(m.int_columns):
+        for i, a in col.items():
+            rows[i][j] = a
+    rr, pivots = rref(rows)
     pivot_set = set(pivots)
     kernel = []
     for f in range(ncols):
@@ -389,11 +446,16 @@ class GradedPiece:
     def dim(self) -> int:
         return len(self.basis)
 
-    def sparse_coords(self, vec: dict) -> dict:
-        """Normal form as ``{basis position: Fraction}``, zeros dropped."""
+    def int_coords(self, vec: dict) -> tuple:
+        """Normal form as ``(coords, den)``: ``{basis position: int}`` over ``den >= 1``."""
         acc, den = self._normal_form(vec)
         pos = self._basis_pos
-        return {pos[j]: _ratio(v, den) for j, v in acc.items()}
+        return {pos[j]: v for j, v in acc.items()}, den
+
+    def sparse_coords(self, vec: dict) -> dict:
+        """Normal form as ``{basis position: Fraction}``, zeros dropped."""
+        coords, den = self.int_coords(vec)
+        return {j: _ratio(v, den) for j, v in coords.items()}
 
     def is_relation(self, vec: dict) -> bool:
         return not self._normal_form(vec)[0]

@@ -31,13 +31,6 @@ def o_piece(scene: AffineScene, d: int) -> GradedPiece:
     )
 
 
-def graded_component_basis(scene: AffineScene, d: int) -> tuple:
-    """Monomial basis of (O_X/I)_d; the ring-core entry point."""
-    if d < 0:
-        return ()
-    return o_piece(scene, d).basis
-
-
 class PresentedModule(_Value):
     """Graded O_Y-module with labeled generators and polynomial relations.
 
@@ -151,7 +144,7 @@ def derivation_space(scene: AffineScene, t: int) -> DerivationSpace:
     n = ring.nvars
     source = []
     for i in range(n):
-        for m in graded_component_basis(scene, t + ring.weights[i]):
+        for m in o_piece(scene, t + ring.weights[i]).basis:
             source.append((i, m))
     if not source:
         return DerivationSpace(scene, t, ())

@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -60,3 +61,24 @@ def _omega1_presented(sc):
 def omega1_module():
     """Builder of Ω¹ over a scene as a presented module (dx_j modulo dg)."""
     return _omega1_presented
+
+
+@pytest.fixture
+def count_fractions(monkeypatch):
+    """A function that starts counting ``Fraction`` constructions.
+
+    It returns a one-item list that holds the number of Fractions built
+    since the call; the count ends with the test.
+    """
+    def start():
+        built = [0]
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        return built
+
+    return start

@@ -191,6 +191,21 @@ def test_completed_tower_transitions_are_chain_maps(cusp):
                 tower.verify_chain_map(r, i, d)
 
 
+def test_chain_map_checks_build_no_fraction(count_fractions, cusp):
+    amb = AffineScene(cusp.ring, Ideal(()))
+    tower = completed_complex(build_de_rham(amb), cusp.ideal, 3)
+    cells = [(r, i, d) for r in (1, 2) for i in tower.indices for d in range(9)]
+    for r, i, d in cells:
+        for j in (i, i + 1):
+            tower.transition_matrix(r, j, d)
+        tower.stage(r).differential(i, d)
+        tower.stage(r + 1).differential(i, d)
+    built = count_fractions()
+    for r, i, d in cells:
+        tower.verify_chain_map(r, i, d)
+    assert built == [0]
+
+
 # -- derived completion ---------------------------------------------------------------
 
 

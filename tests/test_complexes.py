@@ -1,5 +1,6 @@
 import os
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -234,3 +235,51 @@ def test_o_linear_differentials_cache_only_empty_commutators(cusp):
     # a module sits in index 0 alone, so no commutator is ever probed
     assert module._commutators == {}
     assert any(derham._commutators.values())
+
+
+def test_dd_checks_build_no_fraction(count_fractions, a3):
+    fs = filtered_spencer(a3.ring, 2)
+    pairs = [
+        (i, d) for d in range(fs.weight_floor, 4) for i in fs.indices
+        if i + fs.direction in fs.indices
+    ]
+    for i, d in pairs:
+        fs.differential(i, d)
+        fs.differential(i + fs.direction, d)
+    built = count_fractions()
+    for i, d in pairs:
+        fs.check_dd_zero(i, d)
+    assert built == [0]
+
+
+SCENES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenes")
+
+
+def _corpus_complexes(sc):
+    """One complex of each kind on a corpus scene."""
+    yield build_de_rham(sc)
+    yield build_jet_complex(sc, 1)
+    yield build_jet_complex(sc, 2)
+    yield filtered_spencer(sc.ring, 2)
+    if sc.ideal.is_trivial:
+        yield build_spencer_of_module(sc, 0)
+        yield build_spencer_of_module(sc, 1)
+    else:
+        yield build_koszul(AffineScene(sc.ring, Ideal(())), sc.ideal.generators)
+
+
+def test_corpus_differentials_store_only_ints():
+    maps = 0
+    for name in sorted(os.listdir(SCENES)):
+        if not name.endswith(".scene"):
+            continue
+        for cx in _corpus_complexes(load_scene(os.path.join(SCENES, name))):
+            for d in range(cx.weight_floor, 5):
+                for i in cx.indices:
+                    m = cx.differential(i, d)
+                    entries = [v for col in m.int_columns for v in col.values()]
+                    assert type(m.den) is int and m.den >= 1, (name, cx.name, i, d)
+                    assert all(type(v) is int for v in entries), (name, cx.name, i, d)
+                    assert gcd(m.den, *entries) == 1, (name, cx.name, i, d)
+                    maps += bool(entries)
+    assert maps > 500

@@ -1,3 +1,4 @@
+import os
 from collections import Counter
 from itertools import product
 from math import lcm, prod
@@ -83,7 +84,7 @@ def test_milnor_rejects_inhomogeneous():
 
 def test_milnor_algebra_graded_dimensions_sum_to_mu():
     # ties the Groebner staircase count to the degreewise elimination path
-    from spencerlab.modules import graded_component_basis
+    from spencerlab.modules import o_piece
     from spencerlab.rings import AffineScene, Ideal
 
     corpus = [
@@ -102,7 +103,7 @@ def test_milnor_algebra_graded_dimensions_sum_to_mu():
         mt = milnor_tjurina(f)
         jac_scene = AffineScene(s.ring, Ideal(partials))
         graded_total = sum(
-            len(graded_component_basis(jac_scene, d)) for d in range(0, top + 1)
+            o_piece(jac_scene, d).dim for d in range(0, top + 1)
         )
         assert graded_total == mt.mu
         # the standard monomial basis is itself weight-compatible
@@ -110,7 +111,7 @@ def test_milnor_algebra_graded_dimensions_sum_to_mu():
             from_staircase = sum(
                 1 for m in mt.basis if s.ring.mono_weight(m) == d
             )
-            assert from_staircase == len(graded_component_basis(jac_scene, d))
+            assert from_staircase == o_piece(jac_scene, d).dim
 
 
 def test_spencer_h0_smooth_scenes_are_zero(a1, a2):
@@ -162,3 +163,32 @@ def test_brieskorn_pham_milnor_orlik_and_saito(exps):
     counts = Counter(sum(e * w for e, w in zip(m, weights)) for m in mt.basis)
     assert [counts[n] for n in range(top + 1)] == series
     assert len(mt.basis) == mu
+
+
+def _proportional(p, q) -> bool:
+    if p.terms.keys() != q.terms.keys():
+        return False
+    m0 = next(iter(p.terms))
+    return all(p.terms[m] * q.terms[m0] == q.terms[m] * p.terms[m0] for m in p.terms)
+
+
+@pytest.mark.parametrize("name", ["quadric_cone", "whitney"])
+def test_spencer_h0_generators_are_not_proportional(monkeypatch, name):
+    from spencerlab import invariants
+    from spencerlab.scenes import load_scene
+
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenes", f"{name}.scene")
+    ideals = []
+    ideal = invariants.Ideal
+
+    def capture(generators):
+        ideals.append(generators)
+        return ideal(generators)
+
+    monkeypatch.setattr(invariants, "Ideal", capture)
+    invariants.spencer_h0(load_scene(path), 6)
+    generators = ideals[0]
+    assert len(generators) > 10
+    for k, p in enumerate(generators):
+        for q in generators[k + 1:]:
+            assert not _proportional(p, q), (p, q)

@@ -412,6 +412,11 @@ def test_inverse_roundtrip():
     assert m.compose(inv).is_identity()
     assert inv.compose(m).is_identity()
     assert inv.source_basis == m.target_basis and inv.target_basis == m.source_basis
+    # with a denominator: the stored columns are den times the map
+    half = _dense_map(("a", "b"), ("a", "b"), ((F(1, 2), F(0)), (F(1, 3), F(2))))
+    assert half.den == 6 and half.int_columns == ({0: 3, 1: 2}, {1: 12})
+    assert half.inverse().matrix == ((F(2), F(0)), (F(-1, 3), F(1, 2)))
+    assert half.inverse().inverse() == half
 
 
 def test_inverse_of_singular_or_nonsquare_map_raises():
@@ -519,6 +524,21 @@ def test_sparse_maps_match_dense_oracle(family):
     sparse = [{i: row[j] for i, row in enumerate(a)} for j in range(k)]
     assert LinearMap(mid, tgt, sparse) == A
     assert all(0 not in col.values() for col in A.compose(B).columns)
+    # the stored form: primitive integer columns over one positive denominator
+    for M in (A, A.compose(B), A.add(C), A.scale(scalar), S):
+        entries = [v for col in M.int_columns for v in col.values()]
+        assert all(type(v) is int for v in entries) and type(M.den) is int
+        assert M.den >= 1 and gcd(M.den, *entries) == 1
+    round_trip = A.scale(F(3, 7)).scale(F(7, 3))
+    assert round_trip == A and hash(round_trip) == hash(A)
+    for T in (S, S.scale(F(2, 7))):
+        try:
+            inv = T.inverse()
+        except InternalInvariantError:
+            assert len(_bareiss_rref(T.matrix)[1]) < k
+            continue
+        assert T.compose(inv).is_identity() and inv.compose(T).is_identity()
+        assert inv.inverse() == T
 
 
 @st.composite

@@ -2,8 +2,8 @@
 
 The seven value types compare and hash by their declared fields, refuse
 assignment, and print like ``Name(field=value, ...)``.  Scenes are
-``lru_cache`` keys (``o_piece``, which ``graded_component_basis`` and
-``derivation_space`` read), so two separately built equal values must
+``lru_cache`` keys (``o_piece``, which ``derivation_space`` and
+``spencer_h0`` read), so two separately built equal values must
 hit the same cache entry.
 """
 
