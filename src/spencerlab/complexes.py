@@ -54,7 +54,7 @@ from .errors import InternalInvariantError, SceneError
 from .linalg import (
     GradedPiece,
     LinearMap,
-    clear_denominators,
+    _integer_row,
     common_denominator,
     rank_kernel_image,
 )
@@ -109,7 +109,7 @@ def contraction(coefficients, label: tuple) -> dict:
         sign, rest = remove_sign(t, S)
         for mm, c in coefficients[s].terms.items():
             key = (mono_mul(m, mm), rest) + tail
-            out[key] = out.get(key, Fraction(0)) + sign * c
+            out[key] = out.get(key, 0) + sign * c
     return out
 
 
@@ -154,23 +154,26 @@ def induced_map(src: GradedPiece, tgt: GradedPiece, fn, error: str) -> LinearMap
 
     ``fn(label) -> dict over target ambient labels`` is extended linearly
     and evaluated once per ambient label of ``src``: each one is a pivot of
-    a relation row or a basis label.  Raises ``InternalInvariantError(error)``
-    unless the operator maps every relation row of ``src`` into the relation
-    span of ``tgt``; the rows span the source relations, so this is exactly
-    well-definedness on the quotients.
+    a relation row or a basis label.  Each image is cleared once to an
+    integer row over its denominator, which the target's normal form takes.
+    Raises ``InternalInvariantError(error)`` unless the operator maps every
+    relation row of ``src`` into the relation span of ``tgt``; the rows span
+    the source relations, so this is exactly well-definedness on the
+    quotients.
     """
-    image = {lbl: fn(lbl) for lbl in src.ambient}
-    # scale does not change whether a combination is a relation, so the
-    # check combines the images cleared to one common denominator
-    cleared = dict(zip(image, clear_denominators(image.values())[0]))
-    for row in src.relation_rows():
-        out: dict = {}
-        for label, c in row.items():
-            for lbl, v in cleared[label].items():
-                out[lbl] = out.get(lbl, 0) + c * v
-        if not tgt.is_relation(out):
-            raise InternalInvariantError(error)
-    cols, den = common_denominator(tgt.int_coords(image[lbl]) for lbl in src.basis)
+    image = {lbl: _integer_row(fn(lbl)) for lbl in src.ambient}
+    if src.dim < len(src.ambient):  # the source has relation rows
+        # scale does not change whether a combination is a relation, so the
+        # check combines the images over one common denominator
+        cleared = dict(zip(image, common_denominator(image.values())[0]))
+        for row in src.relation_rows():
+            out: dict = {}
+            for label, c in row.items():
+                for lbl, v in cleared[label].items():
+                    out[lbl] = out.get(lbl, 0) + c * v
+            if tgt.int_coords(out)[0]:
+                raise InternalInvariantError(error)
+    cols, den = common_denominator(tgt.int_coords(*image[lbl]) for lbl in src.basis)
     return LinearMap(src.basis, tgt.basis, cols, den)
 
 
@@ -473,7 +476,7 @@ def divided_derivative(p: Polynomial, alpha: tuple) -> Polynomial:
     denom = 1
     for a in alpha:
         denom *= factorial(a)
-    return out.scale(Fraction(1, denom))
+    return out if denom == 1 else out.scale(Fraction(1, denom))
 
 
 def build_jet_complex(scene: AffineScene, r: int) -> GradedComplex:

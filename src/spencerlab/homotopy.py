@@ -22,7 +22,6 @@ Which flavor certified each piece is recorded in the certificate.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from .complexes import (
@@ -128,7 +127,7 @@ def _form_lie(xi: Derivation, label) -> dict:
         shifted = m[:i] + (e - 1,) + m[i + 1:]
         for mm, c in xi.coefficients[i].terms.items():
             key = (mono_mul(shifted, mm), S) + tail
-            out[key] = out.get(key, Fraction(0)) + e * c
+            out[key] = out.get(key, 0) + e * c
     for t, s in enumerate(S):
         # dx_s at slot t becomes d(xi_s) = sum_k (d xi_s / dx_k) dx_k
         outer, rest = remove_sign(t, S)
@@ -141,7 +140,7 @@ def _form_lie(xi: Derivation, label) -> dict:
             sign = outer * inner
             for mm, c in coeff.terms.items():
                 key = (mono_mul(m, mm), Snew) + tail
-                out[key] = out.get(key, Fraction(0)) + sign * c
+                out[key] = out.get(key, 0) + sign * c
     return out
 
 
@@ -174,7 +173,7 @@ def _jet_lie_diag(xi: Derivation, label, jet_order: int) -> dict:
             beta2 = mono_mul(tuple(base), alpha)
             for mm, cc in part.mul_mono(c, sign * beta[j]).terms.items():
                 key = (mm, S, beta2)
-                out[key] = out.get(key, Fraction(0)) + cc
+                out[key] = out.get(key, 0) + cc
     return out
 
 
@@ -187,7 +186,7 @@ def _jet_contraction(label) -> dict:
         b2 = list(beta)
         b2[s] += 1
         key = (c, rest, tuple(b2))
-        out[key] = out.get(key, Fraction(0)) + Fraction(sign)
+        out[key] = out.get(key, 0) + sign
     return out
 
 
@@ -317,13 +316,13 @@ def cartan_check(xi: Derivation, cx: GradedComplex, bound: int) -> CartanReport:
                     acc: dict = {}
                     for lbl, cc in _jet_contraction(label).items():
                         for lbl2, cc2 in cx.diff_fn(i - 1, lbl).items():
-                            acc[lbl2] = acc.get(lbl2, Fraction(0)) + cc * cc2
+                            acc[lbl2] = acc.get(lbl2, 0) + cc * cc2
                     if i + 1 in cx.indices:
                         for lbl, cc in cx.diff_fn(i, label).items():
                             for lbl2, cc2 in _jet_contraction(lbl).items():
-                                acc[lbl2] = acc.get(lbl2, Fraction(0)) + cc * cc2
+                                acc[lbl2] = acc.get(lbl2, 0) + cc * cc2
                     acc = {k: v for k, v in acc.items() if v}
-                    diag = acc.pop(label, Fraction(0))
+                    diag = acc.pop(label, 0)
                     ok = diag == len(S) + sum(beta)
                     ok = ok and all(sum(b2) > sum(beta) for (_c2, _s2, b2) in acc)
                     report.checked.append((i, d, label))

@@ -8,6 +8,7 @@ and milnor_tjurina asserts that instead of assuming it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from .errors import InternalInvariantError, SceneError
@@ -149,11 +150,15 @@ class SpencerH0Report:
         return out
 
 
+def _up_to_scalar(c: Polynomial) -> Polynomial:
+    """A nonzero c scaled to coefficient 1 at its lexicographically largest exponent."""
+    return c.scale(Fraction(1, c.terms[max(c.terms)]))
+
+
 def spencer_h0(scene: AffineScene, bound: int) -> SpencerH0Report:
     """Degree-zero Koszul/Spencer homology O_Y / alpha(T_Y), degreewise."""
     ring = scene.ring
-    # one generator per coefficient up to a nonzero scalar: each is keyed by
-    # its scaling to coefficient 1 at its lexicographically largest exponent
+    # one generator per coefficient up to a nonzero scalar
     alpha_gens: list = []
     seen = set()
     for t in range(-max(ring.weights), bound + 1):
@@ -161,7 +166,7 @@ def spencer_h0(scene: AffineScene, bound: int) -> SpencerH0Report:
             for c in coeffs:
                 if c.is_zero():
                     continue
-                key = c.scale(1 / c.terms[max(c.terms)])
+                key = _up_to_scalar(c)
                 if key not in seen:
                     seen.add(key)
                     alpha_gens.append(c)

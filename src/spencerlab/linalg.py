@@ -33,9 +33,10 @@ reads the ``rref`` span; its kernel comes back sparse.
 construction: an ambient labeled basis, a relation span kept as the
 kernel's primitive integer pivot rows, and one normal form onto the
 non-pivot labels.  The normal form runs on integers with one common
-denominator: ``int_coords`` hands it out by basis position as integers
-over that denominator, ``sparse_coords`` as Fractions, and ``is_relation``
-builds none.
+denominator: ``int_coords`` takes an already cleared integer row and hands
+the normal form out by basis position as integers over that denominator;
+``sparse_coords`` and ``is_relation`` take rational vectors, clear them
+once, and build a Fraction only on the way out of ``sparse_coords``.
 """
 
 from __future__ import annotations
@@ -77,15 +78,6 @@ def common_denominator(pairs) -> tuple:
         for row, d in pairs
     ]
     return rows, den
-
-
-def clear_denominators(vecs) -> tuple:
-    """``(rows, den)``: sparse rational vectors as ``{key: int}`` rows over one denominator.
-
-    Every vector is scaled by the same positive factor ``den``, so linear
-    combinations keep their span and their zero-ness.
-    """
-    return common_denominator(map(_integer_row, vecs))
 
 
 def _ratio(v: int, den: int) -> Fraction:
@@ -241,7 +233,7 @@ class LinearMap:
         if len(cols) != len(self.source_basis):
             raise InternalInvariantError("column count must match source basis")
         if any(type(a) is not int for col in cols for a in col.values()):
-            cols, q = clear_denominators(cols)
+            cols, q = common_denominator(map(_integer_row, cols))
             den *= q
         if den != 1:
             g = den
@@ -429,7 +421,7 @@ class GradedPiece:
         """An ambient vector as ``{ambient index: coefficient}``, zeros dropped."""
         out: dict = {}
         for lbl, c in vec.items():
-            if c == 0:
+            if not c:
                 continue
             try:
                 out[self._index[lbl]] = c
@@ -437,28 +429,28 @@ class GradedPiece:
                 raise InternalInvariantError(f"label {lbl!r} outside ambient basis")
         return out
 
-    def _normal_form(self, vec: dict):
-        """``(acc, den)``: the normal form of ``vec`` is the integer row ``acc / den``."""
-        acc, den = _integer_row(self._indexed(vec))
-        return acc, den * _eliminate(acc, self._sparse_rows)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def int_coords(self, vec: dict) -> tuple:
-        """Normal form as ``(coords, den)``: ``{basis position: int}`` over ``den >= 1``."""
-        acc, den = self._normal_form(vec)
+    def int_coords(self, row: dict, den: int = 1) -> tuple:
+        """Normal form of the integer row ``row / den`` as ``(coords, den)``.
+
+        ``row`` is ``{ambient label: int}``, an already cleared vector;
+        ``coords`` is ``{basis position: int}`` over the returned ``den``.
+        """
+        acc = self._indexed(row)
+        den *= _eliminate(acc, self._sparse_rows)
         pos = self._basis_pos
         return {pos[j]: v for j, v in acc.items()}, den
 
     def sparse_coords(self, vec: dict) -> dict:
-        """Normal form as ``{basis position: Fraction}``, zeros dropped."""
-        coords, den = self.int_coords(vec)
+        """Normal form of a rational vector as ``{basis position: Fraction}``, zeros dropped."""
+        coords, den = self.int_coords(*_integer_row(vec))
         return {j: _ratio(v, den) for j, v in coords.items()}
 
     def is_relation(self, vec: dict) -> bool:
-        return not self._normal_form(vec)[0]
+        return not self.int_coords(_integer_row(vec)[0])[0]
 
     def relation_rows(self):
         """Primitive integer rows, as ambient vectors, that span the relations.

@@ -12,7 +12,6 @@ presented module's pieces are those of :func:`module_as_complex`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .complexes import GradedComplex, ideal_multiples
@@ -88,7 +87,7 @@ class PresentedModule(_Value):
                 for (label, _w), p in zip(self.generators, rel):
                     for mp, c in p.terms.items():
                         key = (mono_mul(m, mp), label)
-                        vec[key] = vec.get(key, Fraction(0)) + c
+                        vec[key] = vec.get(key, 0) + c
                 rows.append(vec)
         return rows
 

@@ -1,9 +1,11 @@
 """Weighted polynomial rings over the rationals.
 
 Monomials are bare exponent tuples; a polynomial is a mapping from
-exponent tuples to ``fractions.Fraction`` coefficients, attached to a
-:class:`WeightedRing` that fixes variable names and positive integer
-weights.  Everything is exact and immutable after construction.
+exponent tuples to exact coefficients, attached to a :class:`WeightedRing`
+that fixes variable names and positive integer weights.  A coefficient is
+an ``int`` when it is integral and a ``fractions.Fraction`` otherwise, so
+integer arithmetic builds no Fraction; a ``float`` is refused.  Everything
+is exact and immutable after construction.
 
 The weighted degree of ``x^a`` is ``sum(a[i] * weight[i])``.  All graded
 bookkeeping in the package (component bases, chain complexes, towers)
@@ -16,7 +18,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ParseError, SceneError
+from .errors import InternalInvariantError, ParseError, SceneError
 
 INHOMOGENEOUS = "inhomogeneous"
 
@@ -85,15 +87,15 @@ class WeightedRing(_Value):
         return self.constant(1)
 
     def constant(self, c) -> Polynomial:
-        return Polynomial(self, {(0,) * self.nvars: Fraction(c)})
+        return Polynomial(self, {(0,) * self.nvars: c})
 
     def var(self, i: int) -> Polynomial:
         exps = [0] * self.nvars
         exps[i] = 1
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return Polynomial(self, {tuple(exps): 1})
 
     def monomial(self, exps: tuple[int, ...], coeff=1) -> Polynomial:
-        return Polynomial(self, {tuple(exps): Fraction(coeff)})
+        return Polynomial(self, {tuple(exps): coeff})
 
     def monomials_of_weight(self, d: int) -> tuple[tuple[int, ...], ...]:
         """All exponent tuples of weighted degree exactly d, sorted."""
@@ -139,14 +141,21 @@ def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _coefficient(c):
+    """An exact coefficient in normal form: an int when integral, else a Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        raise InternalInvariantError(f"polynomial coefficient {c!r} is not exact")
+    return c.numerator if c.denominator == 1 else c
+
+
 class Polynomial:
-    """Exact multivariate polynomial; term map from exponent tuple to Fraction."""
+    """Exact multivariate polynomial; term map from exponent tuple to int or Fraction."""
 
     __slots__ = ("ring", "terms", "_hash", "_degree")
 
     def __init__(self, ring: WeightedRing, terms: dict):
         self.ring = ring
-        self.terms = {m: Fraction(c) for m, c in terms.items() if c != 0}
+        self.terms = {m: c if type(c) is int else _coefficient(c) for m, c in terms.items() if c}
         self._hash = None
         self._degree = None
 
@@ -178,14 +187,14 @@ class Polynomial:
         self._require_same_ring(other)
         res = dict(self.terms)
         for m, c in other.terms.items():
-            res[m] = res.get(m, Fraction(0)) + c
+            res[m] = res.get(m, 0) + c
         return Polynomial(self.ring, res)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         self._require_same_ring(other)
         res = dict(self.terms)
         for m, c in other.terms.items():
-            res[m] = res.get(m, Fraction(0)) - c
+            res[m] = res.get(m, 0) - c
         return Polynomial(self.ring, res)
 
     def __neg__(self) -> Polynomial:
@@ -199,14 +208,14 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                res[m] = res.get(m, Fraction(0)) + c1 * c2
+                res[m] = res.get(m, 0) + c1 * c2
         return Polynomial(self.ring, res)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> Polynomial:
-        c = Fraction(c)
-        if c == 0:
+        c = _coefficient(c)
+        if not c:
             return self.ring.zero()
         return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
 
@@ -223,8 +232,8 @@ class Polynomial:
         return out
 
     def mul_mono(self, exps: tuple[int, ...], coeff=1) -> Polynomial:
-        coeff = Fraction(coeff)
-        if coeff == 0:
+        coeff = _coefficient(coeff)
+        if not coeff:
             return self.ring.zero()
         return Polynomial(
             self.ring, {mono_mul(m, exps): c * coeff for m, c in self.terms.items()}
@@ -258,7 +267,7 @@ class Polynomial:
             dm = list(m)
             dm[var_index] = e - 1
             dm = tuple(dm)
-            res[dm] = res.get(dm, Fraction(0)) + c * e
+            res[dm] = res.get(dm, 0) + c * e
         return Polynomial(self.ring, res)
 
     # -- printing ---------------------------------------------------------
@@ -292,7 +301,7 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _coeff_str(c: Fraction) -> str:
+def _coeff_str(c) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 

@@ -252,6 +252,21 @@ def test_dd_checks_build_no_fraction(count_fractions, a3):
     assert built == [0]
 
 
+def test_induced_koszul_differentials_build_no_fraction(count_fractions, a3):
+    elements = [
+        parse_polynomial(t, a3.ring) for t in ("x^2 + 2*y^2", "y^2 + 3*z^2", "z^2 + 5*x^2")
+    ]
+    kz = build_koszul(a3, elements)
+    cells = [(i, d) for d in range(11) for i in kz.indices]
+    for i, d in cells:
+        kz.piece(i, d)
+    built = count_fractions()
+    for i, d in cells:
+        kz.differential(i, d)
+    assert built == [0]
+    assert any(not kz.differential(i, d).is_zero() for i, d in cells)
+
+
 SCENES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenes")
 
 

@@ -251,6 +251,22 @@ def test_cartan_jet_complex(cusp):
     assert cartan_check(xi, build_jet_complex(cusp, 1), 12).passed
 
 
+def test_euler_operators_build_no_fraction(count_fractions):
+    quadric_cone = scene(["x", "y", "z"], [1, 1, 1], ["x^2 + y^2 - z^2"])
+    xi = euler_derivation(quadric_cone)
+    cx = build_de_rham(quadric_cone)
+    cells = [(i, d) for d in range(10) for i in cx.indices]
+    for i, d in cells:
+        cx.piece(i, d)
+    built = count_fractions()
+    for i, d in cells:
+        cx.differential(i, d)
+        lie_derivative_matrix(xi, cx, i, d)
+        if i >= 1:
+            interior_product_matrix(xi, cx, i, d)
+    assert built == [0]
+
+
 def test_certificate_de_rham_cusp_and_e6(cusp, e6):
     for s in (cusp, e6):
         xi = euler_derivation(s)

@@ -6,7 +6,12 @@ from math import lcm, prod
 import pytest
 
 from spencerlab.errors import SceneError
-from spencerlab.invariants import jacobian_smoothness, milnor_tjurina, spencer_h0
+from spencerlab.invariants import (
+    _up_to_scalar,
+    jacobian_smoothness,
+    milnor_tjurina,
+    spencer_h0,
+)
 from spencerlab.rings import parse_polynomial, scene
 
 
@@ -192,3 +197,13 @@ def test_spencer_h0_generators_are_not_proportional(monkeypatch, name):
     for k, p in enumerate(generators):
         for q in generators[k + 1:]:
             assert not _proportional(p, q), (p, q)
+
+
+def test_scalar_keys_are_exact():
+    ring = scene(["x", "y"], [1, 1]).ring
+    a = _up_to_scalar(parse_polynomial("3*x^2 + y^2", ring))
+    b = _up_to_scalar(parse_polynomial("6*x^2 + 2*y^2", ring))
+    assert a == b and hash(a) == hash(b)
+    assert a == parse_polynomial("x^2 + y^2/3", ring)
+    lead = a.terms[max(a.terms)]
+    assert type(lead) is int and lead == 1

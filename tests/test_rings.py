@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spencerlab.errors import ParseError, SceneError
+from spencerlab.errors import InternalInvariantError, ParseError, SceneError
 from spencerlab.modules import o_piece
 from spencerlab.rings import (
     INHOMOGENEOUS,
@@ -100,6 +100,95 @@ def test_partial_derivative_is_additive_and_leibniz(f, g):
         assert (f * g).partial_derivative(i) == (
             f.partial_derivative(i) * g + f * g.partial_derivative(i)
         )
+
+
+# -- coefficient normal form ------------------------------------------------------
+
+mixed_coeffs = st.one_of(st.integers(-6, 6), poly_coeffs)
+
+
+@st.composite
+def raw_terms(draw, max_terms=5, max_exp=3):
+    """Term maps over R23 with int and Fraction coefficients, zeros included."""
+    return draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, max_exp), st.integers(0, max_exp)),
+            mixed_coeffs,
+            max_size=max_terms,
+        )
+    )
+
+
+def _reference(terms: dict) -> dict:
+    """The same term map over Fraction only, zeros dropped."""
+    return {m: Fraction(c) for m, c in terms.items() if c}
+
+
+def _ref_add(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return _reference(out)
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1])
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return _reference(out)
+
+
+def _ref_partial(a: dict, i: int) -> dict:
+    out: dict = {}
+    for m, c in a.items():
+        if m[i]:
+            dm = tuple(e - (k == i) for k, e in enumerate(m))
+            out[dm] = out.get(dm, Fraction(0)) + c * m[i]
+    return _reference(out)
+
+
+def _in_normal_form(f: Polynomial) -> bool:
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        for c in f.terms.values()
+    )
+
+
+@given(raw_terms(), raw_terms(), mixed_coeffs, st.tuples(st.integers(0, 2), st.integers(0, 2)))
+def test_coefficients_are_int_exactly_when_integral(ta, tb, c, mono):
+    f, g = Polynomial(R23, ta), Polynomial(R23, tb)
+    ra, rb = _reference(ta), _reference(tb)
+    shifted = {(m[0] + mono[0], m[1] + mono[1]): v for m, v in ra.items()}
+    cases = [
+        (f, ra),
+        (f + g, _ref_add(ra, rb, 1)),
+        (f - g, _ref_add(ra, rb, -1)),
+        (f * g, _ref_mul(ra, rb)),
+        (f.scale(c), _reference({m: v * c for m, v in ra.items()})),
+        (f.mul_mono(mono, c), _reference({m: v * c for m, v in shifted.items()})),
+        (f.partial_derivative(0), _ref_partial(ra, 0)),
+        (f.partial_derivative(1), _ref_partial(ra, 1)),
+    ]
+    for got, ref in cases:
+        assert _in_normal_form(got)
+        assert {m: Fraction(v) for m, v in got.terms.items()} == ref
+        # the all-Fraction reference polynomial is the same value
+        same = Polynomial(R23, ref)
+        assert same == got and hash(same) == hash(got)
+        assert same.terms == got.terms
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(InternalInvariantError, match="not exact"):
+        Polynomial(R23, {(1, 0): 0.5})
+    with pytest.raises(InternalInvariantError, match="not exact"):
+        p("3*x").scale(1 / 3)
+    with pytest.raises(InternalInvariantError, match="not exact"):
+        p("x").mul_mono((0, 1), 2.0)
+    with pytest.raises(InternalInvariantError, match="not exact"):
+        R23.constant(1.5)
 
 
 # -- weighted degree -------------------------------------------------------------
