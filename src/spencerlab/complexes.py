@@ -14,7 +14,10 @@ smallest subcomplex containing I·C, so every quotient is a complex: for
 de Rham and jets the commutators are the dg-wedges, for Koszul, filtered
 Spencer and modules they vanish.  So the same complex carrying another
 ideal, :meth:`GradedComplex.with_ideal`, is the complex over another
-subscheme; completion stages are built that way.
+subscheme; completion stages are built that way.  The ideal reaches a
+differential only through its pieces, so such siblings share one object per
+distinct piece, and compute a differential, its rank and kernel, and a d∘d
+check once per distinct pair or triple of pieces.
 :func:`induced_map` is the one routine that descends an operator on
 ambient labels to a matrix between quotient pieces; every
 differential, Lie derivative, contraction and tower transition goes
@@ -206,26 +209,29 @@ class GradedComplex:
         self.weight_floor = weight_floor
         self.ideal = tuple(ideal)
         self.meta = dict(meta or {})
+        # this complex's own, by (i, d): pieces, cells and d∘d checks
         self._pieces: dict = {}
-        self._diffs: dict = {}
-        self._eliminated: dict = {}  # (i, d) -> (rank, sparse kernel basis or [])
+        self._cells_at: dict = {}
         self._dd_checked: set = set()
-        # shared by every ideal this complex carries: (i, d) -> ambient labels,
-        # and (generator, source index, label tail) -> [d, g] on the label
-        # with its monomial set to 1
+        # shared by every ideal this complex carries: (i, d) -> ambient labels;
+        # (generator, source index, label tail) -> [d, g] on the label with its
+        # monomial set to 1; (i, d) -> the distinct pieces built there; and
+        # (src, tgt) pieces -> cell, (src, mid, tgt) -> True once d∘d = 0
         self._ambient: dict = {}
         self._commutators: dict = {}
+        self._interned: dict = {}
+        self._cells: dict = {}
 
     def with_ideal(self, ideal: tuple, name: str) -> GradedComplex:
         """The same complex carrying another ideal.
 
         It shares the ambient labels and commutators, which do not depend on
-        the ideal, and keeps pieces, differentials and ranks of its own.
+        the ideal, and the cells: the ideal reaches a differential, its rank,
+        kernel and d∘d check only through the pieces, which are shared.
         """
         other = copy.copy(self)
         other.name, other.ideal = name, tuple(ideal)
-        other._pieces, other._diffs, other._eliminated = {}, {}, {}
-        other._dd_checked = set()
+        other._pieces, other._cells_at, other._dd_checked = {}, {}, set()
         return other
 
     def ambient(self, i: int, d: int) -> tuple:
@@ -236,15 +242,24 @@ class GradedComplex:
         return self._ambient[key]
 
     def piece(self, i: int, d: int) -> GradedPiece:
+        """The piece at (i, d); siblings share one object per distinct piece.
+
+        Over the shared ambient labels, equal RREF relation rows are equal pieces.
+        """
         key = (i, d)
         if key not in self._pieces:
             if i not in self.indices:
-                self._pieces[key] = GradedPiece((), [])
+                piece = GradedPiece((), [])
             else:
                 rels = list(self.relations_fn(self.ideal, i, d)) if self.relations_fn else []
                 rels += ideal_multiples(self.ideal, d, lambda w: self.ambient(i, w), label_mul)
                 rels += self._commutator_rows(i, d)
-                self._pieces[key] = GradedPiece(self.ambient(i, d), rels)
+                piece = GradedPiece(self.ambient(i, d), rels)
+            built = self._interned.setdefault(key, [])
+            piece = next((p for p in built if p._sparse_rows == piece._sparse_rows), piece)
+            if piece not in built:
+                built.append(piece)
+            self._pieces[key] = piece
         return self._pieces[key]
 
     def _commutator_rows(self, i: int, d: int) -> list:
@@ -299,32 +314,41 @@ class GradedComplex:
             f"at (i={src_pos[0]}, d={src_pos[1]})",
         )
 
-    def differential(self, i: int, d: int) -> LinearMap:
-        """Induced map piece(i, d) -> piece(i + direction, d)."""
-        key = (i, d)
-        if key not in self._diffs:
+    def _cell(self, i: int, d: int) -> list:
+        """[differential, rank or None, kernel or None] at (i, d), one per (src, tgt)."""
+        cell = self._cells_at.get((i, d))
+        if cell is None:
             src = self.piece(i, d)
             tgt = self.piece(i + self.direction, d)
-            if i + self.direction not in self.indices or i not in self.indices:
-                self._diffs[key] = LinearMap.zero(src.basis, tgt.basis)
-            else:
-                self._diffs[key] = self.induced(
-                    (i, d),
-                    (i + self.direction, d),
-                    lambda lbl: self.diff_fn(i, lbl),
-                    what="differential",
-                )
-        return self._diffs[key]
+            cell = self._cells.get((src, tgt))
+            if cell is None:
+                if i + self.direction not in self.indices or i not in self.indices:
+                    m = LinearMap.zero(src.basis, tgt.basis)
+                else:
+                    m = self.induced(
+                        (i, d),
+                        (i + self.direction, d),
+                        lambda lbl: self.diff_fn(i, lbl),
+                        what="differential",
+                    )
+                cell = self._cells[src, tgt] = [m, None, None]
+            self._cells_at[i, d] = cell
+        return cell
 
-    def _elimination(self, i: int, d: int) -> tuple:
-        """Rank and sparse kernel of the differential at (i, d), eliminated once."""
-        key = (i, d)
-        if key not in self._eliminated:
-            self._eliminated[key] = rank_kernel_image(self.differential(i, d))
-        return self._eliminated[key]
+    def differential(self, i: int, d: int) -> LinearMap:
+        """Induced map piece(i, d) -> piece(i + direction, d)."""
+        return self._cell(i, d)[0]
+
+    def _eliminated(self, i: int, d: int) -> list:
+        """The cell at (i, d) with its rank and sparse kernel, eliminated once."""
+        cell = self._cell(i, d)
+        if cell[1] is None:
+            cell[1], cell[2] = rank_kernel_image(cell[0])
+        # kept where homology is zero too: a sibling sharing the cell may read it
+        return cell
 
     def rank(self, i: int, d: int) -> int:
-        return self._elimination(i, d)[0]
+        return self._eliminated(i, d)[1]
 
     def homology_cycles(self, i: int, d: int) -> list:
         """Cycles to draw homology representatives from at (i, d).
@@ -334,35 +358,32 @@ class GradedComplex:
         """
         if self.homology_dim(i, d) == 0:
             return []
-        return self._elimination(i, d)[1]
+        return self._eliminated(i, d)[2]
 
     def check_dd_zero(self, i: int, d: int):
-        """Raise unless d∘d = 0 from (i, d); each pair is composed once per complex."""
+        """Raise unless d∘d = 0 from (i, d); composed once per distinct cell among siblings."""
         if (i, d) in self._dd_checked:
             return
-        first = self.differential(i, d)
-        second = self.differential(i + self.direction, d)
-        if not second.compose(first).is_zero():
-            raise InternalInvariantError(
-                f"{self.name}: d∘d != 0 at (i={i}, d={d})"
-            )
+        key = tuple(self.piece(i + k * self.direction, d) for k in range(3))
+        if key not in self._cells:
+            first = self.differential(i, d)
+            second = self.differential(i + self.direction, d)
+            if not second.compose(first).is_zero():
+                raise InternalInvariantError(
+                    f"{self.name}: d∘d != 0 at (i={i}, d={d})"
+                )
+            self._cells[key] = True
         self._dd_checked.add((i, d))
 
     def homology_dim(self, i: int, d: int) -> int:
         """dim H at (i, d), after d∘d = 0 into (i, d) is checked."""
         if i - self.direction in self.indices:
             self.check_dd_zero(i - self.direction, d)
-        out_rank = self.rank(i, d)
-        in_rank = self.rank(i - self.direction, d)
-        h = self.piece(i, d).dim - out_rank - in_rank
+        h = self.piece(i, d).dim - self.rank(i, d) - self.rank(i - self.direction, d)
         if h < 0:
             raise InternalInvariantError(
                 f"{self.name}: negative homology dimension at (i={i}, d={d})"
             )
-        if h == 0:
-            # every cycle is a boundary, so no representative is ever drawn
-            # from this kernel; dropping it keeps the cache to nonzero cells
-            self._eliminated[i, d] = (out_rank, [])
         return h
 
 

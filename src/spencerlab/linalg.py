@@ -13,7 +13,8 @@ entry in any other pivot column.  Such a row is its RREF row times its
 lead, and a row space has exactly one RREF, so the result does not depend
 on the order of the rows.  ``solve_columns`` solves many sparse targets
 against one set of sparse columns in a single elimination;
-``LinearMap.inverse`` is built on it.
+``LinearMap.inverse`` shares that elimination and reads its integer
+columns off the pivot rows over the lcm of their leads.
 
 ``Fraction`` appears only at the exit: ``rref`` and ``solve_columns`` divide
 each entry they hand out by its row's lead, so every result is the same
@@ -23,11 +24,11 @@ handed in or out is sparse, ``{position: coefficient}`` with zeros dropped.
 :class:`LinearMap` stores primitive integer sparse columns over one
 denominator, in a canonical form, so composition, sums, comparisons and
 the ``d∘d = 0`` and chain-map checks cost O(nonzeros) integer operations
-and build no ``Fraction``; ``apply``, ``inverse`` and the ``columns`` and
-``matrix`` views are where rationals leave it.  ``rank_kernel_image``
-eliminates the map's dense integer rows through ``rref``, the
-dense-in/dense-out adapter of the kernel, because the benchmark tracer
-reads the ``rref`` span; its kernel comes back sparse.
+and build no ``Fraction``, nor does ``inverse``; ``apply`` and the
+``columns`` and ``matrix`` views are where rationals leave it.
+``rank_kernel_image`` eliminates the map's dense integer rows through
+``rref``, the dense-in/dense-out adapter of the kernel, because the
+benchmark tracer reads the ``rref`` span; its kernel comes back sparse.
 
 :class:`GradedPiece` is the quotient-space workhorse used by every graded
 construction: an ambient labeled basis, a relation span kept as the
@@ -187,6 +188,22 @@ def solve_columns(columns, targets) -> list:
     span, and on any other target the RREF restricted to ``[columns | b]``
     is the RREF of ``[columns | b]``.
     """
+    solved, outside = _augmented_elimination(columns, targets)
+    out = []
+    for t in range(len(columns), len(columns) + len(targets)):
+        if t in outside:
+            out.append(None)
+        else:
+            out.append({p: _ratio(row[t], row[p]) for p, row in solved.items() if t in row})
+    return out
+
+
+def _augmented_elimination(columns, targets) -> tuple:
+    """``(solved, outside)`` from one elimination of ``[columns | targets]``.
+
+    ``solved``: the pivot rows with a column pivot; ``outside``: the positions
+    ``len(columns) + t`` of the targets outside the column span.
+    """
     k = len(columns)
     rows: dict = {}
     for j, vec in enumerate([*columns, *targets]):
@@ -198,14 +215,7 @@ def solve_columns(columns, targets) -> list:
     for p, row in pivot_rows.items():
         if p >= k:
             outside.update(row)
-    solved = {p: row for p, row in pivot_rows.items() if p < k}
-    out = []
-    for t in range(k, k + len(targets)):
-        if t in outside:
-            out.append(None)
-        else:
-            out.append({p: _ratio(row[t], row[p]) for p, row in solved.items() if t in row})
-    return out
+    return {p: row for p, row in pivot_rows.items() if p < k}, outside
 
 
 class LinearMap:
@@ -353,17 +363,21 @@ class LinearMap:
         """Column j of the inverse solves self(x) = e_j; all in one elimination.
 
         The integer columns are ``den`` times the map, so their solutions
-        are the inverse's columns divided by ``den``.
+        are the inverse's columns divided by ``den``.  Each entry is a pivot
+        row's entry over its lead, an integer over the lcm of the leads.
         """
         n = len(self.source_basis)
         if len(self.target_basis) != n:
             raise InternalInvariantError("inverse of a non-square map")
-        cols = solve_columns(self.int_columns, [{j: 1} for j in range(n)])
-        if None in cols:
+        solved, outside = _augmented_elimination(self.int_columns, [{j: 1} for j in range(n)])
+        if outside:
             raise InternalInvariantError("map is singular")
-        den = self.den
-        cols = [{i: den * v for i, v in col.items()} for col in cols]
-        return LinearMap(self.target_basis, self.source_basis, cols)
+        lead = lcm(*(row[p] for p, row in solved.items()))
+        cols = [
+            {p: self.den * (lead // row[p]) * row[t] for p, row in solved.items() if t in row}
+            for t in range(n, 2 * n)
+        ]
+        return LinearMap(self.target_basis, self.source_basis, cols, lead)
 
 
 def rank_kernel_image(m: LinearMap):
@@ -440,6 +454,8 @@ class GradedPiece:
         ``coords`` is ``{basis position: int}`` over the returned ``den``.
         """
         acc = self._indexed(row)
+        if not self._sparse_rows:  # its own normal form; positions are ambient indices
+            return acc, den
         den *= _eliminate(acc, self._sparse_rows)
         pos = self._basis_pos
         return {pos[j]: v for j, v in acc.items()}, den

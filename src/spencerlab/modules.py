@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .complexes import GradedComplex, ideal_multiples
 from .errors import SceneError
-from .linalg import GradedPiece, LinearMap, rank_kernel_image
+from .linalg import GradedPiece, LinearMap, _integer_row, common_denominator, rank_kernel_image
 from .rings import INHOMOGENEOUS, AffineScene, _Value, mono_mul
 
 
@@ -126,15 +126,18 @@ class DerivationSpace(_Value):
         super().__init__(scene, weight, basis)
 
 
-def _stacked_coords(polys, pieces) -> dict:
-    """Sparse coordinates of polys[k] in pieces[k], stacked in order."""
+def _stacked_coords(polys, pieces) -> tuple:
+    """Integer coordinates of polys[k] in pieces[k], stacked in order, as ``(row, den)``."""
+    rows, den = common_denominator(
+        piece.int_coords(*_integer_row(p.terms)) for p, piece in zip(polys, pieces)
+    )
     out: dict = {}
     base = 0
-    for p, piece in zip(polys, pieces):
-        for k, c in piece.sparse_coords(p.terms).items():
+    for row, piece in zip(rows, pieces):
+        for k, c in row.items():
             out[base + k] = c
         base += piece.dim
-    return out
+    return out, den
 
 
 def derivation_space(scene: AffineScene, t: int) -> DerivationSpace:
@@ -150,11 +153,11 @@ def derivation_space(scene: AffineScene, t: int) -> DerivationSpace:
     gens = scene.ideal.generators
     pieces = [o_piece(scene, t + g.weighted_degree()) for g in gens]
     target = [(j, m) for j, piece in enumerate(pieces) for m in piece.basis]
-    cols = [
+    cols, den = common_denominator(
         _stacked_coords([g.partial_derivative(i).mul_mono(m) for g in gens], pieces)
         for (i, m) in source
-    ]
-    _rank, kernel = rank_kernel_image(LinearMap(source, target, cols))
+    )
+    _rank, kernel = rank_kernel_image(LinearMap(source, target, cols, den))
     basis = []
     for vec in kernel:
         coeffs = [ring.zero()] * n

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from spencerlab import linalg
+from spencerlab import complexes, linalg
 from spencerlab.cli import main
 from spencerlab.complexes import (
     GradedComplex,
@@ -728,3 +728,74 @@ def test_completion_along_inhomogeneous_ideal_is_an_input_error(kind):
         tower = COMPLETIONS[kind](over, ideal)
         for i in tower.indices:
             tower.stage(1).piece(i, 2)
+
+
+_STAGE_BUILDERS = {  # base complex over the ambient scene, given the scene's equations
+    "de-rham": lambda amb, gens: build_de_rham(amb),
+    "jets-r1": lambda amb, gens: build_jet_complex(amb, 1),
+    "jets-r2": lambda amb, gens: build_jet_complex(amb, 2),
+    "koszul": build_koszul,
+    "filtered-spencer": lambda amb, gens: filtered_spencer(amb.ring, 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_STAGE_BUILDERS))
+def test_shared_stages_match_separately_built_stages(kind):
+    # completed_complex builds its stages with with_ideal, and they share
+    # pieces and cells; the reference stages come from fresh base complexes,
+    # so nothing is shared and every cell is computed on its own
+    depth, bound = 3, 5
+    build = _STAGE_BUILDERS[kind]
+    for name, sc in _nonempty_ideal_scenes():
+        amb = AffineScene(sc.ring, Ideal(()))
+        shared = completed_complex(build(amb, sc.ideal.generators), sc.ideal, depth)
+        separate = []
+        for r in range(1, depth + 1):
+            base = build(amb, sc.ideal.generators)
+            ideal = base.ideal + ideal_power_generators(sc.ideal, r)
+            separate.append(base.with_ideal(ideal, shared.stage(r).name))
+        reference = Tower(shared.name, separate, shared.transition)
+        assert tower_limit(shared, bound).to_json() == \
+            tower_limit(reference, bound).to_json(), name
+
+
+def _content(piece):
+    """A piece by value: its ambient labels and primitive RREF relation rows."""
+    rows = piece._sparse_rows
+    return piece.ambient, tuple((p, tuple(sorted(rows[p].items()))) for p in sorted(rows))
+
+
+def test_each_distinct_cell_is_induced_and_ranked_once(monkeypatch):
+    # the complete-quadric_cone bench job: stages with equal pieces at (i, d)
+    # induce, rank and eliminate their differential there once between them
+    sc = load_scene(os.path.join(SCENES, "quadric_cone.scene"))
+    depth, bound = 6, 8
+    tower = completed_complex(build_de_rham(AffineScene(sc.ring, Ideal(()))), sc.ideal, depth)
+    calls = {"ranked": 0, "induced": 0}
+    rank_kernel_image, induced = complexes.rank_kernel_image, GradedComplex.induced
+
+    def rank_spy(m):
+        calls["ranked"] += 1
+        return rank_kernel_image(m)
+
+    def induced_spy(self, *args, **kwargs):
+        calls["induced"] += 1
+        return induced(self, *args, **kwargs)
+
+    monkeypatch.setattr(complexes, "rank_kernel_image", rank_spy)
+    monkeypatch.setattr(GradedComplex, "induced", induced_spy)
+    tower_limit(tower, bound)
+    monkeypatch.undo()
+    ranked, induced_cells = set(), set()
+    indices = tower.indices
+    e = tower.stage(1).direction
+    for r in range(1, depth + 1):
+        stage = tower.stage(r)
+        for d in range(stage.weight_floor, bound + 1):
+            for i in set(indices) | {i - e for i in indices}:
+                cell = (i, d, _content(stage.piece(i, d)), _content(stage.piece(i + e, d)))
+                ranked.add(cell)
+                if i in indices and i + e in indices:
+                    induced_cells.add(cell)
+    assert len(ranked) < depth * len(indices) * (bound + 1)  # stages do share cells
+    assert calls == {"ranked": len(ranked), "induced": len(induced_cells)}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spencerlab import linalg
 from spencerlab.errors import InternalInvariantError
 from spencerlab.linalg import (
     GradedPiece,
@@ -383,6 +384,24 @@ def test_graded_piece_reduce():
     assert not piece.is_relation({"c": F(1)})
 
 
+def test_relation_free_int_coords_skip_elimination(monkeypatch):
+    ambient = ("a", "b", "c", "d", "e")
+    free = GradedPiece(ambient, [])
+    # the same quotient with one more label, killed by a relation: its int_coords
+    # eliminates, and its basis is ``ambient`` in the same positions
+    killed = GradedPiece(ambient + ("z",), [{"z": F(1)}])
+    assert killed.basis == free.basis == ambient
+    cases = [({}, 1), ({"a": 3}, 1), ({"b": -2, "e": 7}, 4), ({"a": 1, "c": 5, "d": -6}, 6)]
+    want = [killed.int_coords(row, den) for row, den in cases]
+    calls = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
+    assert [free.int_coords(row, den) for row, den in cases] == want
+    assert calls == []
+    with pytest.raises(InternalInvariantError, match="outside ambient"):
+        free.int_coords({"z": 1})
+
+
 @given(_sparse_matrices(6, 8, 0.4))
 def test_relation_rows_rebuild_the_same_piece(matrix):
     ambient = tuple(f"e{j}" for j in range(len(matrix[0])))
@@ -417,6 +436,21 @@ def test_inverse_roundtrip():
     assert half.den == 6 and half.int_columns == ({0: 3, 1: 2}, {1: 12})
     assert half.inverse().matrix == ((F(2), F(0)), (F(-1, 3), F(1, 2)))
     assert half.inverse().inverse() == half
+
+
+def test_inverse_of_an_integer_map_builds_no_fraction(count_fractions):
+    # determinants -2, 6 and 1: the inverses have denominators 2, 6 and 1
+    maps = [
+        _dense_map(("a", "b"), ("u", "v"), ((1, 3), (1, 1))),
+        _dense_map(("a", "b", "c"), ("u", "v", "w"), ((2, 1, 0), (0, 3, 1), (0, 0, 1))),
+        _dense_map(("a", "b"), ("u", "v"), ((2, 1), (1, 1))),
+    ]
+    built = count_fractions()
+    inverses = [m.inverse() for m in maps]
+    assert built == [0]
+    assert [inv.den for inv in inverses] == [2, 6, 1]
+    for m, inv in zip(maps, inverses):
+        assert m.compose(inv).is_identity() and inv.compose(m).is_identity()
 
 
 def test_inverse_of_singular_or_nonsquare_map_raises():

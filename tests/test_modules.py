@@ -1,5 +1,14 @@
+from fractions import Fraction as F
+
 from spencerlab.complexes import build_de_rham
-from spencerlab.modules import PresentedModule, derivation_space, free_module
+from spencerlab.modules import (
+    PresentedModule,
+    _stacked_coords,
+    derivation_space,
+    free_module,
+    o_piece,
+)
+from spencerlab.rings import scene
 
 
 def test_omega1_cusp_pieces(cusp):
@@ -58,3 +67,25 @@ def test_smooth_derivations_match_free_module(a2):
 def test_free_module_pieces(a2):
     mod = free_module(a2, [("e", 0), ("f", 2)])
     assert len(mod.piece(2).basis) == 3 + 1  # monomials of weight 2, plus f
+
+
+def test_stacked_coords_build_no_fraction(count_fractions):
+    # the tangency columns of derivation_space at weight 2 on a cone with two
+    # equations, whose pieces reduce with non-unit leads
+    sc = scene(["x", "y", "z"], [1, 1, 1], ["x^2 + 3*y^2 - z^2", "x*y - 2*z^2"])
+    gens = sc.ideal.generators
+    pieces = [o_piece(sc, 2 + g.weighted_degree()) for g in gens]
+    polys = [
+        [g.partial_derivative(i).mul_mono(m) for g in gens]
+        for i in range(3) for m in o_piece(sc, 3).basis
+    ]
+    built = count_fractions()
+    cols = [_stacked_coords(p, pieces) for p in polys]
+    assert built == [0]
+    for p, (row, den) in zip(polys, cols):
+        base, want = 0, {}
+        for poly, piece in zip(p, pieces):
+            want.update({base + k: c for k, c in piece.sparse_coords(poly.terms).items()})
+            base += piece.dim
+        assert {k: F(v, den) for k, v in row.items()} == want
+    assert any(den > 1 for _row, den in cols)  # some coordinates are not integers

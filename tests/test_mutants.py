@@ -10,10 +10,12 @@ import re
 
 import pytest
 
+from spencerlab import complexes
+from spencerlab.completion import completed_complex, tower_limit
 from spencerlab.complexes import GradedComplex, build_de_rham, homology_table
 from spencerlab.errors import InternalInvariantError
 from spencerlab.homotopy import Derivation, euler_derivation
-from spencerlab.rings import scene
+from spencerlab.rings import AffineScene, Ideal, scene
 
 
 def _cusp():
@@ -23,6 +25,33 @@ def _cusp():
 def _drop_commutator_rows(monkeypatch):
     # without [d, g] rows the relations no longer span a subcomplex
     monkeypatch.setattr(GradedComplex, "_commutator_rows", lambda self, i, d: [])
+
+
+def _cusp_de_rham_tower(bound):
+    # completion stages share their cells; a defect confined to one stage must
+    # still be caught, and named, on that stage
+    cusp = _cusp()
+    cx = build_de_rham(AffineScene(cusp.ring, Ideal(())))
+    return tower_limit(completed_complex(cx, cusp.ideal, 4), bound)
+
+
+def _drop_stage_2_commutator_rows(monkeypatch):
+    rows = GradedComplex._commutator_rows
+    monkeypatch.setattr(
+        GradedComplex,
+        "_commutator_rows",
+        lambda self, i, d: [] if "I^2" in self.name else rows(self, i, d),
+    )
+
+
+def _flip_dx0_sign(monkeypatch):
+    # the two paths from x^m to dx_0 ∧ dx_1 no longer cancel, so d∘d != 0
+    d = complexes.exterior_derivative
+    monkeypatch.setattr(
+        complexes,
+        "exterior_derivative",
+        lambda label: {k: -v for k, v in d(label).items()} if 0 in label[1] else d(label),
+    )
 
 
 def _double_derivations(monkeypatch):
@@ -36,6 +65,19 @@ MUTANTS = [
         lambda: homology_table(build_de_rham(_cusp()), 6),
         "de-rham: differential not well defined on the quotient at (i=0, d=6)",
         id="commutator-rows-dropped",
+    ),
+    pytest.param(
+        _drop_stage_2_commutator_rows,
+        lambda: _cusp_de_rham_tower(12),
+        "de-rham over V(J + I^2): differential not well defined on the quotient "
+        "at (i=0, d=12)",
+        id="stage-2-well-definedness",
+    ),
+    pytest.param(
+        _flip_dx0_sign,
+        lambda: _cusp_de_rham_tower(8),
+        "de-rham over V(J + I^1): d∘d != 0 at (i=0, d=5)",
+        id="dx-sign-flipped",
     ),
     pytest.param(
         _double_derivations,
