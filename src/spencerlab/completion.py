@@ -14,10 +14,11 @@ With positive generator weights it is computed degreewise: the weight-d
 slice of I^r is empty once r times the minimal generator weight exceeds
 d, so every graded piece of an adic tower is literally constant from a
 finite stage on.  Towers keep exact transition chain maps; limits are
-read off the induced maps on homology: a cell is stabilized when those
-maps are isomorphisms from some stage on, confirmed by at least two of
-them, and a cell that has not stabilized by the last stage is reported as
-such instead of being guessed.
+read off the ranks of the induced maps on homology: a cell is stabilized
+when those maps are isomorphisms (the rank equals the dimension at both
+ends) from some stage on, confirmed by at least two of them, and a cell
+that has not stabilized by the last stage is reported as such instead of
+being guessed.
 
 Derived completion follows the Koszul-tower model: stage r is the Koszul
 complex on the r-th powers of the ideal generators, with the standard
@@ -37,7 +38,7 @@ from .complexes import (
 )
 from .diffops import filtered_spencer
 from .errors import InternalInvariantError, SceneError
-from .linalg import GradedPiece, LinearMap, rank_kernel_image, solve_columns
+from .linalg import GradedPiece, LinearMap
 from .modules import PresentedModule, module_as_complex, o_piece
 from .rings import AffineScene, Ideal, Polynomial, mono_mul
 
@@ -97,16 +98,24 @@ class Tower:
         return self._trans_cache[key]
 
     def verify_chain_map(self, r: int, i: int, d: int):
-        """Exact commutation of the transition with the differentials."""
+        """Exact commutation of the transition with the differentials at (i, d).
+
+        Both squares at the cell are checked: the one entering it, which
+        sends boundaries to boundaries, and the one leaving it, which sends
+        cycles to cycles.  A square whose far end is not an index is skipped.
+        """
         upper, lower = self.stage(r + 1), self.stage(r)
-        j = i + upper.direction
-        left = self.transition_matrix(r, j, d).compose(upper.differential(i, d))
-        right = lower.differential(i, d).compose(self.transition_matrix(r, i, d))
-        if left != right:
-            raise InternalInvariantError(
-                f"{self.name}: transition {r+1}->{r} is not a chain map at "
-                f"(i={i}, d={d})"
-            )
+        e = upper.direction
+        for j in (i - e, i):
+            if j not in self.indices or j + e not in self.indices:
+                continue
+            left = self.transition_matrix(r, j + e, d).compose(upper.differential(j, d))
+            right = lower.differential(j, d).compose(self.transition_matrix(r, j, d))
+            if left != right:
+                raise InternalInvariantError(
+                    f"{self.name}: transition {r+1}->{r} is not a chain map at "
+                    f"(i={j}, d={d})"
+                )
 
     def homology_space(self, r: int, i: int, d: int) -> "_HomologySpace":
         key = (r, i, d)
@@ -125,23 +134,25 @@ class Tower:
             return 0
         return self.homology_space(r, i, d).dim
 
-    def homology_transition(self, r: int, i: int, d: int) -> LinearMap:
-        """Induced map on homology H(stage r+1) -> H(stage r) at (i, d).
+    def homology_transition(self, r: int, i: int, d: int) -> int:
+        """Rank of the induced map on homology H(stage r+1) -> H(stage r) at (i, d).
 
-        The chain-map property is re-verified here; without it the
-        induced map would be meaningless.  The images of all upper
-        representatives are expressed in one elimination.
+        The chain-map property is re-verified here; without it the induced
+        map would be meaningless.  The rank is the number of independent
+        classes among the images of the upper representatives.  Each image
+        is reduced modulo the lower boundaries; a piece over the lower
+        quotient's basis, related by the reduced images, eliminates them
+        once, and its ``dim`` falls short of the quotient's by that rank.
         """
         self.verify_chain_map(r, i, d)
-        n_upper, n_lower = self.cell_dim(r + 1, i, d), self.cell_dim(r, i, d)
-        if not (n_upper and n_lower):
-            return LinearMap.zero(range(n_upper), range(n_lower))
-        upper = self.homology_space(r + 1, i, d)
+        if not (self.cell_dim(r + 1, i, d) and self.cell_dim(r, i, d)):
+            return 0
+        reps = self.homology_space(r + 1, i, d).reps
+        mod_b = self.homology_space(r, i, d)._cycles_mod_b
         tmat = self.transition_matrix(r, i, d)
-        cols = self.homology_space(r, i, d).express(
-            [tmat.apply(rep) for rep in upper.reps]
-        )
-        return LinearMap(range(n_upper), range(n_lower), cols)
+        images = tmat.compose(LinearMap(range(len(reps)), tmat.source_basis, reps))
+        reduced = [mod_b.int_coords(col)[0] for col in images.int_columns]
+        return mod_b.dim - GradedPiece(range(mod_b.dim), reduced).dim
 
 
 class _HomologySpace:
@@ -149,36 +160,23 @@ class _HomologySpace:
 
     The cycles come from the stage's cached sparse kernel of the outgoing
     differential, so that differential is eliminated once for its rank
-    and its kernel.  They are reduced modulo the boundary span, the column
-    span of the incoming differential, as a quotient piece over the column
-    indices whose relations are that differential's integer columns.
+    and its kernel.  ``_cycles_mod_b`` is the piece modulo the boundary
+    span, the column span of the incoming differential: a quotient piece
+    over the column indices whose relations are that differential's
+    integer columns.  The representatives are the cycles that are not
+    boundaries, and induced maps on homology are ranked modulo that piece.
     """
 
     def __init__(self, cx: GradedComplex, i: int, d: int):
         in_map = cx.differential(i - cx.direction, d)
         self._cycles_mod_b = GradedPiece(range(cx.piece(i, d).dim), in_map.int_columns)
-        self.reps = []
-        self._solve_cols = []
-        for v in cx.homology_cycles(i, d):
-            w = self._cycles_mod_b.sparse_coords(v)
-            if w:
-                self.reps.append(v)
-                self._solve_cols.append(w)
+        self.reps = [
+            v for v in cx.homology_cycles(i, d) if not self._cycles_mod_b.is_relation(v)
+        ]
 
     @property
     def dim(self) -> int:
         return len(self.reps)
-
-    def express(self, vecs) -> list:
-        """Sparse coordinates of cycles' classes in the chosen representatives.
-
-        All cycles are expressed in one elimination.
-        """
-        mod_b = self._cycles_mod_b.sparse_coords
-        sols = solve_columns(self._solve_cols, [mod_b(v) for v in vecs])
-        if None in sols:
-            raise InternalInvariantError("class outside the homology space")
-        return sols
 
 
 # -- limits ---------------------------------------------------------------------
@@ -234,8 +232,10 @@ def tower_limit(tower: Tower, bound: int) -> LimitReport:
     cell reports not stabilized, with lim, lim^1 and r0 unset: stages whose
     transitions are not yet isomorphisms do not determine the limit.
 
-    Each stage's cell dimension comes from :meth:`Tower.cell_dim`, and
-    every transition is checked to be a chain map before it is ranked.
+    Each stage's cell dimension comes from :meth:`Tower.cell_dim`, and a
+    transition is an isomorphism when both cell dimensions equal its rank,
+    :meth:`Tower.homology_transition`, which checks the transition to be a
+    chain map first.
     """
     R = tower.depth
     lo = tower.stage(1).weight_floor
@@ -248,11 +248,9 @@ def tower_limit(tower: Tower, bound: int) -> LimitReport:
             if not any(dims):
                 stabilized, lim, lim1, r0 = True, 0, 0, 1
             else:
-                trans = [tower.homology_transition(r, i, d) for r in range(1, R)]
-                iso = [
-                    dims[r - 1] == dims[r] == rank_kernel_image(trans[r - 1])[0]
-                    for r in range(1, R)
-                ]
+                # every transition is ranked, and so checked, before any is compared
+                ranks = [tower.homology_transition(r, i, d) for r in range(1, R)]
+                iso = [dims[r - 1] == dims[r] == ranks[r - 1] for r in range(1, R)]
                 # the first stage from which every transition is an isomorphism
                 onset = R
                 while onset > 1 and iso[onset - 2]:

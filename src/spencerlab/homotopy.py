@@ -311,7 +311,7 @@ def cartan_check(xi: Derivation, cx: GradedComplex, bound: int) -> CartanReport:
             if i < 1:
                 continue
             for d in range(cx.weight_floor, bound + 1):
-                for label in cx.ambient_fn(i, d):
+                for label in cx.ambient(i, d):
                     _c, S, beta = label
                     acc: dict = {}
                     for lbl, cc in _jet_contraction(label).items():

@@ -11,24 +11,23 @@ is cleared from the earlier pivot rows the same way.  Every pivot row is
 kept primitive (its entries have gcd 1) with a positive lead, and holds no
 entry in any other pivot column.  Such a row is its RREF row times its
 lead, and a row space has exactly one RREF, so the result does not depend
-on the order of the rows.  ``solve_columns`` solves many sparse targets
-against one set of sparse columns in a single elimination;
-``LinearMap.inverse`` shares that elimination and reads its integer
-columns off the pivot rows over the lcm of their leads.
+on the order of the rows.  ``LinearMap.inverse`` eliminates
+``[columns | identity]`` once and reads its integer columns off the pivot
+rows over the lcm of their leads.
 
-``Fraction`` appears only at the exit: ``rref`` and ``solve_columns`` divide
-each entry they hand out by its row's lead, so every result is the same
-exact rational as an elimination over ``Fraction`` would give.  Every vector
-handed in or out is sparse, ``{position: coefficient}`` with zeros dropped.
+``Fraction`` appears only at the exit: ``rref`` divides each entry it
+hands out by its row's lead, so every result is the same exact rational
+as an elimination over ``Fraction`` would give.  Every vector handed in
+or out is sparse, ``{position: coefficient}`` with zeros dropped.
 
 :class:`LinearMap` stores primitive integer sparse columns over one
 denominator, in a canonical form, so composition, sums, comparisons and
 the ``d∘d = 0`` and chain-map checks cost O(nonzeros) integer operations
-and build no ``Fraction``, nor does ``inverse``; ``apply`` and the
-``columns`` and ``matrix`` views are where rationals leave it.
-``rank_kernel_image`` eliminates the map's dense integer rows through
-``rref``, the dense-in/dense-out adapter of the kernel, because the
-benchmark tracer reads the ``rref`` span; its kernel comes back sparse.
+and build no ``Fraction``, nor does ``inverse``; the ``columns`` view is
+where rationals leave it.  ``rank_kernel_image`` eliminates the map's
+dense integer rows through ``rref``, the dense-in/dense-out adapter of
+the kernel, because the benchmark tracer reads the ``rref`` span; its
+kernel comes back sparse.
 
 :class:`GradedPiece` is the quotient-space workhorse used by every graded
 construction: an ambient labeled basis, a relation span kept as the
@@ -36,8 +35,8 @@ kernel's primitive integer pivot rows, and one normal form onto the
 non-pivot labels.  The normal form runs on integers with one common
 denominator: ``int_coords`` takes an already cleared integer row and hands
 the normal form out by basis position as integers over that denominator;
-``sparse_coords`` and ``is_relation`` take rational vectors, clear them
-once, and build a Fraction only on the way out of ``sparse_coords``.
+``is_relation`` takes a rational vector, clears it once and builds no
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -177,47 +176,6 @@ def rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
     return out, pivots
 
 
-def solve_columns(columns, targets) -> list:
-    """Per target b, the sparse x with sum_j x[j] * columns[j] == b, or None.
-
-    ``columns`` and ``targets`` are sparse ``{row: coefficient}`` vectors;
-    each x comes back as ``{j: Fraction}``, with free coefficients 0.
-    One elimination of ``[columns | targets]`` serves every target: the
-    pivot rows whose pivot is a target column have a zero column part and
-    span the obstructions, so a target they touch lies outside the column
-    span, and on any other target the RREF restricted to ``[columns | b]``
-    is the RREF of ``[columns | b]``.
-    """
-    solved, outside = _augmented_elimination(columns, targets)
-    out = []
-    for t in range(len(columns), len(columns) + len(targets)):
-        if t in outside:
-            out.append(None)
-        else:
-            out.append({p: _ratio(row[t], row[p]) for p, row in solved.items() if t in row})
-    return out
-
-
-def _augmented_elimination(columns, targets) -> tuple:
-    """``(solved, outside)`` from one elimination of ``[columns | targets]``.
-
-    ``solved``: the pivot rows with a column pivot; ``outside``: the positions
-    ``len(columns) + t`` of the targets outside the column span.
-    """
-    k = len(columns)
-    rows: dict = {}
-    for j, vec in enumerate([*columns, *targets]):
-        for i, v in vec.items():
-            if v:
-                rows.setdefault(i, {})[j] = v
-    pivot_rows = _gauss_jordan(rows.values())
-    outside = set()
-    for p, row in pivot_rows.items():
-        if p >= k:
-            outside.update(row)
-    return {p: row for p, row in pivot_rows.items() if p < k}, outside
-
-
 class LinearMap:
     """Exact linear map, stored as primitive integer sparse columns over one denominator.
 
@@ -225,8 +183,8 @@ class LinearMap:
     coefficients of ``den`` times the image of source label j.  The form is
     canonical: ``den >= 1`` and the gcd of ``den`` and every entry is 1, so
     ``==`` and ``hash`` are exact.  Products, sums and comparisons run on
-    integers in O(nonzeros); ``columns`` and ``matrix`` are rational views
-    built on each read.  Maps are immutable by convention.
+    integers in O(nonzeros); ``columns`` is a rational view built on each
+    read.  Maps are immutable by convention.
     """
 
     __slots__ = ("source_basis", "target_basis", "int_columns", "den")
@@ -276,15 +234,6 @@ class LinearMap:
         den = self.den
         return tuple({i: _ratio(a, den) for i, a in col.items()} for col in self.int_columns)
 
-    @property
-    def matrix(self) -> tuple:
-        """Dense rational view, built on each read: matrix[i][j] is entry i of column j."""
-        rows = [[_ZERO] * len(self.source_basis) for _ in self.target_basis]
-        for j, col in enumerate(self.columns):
-            for i, a in col.items():
-                rows[i][j] = a
-        return tuple(map(tuple, rows))
-
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
@@ -304,18 +253,6 @@ class LinearMap:
             f"LinearMap({self.source_basis!r}, {self.target_basis!r}, "
             f"columns={self.columns!r})"
         )
-
-    def apply(self, vec: dict) -> dict:
-        """Image of a sparse ``{source position: coefficient}`` vector, zeros dropped."""
-        out: dict = {}
-        cols = self.int_columns
-        for j, x in vec.items():
-            for i, a in cols[j].items():
-                out[i] = out.get(i, 0) + a * x
-        den = self.den
-        if den == 1:
-            return {i: v for i, v in out.items() if v}
-        return {i: Fraction(v, den) for i, v in out.items() if v}
 
     def compose(self, first: LinearMap) -> LinearMap:
         """self ∘ first."""
@@ -362,15 +299,22 @@ class LinearMap:
     def inverse(self) -> LinearMap:
         """Column j of the inverse solves self(x) = e_j; all in one elimination.
 
-        The integer columns are ``den`` times the map, so their solutions
-        are the inverse's columns divided by ``den``.  Each entry is a pivot
-        row's entry over its lead, an integer over the lcm of the leads.
+        The RREF of ``[int_columns | identity]`` has a pivot right of the
+        columns exactly when the map is singular; otherwise the pivot row of
+        column p holds, in identity column t, entry p of the solution for
+        e_t times its lead.  The integer columns are ``den`` times the map,
+        so their solutions are the inverse's columns divided by ``den``:
+        integers over the lcm of the leads.
         """
         n = len(self.source_basis)
         if len(self.target_basis) != n:
             raise InternalInvariantError("inverse of a non-square map")
-        solved, outside = _augmented_elimination(self.int_columns, [{j: 1} for j in range(n)])
-        if outside:
+        rows = [{n + i: 1} for i in range(n)]
+        for j, col in enumerate(self.int_columns):
+            for i, a in col.items():
+                rows[i][j] = a
+        solved = _gauss_jordan(rows)
+        if any(p >= n for p in solved):
             raise InternalInvariantError("map is singular")
         lead = lcm(*(row[p] for p, row in solved.items()))
         cols = [
@@ -411,7 +355,7 @@ def rank_kernel_image(m: LinearMap):
 class GradedPiece:
     """One graded component: ambient labels modulo a relation span.
 
-    ``basis`` is the non-pivot subset of ``ambient``; ``sparse_coords`` is
+    ``basis`` is the non-pivot subset of ``ambient``; ``int_coords`` is
     the normal form modulo the relation row space, in ``basis`` positions.
     The relations go into the elimination kernel as sparse rows and the
     piece keeps the kernel's primitive integer pivot rows; relation
@@ -459,11 +403,6 @@ class GradedPiece:
         den *= _eliminate(acc, self._sparse_rows)
         pos = self._basis_pos
         return {pos[j]: v for j, v in acc.items()}, den
-
-    def sparse_coords(self, vec: dict) -> dict:
-        """Normal form of a rational vector as ``{basis position: Fraction}``, zeros dropped."""
-        coords, den = self.int_coords(*_integer_row(vec))
-        return {j: _ratio(v, den) for j, v in coords.items()}
 
     def is_relation(self, vec: dict) -> bool:
         return not self.int_coords(_integer_row(vec)[0])[0]

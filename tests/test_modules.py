@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 from spencerlab.complexes import build_de_rham
+from spencerlab.linalg import _integer_row
 from spencerlab.modules import (
     PresentedModule,
     _stacked_coords,
@@ -85,7 +86,8 @@ def test_stacked_coords_build_no_fraction(count_fractions):
     for p, (row, den) in zip(polys, cols):
         base, want = 0, {}
         for poly, piece in zip(p, pieces):
-            want.update({base + k: c for k, c in piece.sparse_coords(poly.terms).items()})
+            coords, d = piece.int_coords(*_integer_row(poly.terms))
+            want.update({base + k: F(c, d) for k, c in coords.items()})
             base += piece.dim
         assert {k: F(v, den) for k, v in row.items()} == want
     assert any(den > 1 for _row, den in cols)  # some coordinates are not integers

@@ -11,7 +11,7 @@ import re
 import pytest
 
 from spencerlab import complexes
-from spencerlab.completion import completed_complex, tower_limit
+from spencerlab.completion import Tower, completed_complex, derived_completion, tower_limit
 from spencerlab.complexes import GradedComplex, build_de_rham, homology_table
 from spencerlab.errors import InternalInvariantError
 from spencerlab.homotopy import Derivation, euler_derivation
@@ -59,6 +59,26 @@ def _double_derivations(monkeypatch):
     monkeypatch.setattr(Derivation, "apply", lambda self, p: apply(self, p).scale(2))
 
 
+def _node_derived_completion():
+    node = scene(["x", "y"], [1, 1], ["x^2 - y^2"])
+    return derived_completion(AffineScene(node.ring, Ideal(())), node.ideal, 3, 4)
+
+
+def _double_transition_at_index_1(monkeypatch):
+    # H_1 of the Koszul stages is zero, so no cell at index 1 is ranked: only
+    # the square entering index 0 sees the doubled transition
+    init = Tower.__init__
+
+    def doubled(self, name, stages, transition):
+        def twice(i, d, label):
+            out = transition(i, d, label)
+            return {lbl: 2 * c for lbl, c in out.items()} if i == 1 else out
+
+        init(self, name, stages, twice)
+
+    monkeypatch.setattr(Tower, "__init__", doubled)
+
+
 MUTANTS = [
     pytest.param(
         _drop_commutator_rows,
@@ -78,6 +98,12 @@ MUTANTS = [
         lambda: _cusp_de_rham_tower(8),
         "de-rham over V(J + I^1): d∘d != 0 at (i=0, d=5)",
         id="dx-sign-flipped",
+    ),
+    pytest.param(
+        _double_transition_at_index_1,
+        _node_derived_completion,
+        "koszul-tower(('x', 'y')): transition 2->1 is not a chain map at (i=1, d=4)",
+        id="koszul-transition-doubled",
     ),
     pytest.param(
         _double_derivations,
