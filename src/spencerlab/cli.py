@@ -42,9 +42,12 @@ def _pair_budget() -> int:
     if raw is None:
         return groebner.DEFAULT_PAIR_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        raise SpencerlabError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
+        budget = -1
+    if budget < 0:
+        raise SpencerlabError(f"{BUDGET_ENV} must be a non-negative integer, got {raw!r}")
+    return budget
 
 
 def _ambient(scene: AffineScene) -> AffineScene:

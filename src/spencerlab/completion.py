@@ -44,10 +44,7 @@ from .rings import AffineScene, Ideal, Polynomial, mono_mul
 
 
 def ideal_power_generators(ideal: Ideal, r: int) -> tuple:
-    """Products of r generators (with repetition); generates I^r."""
-    if r == 0:
-        ring = ideal.generators[0].ring
-        return (ring.one(),)
+    """Products of r >= 1 generators (with repetition); generates I^r."""
     out = []
     for combo in combinations_with_replacement(ideal.generators, r):
         p = combo[0]
@@ -62,8 +59,8 @@ def ideal_power_generators(ideal: Ideal, r: int) -> tuple:
 class Tower:
     """Inverse system of graded complexes with exact transition chain maps.
 
-    ``stages[k]`` is stage r = k+1; ``transition(i, d, label)`` is the
-    ambient map of every chain map stage r+1 -> stage r.
+    ``stages[k]`` is stage r = k+1; ``transition(i, d, label)``, the ambient
+    map of each chain map r+1 -> r, is induced once per distinct piece pair.
     """
 
     def __init__(self, name: str, stages: list, transition):
@@ -86,11 +83,10 @@ class Tower:
 
     def transition_matrix(self, r: int, i: int, d: int) -> LinearMap:
         """Induced map stage(r+1).piece(i,d) -> stage(r).piece(i,d)."""
-        key = (r, i, d)
+        key = (self.stage(r + 1).piece(i, d), self.stage(r).piece(i, d))
         if key not in self._trans_cache:
             self._trans_cache[key] = induced_map(
-                self.stage(r + 1).piece(i, d),
-                self.stage(r).piece(i, d),
+                *key,
                 lambda lbl: self.transition(i, d, lbl),
                 f"{self.name}: transition {r+1}->{r} not well defined "
                 f"at (i={i}, d={d})",
@@ -273,11 +269,6 @@ def _identity_transition(i, d, label):
     return {label: 1}
 
 
-def _surjection_tower(name: str, stages: list) -> Tower:
-    """Tower whose transitions are the natural surjections, identity on labels."""
-    return Tower(name, stages, _identity_transition)
-
-
 def _require_completable(ideal: Ideal):
     if ideal.is_trivial:
         raise SceneError("completion needs a nonzero ideal")
@@ -310,7 +301,7 @@ def completed_complex(cx: GradedComplex, ideal: Ideal, depth: int) -> Tower:
     """
     name = f"completed({cx.name})"
     if ideal.is_trivial:
-        return _surjection_tower(name, [cx] * depth)
+        return Tower(name, [cx] * depth, _identity_transition)
     # raises SceneError on an inhomogeneous generator
     AffineScene(ideal.generators[0].ring, ideal)
     stages = [
@@ -319,7 +310,7 @@ def completed_complex(cx: GradedComplex, ideal: Ideal, depth: int) -> Tower:
         )
         for r in range(1, depth + 1)
     ]
-    return _surjection_tower(name, stages)
+    return Tower(name, stages, _identity_transition)
 
 
 def koszul_power_tower(scene: AffineScene, ideal: Ideal, depth: int) -> Tower:

@@ -15,9 +15,10 @@ de Rham and jets the commutators are the dg-wedges, for Koszul, filtered
 Spencer and modules they vanish.  So the same complex carrying another
 ideal, :meth:`GradedComplex.with_ideal`, is the complex over another
 subscheme; completion stages are built that way.  The ideal reaches a
-differential only through its pieces, so such siblings share one object per
-distinct piece, and compute a differential, its rank and kernel, and a d∘d
-check once per distinct pair or triple of pieces.
+differential only through its pieces, so siblings share one object per
+distinct piece, the one cache key: a differential, its rank and kernel, a
+d∘d check and a tower transition are computed once per distinct pair or
+triple of pieces.
 :func:`induced_map` is the one routine that descends an operator on
 ambient labels to a matrix between quotient pieces; every
 differential, Lie derivative, contraction and tower transition goes
@@ -209,10 +210,8 @@ class GradedComplex:
         self.weight_floor = weight_floor
         self.ideal = tuple(ideal)
         self.meta = dict(meta or {})
-        # this complex's own, by (i, d): pieces, cells and d∘d checks
+        # this complex's own: (i, d) -> piece
         self._pieces: dict = {}
-        self._cells_at: dict = {}
-        self._dd_checked: set = set()
         # shared by every ideal this complex carries: (i, d) -> ambient labels;
         # (generator, source index, label tail) -> [d, g] on the label with its
         # monomial set to 1; (i, d) -> the distinct pieces built there; and
@@ -227,11 +226,10 @@ class GradedComplex:
 
         It shares the ambient labels and commutators, which do not depend on
         the ideal, and the cells: the ideal reaches a differential, its rank,
-        kernel and d∘d check only through the pieces, which are shared.
+        kernel and d∘d check only through the pieces, which key the cells.
         """
         other = copy.copy(self)
-        other.name, other.ideal = name, tuple(ideal)
-        other._pieces, other._cells_at, other._dd_checked = {}, {}, set()
+        other.name, other.ideal, other._pieces = name, tuple(ideal), {}
         return other
 
     def ambient(self, i: int, d: int) -> tuple:
@@ -315,24 +313,20 @@ class GradedComplex:
         )
 
     def _cell(self, i: int, d: int) -> list:
-        """[differential, rank or None, kernel or None] at (i, d), one per (src, tgt)."""
-        cell = self._cells_at.get((i, d))
+        """[differential, rank or None, kernel or None] at (i, d), keyed by its pieces."""
+        src, tgt = self.piece(i, d), self.piece(i + self.direction, d)
+        cell = self._cells.get((src, tgt))
         if cell is None:
-            src = self.piece(i, d)
-            tgt = self.piece(i + self.direction, d)
-            cell = self._cells.get((src, tgt))
-            if cell is None:
-                if i + self.direction not in self.indices or i not in self.indices:
-                    m = LinearMap.zero(src.basis, tgt.basis)
-                else:
-                    m = self.induced(
-                        (i, d),
-                        (i + self.direction, d),
-                        lambda lbl: self.diff_fn(i, lbl),
-                        what="differential",
-                    )
-                cell = self._cells[src, tgt] = [m, None, None]
-            self._cells_at[i, d] = cell
+            if i + self.direction not in self.indices or i not in self.indices:
+                m = LinearMap.zero(src.basis, tgt.basis)
+            else:
+                m = self.induced(
+                    (i, d),
+                    (i + self.direction, d),
+                    lambda lbl: self.diff_fn(i, lbl),
+                    what="differential",
+                )
+            cell = self._cells[src, tgt] = [m, None, None]
         return cell
 
     def differential(self, i: int, d: int) -> LinearMap:
@@ -353,17 +347,13 @@ class GradedComplex:
     def homology_cycles(self, i: int, d: int) -> list:
         """Cycles to draw homology representatives from at (i, d).
 
-        The canonical sparse kernel basis of the differential, or none when
-        the homology there is zero.
+        The canonical sparse kernel basis of the differential; d∘d = 0 into
+        the cell is not checked here, :meth:`homology_dim` checks it.
         """
-        if self.homology_dim(i, d) == 0:
-            return []
         return self._eliminated(i, d)[2]
 
     def check_dd_zero(self, i: int, d: int):
-        """Raise unless d∘d = 0 from (i, d); composed once per distinct cell among siblings."""
-        if (i, d) in self._dd_checked:
-            return
+        """Raise unless d∘d = 0 from (i, d); composed once per distinct piece triple."""
         key = tuple(self.piece(i + k * self.direction, d) for k in range(3))
         if key not in self._cells:
             first = self.differential(i, d)
@@ -373,7 +363,6 @@ class GradedComplex:
                     f"{self.name}: d∘d != 0 at (i={i}, d={d})"
                 )
             self._cells[key] = True
-        self._dd_checked.add((i, d))
 
     def homology_dim(self, i: int, d: int) -> int:
         """dim H at (i, d), after d∘d = 0 into (i, d) is checked."""

@@ -342,10 +342,13 @@ class _Parser:
     polynomial the engine produces can be printed and re-read exactly.
     """
 
+    MAX_NESTING = 100  # levels of parentheses; each costs four Python frames
+
     def __init__(self, text: str, ring: WeightedRing):
         self.tokens = _tokenize(text)
         self.i = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -428,8 +431,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {val!r}", pos) from None
             return self.ring.var(idx)
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > self.MAX_NESTING:
+                raise ParseError("expression nested too deeply", pos)
             p = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return p
         raise ParseError("expected a number, variable, or '('", pos)
 

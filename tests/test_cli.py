@@ -230,6 +230,34 @@ def test_budget_env_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["milnor", str(hard)]) == 2
 
 
+def test_negative_budget_env_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("SPENCERLAB_BUDGET", "-3")
+    code = main(["milnor", scene_path("e8.scene")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: SPENCERLAB_BUDGET must be a non-negative integer, got '-3'\n"
+
+
+DEEP = "(" * 3000 + "x" + ")" * 3000
+
+
+@pytest.mark.parametrize("form", ["scene-file", "elements"])
+def test_deeply_nested_polynomial_is_an_input_error(tmp_path, capsys, form):
+    if form == "scene-file":
+        path = tmp_path / "deep.scene"
+        path.write_text(f"[ring]\nvariables = x, y\nweights = 1, 1\n[ideal]\n{DEEP}\n")
+        argv, prefix = ["derham", str(path)], f"error: {path}:5: "
+    else:
+        argv, prefix = ["koszul", scene_path("a2.scene"), "--elements", DEEP], "error: "
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(prefix + "expression nested too deeply")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_table_format(capsys):
     code, out = run_cli(
         capsys, "milnor", scene_path("cusp.scene"), "--format", "table"

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from spencerlab import complexes, linalg
+from spencerlab import completion, complexes, linalg
 from spencerlab.cli import main
 from spencerlab.complexes import (
     GradedComplex,
@@ -829,3 +829,27 @@ def test_each_distinct_cell_is_induced_and_ranked_once(monkeypatch):
                     induced_cells.add(cell)
     assert len(ranked) < depth * len(indices) * (bound + 1)  # stages do share cells
     assert calls == {"ranked": len(ranked), "induced": len(induced_cells)}
+
+
+def test_each_distinct_piece_pair_is_induced_once(monkeypatch):
+    # the complete-quadric_cone bench job: a transition between the same two
+    # pieces is the same map, whichever stages hold them
+    sc = load_scene(os.path.join(SCENES, "quadric_cone.scene"))
+    tower = completed_complex(build_de_rham(AffineScene(sc.ring, Ideal(()))), sc.ideal, 6)
+    asked, induced = set(), []
+    transition_matrix, induced_map = Tower.transition_matrix, completion.induced_map
+
+    def asked_spy(self, r, i, d):
+        asked.add((r, i, d))
+        return transition_matrix(self, r, i, d)
+
+    def induced_spy(*args):
+        induced.append(args)
+        return induced_map(*args)
+
+    monkeypatch.setattr(Tower, "transition_matrix", asked_spy)
+    monkeypatch.setattr(completion, "induced_map", induced_spy)
+    tower_limit(tower, 8)
+    monkeypatch.undo()
+    pairs = {(tower.stage(r + 1).piece(i, d), tower.stage(r).piece(i, d)) for r, i, d in asked}
+    assert len(induced) == len(pairs) < len(asked)

@@ -25,6 +25,14 @@ def nonzero(table):
     return table.nonzero()
 
 
+def test_direction_must_be_plus_or_minus_one():
+    with pytest.raises(InternalInvariantError, match="direction must be"):
+        GradedComplex(
+            name="c", kind="c", direction=0, indices=(0,),
+            ambient_fn=lambda i, d: (), diff_fn=lambda i, label: {},
+        )
+
+
 # -- Koszul ---------------------------------------------------------------------
 
 

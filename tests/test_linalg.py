@@ -398,6 +398,14 @@ def test_constructor_drops_zeros_and_checks_the_column_count():
         LinearMap(("a", "b"), ("u",), [{0: F(1)}])
 
 
+def test_compose_and_add_check_the_bases():
+    m = LinearMap.identity(("a", "b"))
+    with pytest.raises(InternalInvariantError, match="composition basis mismatch"):
+        m.compose(LinearMap.zero(("a",), ("u", "v")))
+    with pytest.raises(InternalInvariantError, match="sum of maps between different bases"):
+        m.add(LinearMap.identity(("a", "c")))
+
+
 def test_inverse_roundtrip():
     m = _dense_map(("a", "b"), ("a", "b"), ((F(2), F(1)), (F(1), F(1))))
     inv = m.inverse()

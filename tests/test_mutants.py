@@ -1,21 +1,23 @@
 """Mutants: each row breaks the mathematics one way and names the check that must catch it.
 
 A row is (mutant, small computation, expected message).  The mutant is a
-``monkeypatch`` of a builder, operator or transition; nothing under
-``src/`` is edited.  The computation passes without the mutant and raises
-the expected ``InternalInvariantError`` with it.
+``monkeypatch`` of a builder, operator, transition or of a number a check
+compares (a rank, a quotient dimension); nothing under ``src/`` is edited.
+The computation passes without the mutant and raises the expected
+``InternalInvariantError`` with it.
 """
 
 import re
 
 import pytest
 
-from spencerlab import complexes
+from spencerlab import complexes, invariants
 from spencerlab.completion import Tower, completed_complex, derived_completion, tower_limit
 from spencerlab.complexes import GradedComplex, build_de_rham, homology_table
 from spencerlab.errors import InternalInvariantError
-from spencerlab.homotopy import Derivation, euler_derivation
-from spencerlab.rings import AffineScene, Ideal, scene
+from spencerlab.homotopy import Derivation, acyclicity_certificate, euler_derivation
+from spencerlab.invariants import milnor_tjurina
+from spencerlab.rings import AffineScene, Ideal, WeightedRing, parse_polynomial, scene
 
 
 def _cusp():
@@ -79,6 +81,36 @@ def _double_transition_at_index_1(monkeypatch):
     monkeypatch.setattr(Tower, "__init__", doubled)
 
 
+def _shift_ranks(shift):
+    # a rank one too high drives a homology dimension negative; one too low
+    # leaves homology on a piece the Euler homotopy certifies acyclic
+    def mutate(monkeypatch):
+        rank_kernel_image = complexes.rank_kernel_image
+
+        def shifted(m):
+            rank, kernel = rank_kernel_image(m)
+            return max(rank + shift, 0), kernel
+
+        monkeypatch.setattr(complexes, "rank_kernel_image", shifted)
+
+    return mutate
+
+
+def _drop_first_tjurina_generator(monkeypatch):
+    # the Tjurina ideal (f_x, f_y, f) loses f_x, so tau no longer equals mu
+    quotient_dimension = invariants.quotient_dimension
+
+    def dropped(ideal, **kwargs):
+        gens = ideal.generators
+        return quotient_dimension(Ideal(gens[1:]) if len(gens) == 3 else ideal, **kwargs)
+
+    monkeypatch.setattr(invariants, "quotient_dimension", dropped)
+
+
+def _e8_germ():
+    return milnor_tjurina(parse_polynomial("x^3 + y^5", WeightedRing(("x", "y"), (5, 3))))
+
+
 MUTANTS = [
     pytest.param(
         _drop_commutator_rows,
@@ -110,6 +142,24 @@ MUTANTS = [
         lambda: euler_derivation(_cusp()),
         "Euler identity failed on x^3 - y^2",
         id="derivation-doubled",
+    ),
+    pytest.param(
+        _shift_ranks(1),
+        lambda: homology_table(build_de_rham(scene(["x"], [1])), 2),
+        "de-rham: negative homology dimension at (i=0, d=0)",
+        id="rank-plus-one",
+    ),
+    pytest.param(
+        _shift_ranks(-1),
+        lambda: acyclicity_certificate(euler_derivation(_cusp()), build_de_rham(_cusp()), 8),
+        "certified piece (i=1, d=2) has homology 1",
+        id="rank-minus-one",
+    ),
+    pytest.param(
+        _drop_first_tjurina_generator,
+        _e8_germ,
+        "mu = 8 != tau = 12 for weighted-homogeneous x^3 + y^5",
+        id="tjurina-generator-dropped",
     ),
 ]
 

@@ -68,6 +68,13 @@ def test_parse_rejects_trailing_garbage():
         p("x y")
 
 
+def test_parse_nesting_depth_is_bounded():
+    # the parser recurses once per parenthesis: too deep is a ParseError, not a RecursionError
+    assert p("(" * 50 + "x" + ")" * 50) == p("x")
+    with pytest.raises(ParseError, match="nested too deeply"):
+        p("(" * 3000 + "x" + ")" * 3000)
+
+
 # -- printing round trip ---------------------------------------------------------
 
 poly_coeffs = st.fractions(
