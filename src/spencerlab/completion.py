@@ -326,12 +326,16 @@ def koszul_power_tower(scene: AffineScene, ideal: Ideal, depth: int) -> Tower:
         stages.append(build_koszul(scene, tuple(g ** r for g in gens)))
         stages[-1].name = f"kos-stage-{r}"
 
+    products: dict = {}  # slot set S -> terms of the product of gens[s], s in S
+
     def transition(i, d, label):
         m, S = label
-        mult = scene.ring.one()
-        for s in S:
-            mult = mult * gens[s]
-        return {(mono_mul(m, mm), S): c for mm, c in mult.terms.items()}
+        if S not in products:
+            mult = scene.ring.one()
+            for s in S:
+                mult = mult * gens[s]
+            products[S] = mult.terms
+        return {(mono_mul(m, mm), S): c for mm, c in products[S].items()}
 
     return Tower(
         name=f"koszul-tower({scene.ring.variables})",

@@ -210,8 +210,10 @@ class GradedComplex:
         self.weight_floor = weight_floor
         self.ideal = tuple(ideal)
         self.meta = dict(meta or {})
-        # this complex's own: (i, d) -> piece
+        # this complex's own: (i, d) -> piece; (derivation, i, d) -> interior
+        # product, which both Cartan checks of homotopy read
         self._pieces: dict = {}
+        self._interior_products: dict = {}
         # shared by every ideal this complex carries: (i, d) -> ambient labels;
         # (generator, source index, label tail) -> [d, g] on the label with its
         # monomial set to 1; (i, d) -> the distinct pieces built there; and
@@ -229,7 +231,8 @@ class GradedComplex:
         kernel and d∘d check only through the pieces, which key the cells.
         """
         other = copy.copy(self)
-        other.name, other.ideal, other._pieces = name, tuple(ideal), {}
+        other.name, other.ideal = name, tuple(ideal)
+        other._pieces, other._interior_products = {}, {}
         return other
 
     def ambient(self, i: int, d: int) -> tuple:

@@ -22,7 +22,7 @@ Which flavor certified each piece is recorded in the certificate.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
 from .complexes import (
     GradedComplex,
@@ -225,6 +225,18 @@ def interior_product_matrix(
     )
 
 
+def _interior_product(xi: Derivation, cx: GradedComplex, i: int, d: int) -> LinearMap:
+    """:func:`interior_product_matrix`, induced once per derivation, complex and (i, d).
+
+    :func:`cartan_check` and :func:`acyclicity_certificate` both read it, so
+    ``euler-certify`` induces each interior product once.
+    """
+    maps, key = cx._interior_products, (xi, i, d)
+    if key not in maps:
+        maps[key] = interior_product_matrix(xi, cx, i, d)
+    return maps[key]
+
+
 def jet_contraction_matrix(cx: GradedComplex, i: int, d: int) -> LinearMap:
     if cx.kind != "jet":
         raise SceneError("jet contraction only applies to jet complexes of order >= 1")
@@ -289,7 +301,7 @@ def cartan_check(xi: Derivation, cx: GradedComplex, bound: int) -> CartanReport:
     """
     if cx.kind == "derham":
         report = CartanReport(cx.name, str(xi), bound, "L = d∘iota + iota∘d")
-        iota = cache(lambda i, d: interior_product_matrix(xi, cx, i, d))
+        iota = partial(_interior_product, xi, cx)
         for d in range(cx.weight_floor, bound + 1):
             for i in cx.indices:
                 if cx.piece(i, d).dim == 0:
@@ -386,7 +398,7 @@ def acyclicity_certificate(
         if xi.weight != 0:
             raise SceneError("acyclicity certificates need a weight-zero derivation")
         flavor = "euler-contraction"
-        iota = cache(lambda i, d: interior_product_matrix(xi, cx, i, d))
+        iota = partial(_interior_product, xi, cx)
     elif cx.kind == "jet":
         flavor = "jet-contraction"
         iota = cache(lambda i, d: jet_contraction_matrix(cx, i, d))

@@ -24,10 +24,12 @@ or out is sparse, ``{position: coefficient}`` with zeros dropped.
 denominator, in a canonical form, so composition, sums, comparisons and
 the ``d∘d = 0`` and chain-map checks cost O(nonzeros) integer operations
 and build no ``Fraction``, nor does ``inverse``; the ``columns`` view is
-where rationals leave it.  ``rank_kernel_image`` eliminates the map's
-dense integer rows through ``rref``, the dense-in/dense-out adapter of
-the kernel, because the benchmark tracer reads the ``rref`` span; its
-kernel comes back sparse.
+where rationals leave it.  ``rank_kernel_image`` splits the map into
+connected blocks, columns linked by shared rows (the differentials here
+are close to signed partial permutations, so blocks are small), and
+eliminates each block's dense integer rows through ``rref``, the
+dense-in/dense-out adapter of the kernel, because the benchmark tracer
+reads the ``rref`` span; its kernel comes back sparse.
 
 :class:`GradedPiece` is the quotient-space workhorse used by every graded
 construction: an ambient labeled basis, a relation span kept as the
@@ -324,32 +326,80 @@ class LinearMap:
         return LinearMap(self.target_basis, self.source_basis, cols, lead)
 
 
+def _column_blocks(columns) -> list:
+    """The connected blocks of sparse columns, as lists of column positions.
+
+    Two columns are in one block when a chain of shared rows links them;
+    a zero column is a block of its own.  Each block lists its columns in
+    ascending order, and the blocks come in order of their first column.
+    """
+    parent = list(range(len(columns)))
+
+    def root(j):
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    owner: dict = {}  # row -> the first column seen holding it
+    for j, col in enumerate(columns):
+        for i in col:
+            k = owner.setdefault(i, j)
+            if k != j:
+                a, b = root(j), root(k)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+    blocks: dict = {}
+    for j in range(len(columns)):
+        blocks.setdefault(root(j), []).append(j)
+    return list(blocks.values())
+
+
 def rank_kernel_image(m: LinearMap):
     """Rank and canonical sparse kernel basis (source coordinates) of a map.
 
     The kernel has one vector per free column f of the RREF: 1 at f, 0 at
     the other free columns and minus the RREF entry of column f at each
     pivot column.  An RREF row is zero left of its pivot, so each vector's
-    positions come out in ascending order.
+    positions come out in ascending order, and the vectors are listed by
+    ascending free column.
 
-    The map's dense integer rows go through ``rref``, whose span the
-    benchmark tracer reads; they are ``den`` times the matrix, and an RREF
-    does not change under scaling, so rank and kernel are the map's own.
+    The map is ranked block by block (:func:`_column_blocks`).  Blocks
+    share no row, so after a permutation the matrix is block diagonal, and
+    its RREF rows are those of the blocks' RREFs: each has its support in
+    one block.  Pivots, free columns and kernel vectors are therefore the
+    whole matrix's, the same Fractions in the same order.  A zero column is
+    free with the unit kernel vector; a block of one nonzero column is its
+    own pivot.  Every other block's dense integer rows, rows and columns in
+    ascending order, go through ``rref``, whose span the benchmark tracer
+    reads; they are ``den`` times the matrix, and an RREF does not change
+    under scaling, so rank and kernel are the map's own.
     """
-    ncols = len(m.source_basis)
-    rows = [[0] * ncols for _ in m.target_basis]
-    for j, col in enumerate(m.int_columns):
-        for i, a in col.items():
-            rows[i][j] = a
-    rr, pivots = rref(rows)
-    pivot_set = set(pivots)
-    kernel = []
-    for f in range(ncols):
-        if f not in pivot_set:
-            vec = {c: -row[f] for row, c in zip(rr, pivots) if row[f]}
-            vec[f] = _ONE
-            kernel.append(vec)
-    return len(pivots), kernel
+    cols = m.int_columns
+    rank = 0
+    kernel = []  # (free column, vector)
+    for block in _column_blocks(cols):
+        if len(block) == 1:
+            (j,) = block
+            if cols[j]:
+                rank += 1
+            else:
+                kernel.append((j, {j: _ONE}))
+            continue
+        row_pos = {i: k for k, i in enumerate(sorted({i for j in block for i in cols[j]}))}
+        rows = [[0] * len(block) for _ in row_pos]
+        for k, j in enumerate(block):
+            for i, a in cols[j].items():
+                rows[row_pos[i]][k] = a
+        rr, pivots = rref(rows)
+        rank += len(pivots)
+        pivot_set = set(pivots)
+        for f in range(len(block)):
+            if f not in pivot_set:
+                vec = {block[c]: -row[f] for row, c in zip(rr, pivots) if row[f]}
+                vec[block[f]] = _ONE
+                kernel.append((block[f], vec))
+    kernel.sort(key=lambda fv: fv[0])
+    return rank, [vec for _f, vec in kernel]
 
 
 class GradedPiece:

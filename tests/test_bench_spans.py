@@ -41,10 +41,10 @@ def test_traced_entry_point_exists(span):
     assert path[-1] in vars(owner), f"{span} does not resolve in {module_name}"
 
 
-def test_traced_run_reports_every_span():
+def _traced_spans(argv):
+    """Span totals of one CLI call traced by ``perfbench/child.py``."""
     env = dict(os.environ, PERFBENCH_SPANS=json.dumps(_spans()))
     env.pop("SPENCERLAB_BUDGET", None)
-    argv = ["complete", "scenes/cusp.scene", "--degree-bound", "4", "--r-max", "3"]
     # -B: importing the tracer writes no bytecode under perfbench/
     proc = subprocess.run(
         [sys.executable, "-B", "perfbench/child.py", "t", "1", "--", *argv],
@@ -55,7 +55,32 @@ def test_traced_run_reports_every_span():
     assert last.startswith("PERFBENCH ")
     report = json.loads(last[len("PERFBENCH "):])
     assert report["rc"] == 0
-    assert sorted(report["spans"]) == _spans()
+    return report["spans"]
+
+
+def test_traced_run_reports_every_span():
+    spans = _traced_spans(["complete", "scenes/cusp.scene", "--degree-bound", "4", "--r-max", "3"])
+    assert sorted(spans) == _spans()
     # the probe reads Tower._hom_cache by (r, i, d)
-    space = report["spans"]["completion.Tower.homology_space"]
+    space = spans["completion.Tower.homology_space"]
     assert space["hits"] + space["misses"] == space["calls"] > 0
+
+
+@pytest.mark.parametrize("workload", ["resolution", "towers"])
+def test_every_mapped_span_fires_on_its_workload(workload):
+    # the tracer lists a span that never ran with 0 calls, so comparing names
+    # alone would miss one that stops firing; a traced bench run of the
+    # workload fails on it
+    spec = json.loads((ROOT / "perfbench" / "spec.json").read_text())
+    calls: dict = {}
+    for job in spec["workloads"][workload]["jobs"]:
+        argv = [a.format(c1=1, c2=1, c3=1) for a in job["argv"]]
+        for name, totals in _traced_spans(argv).items():
+            calls[name] = calls.get(name, 0) + totals["calls"]
+    mapped = {
+        metric.rsplit(".", 1)[0]
+        for row in spec["per_layer"] if workload in row["on"]
+        for metric in row["metrics"] if not metric.startswith("trace.")
+    }
+    unfired = sorted(name for name in mapped if not calls[name])
+    assert mapped and unfired == []

@@ -1,10 +1,12 @@
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spencerlab import linalg
+from spencerlab import homotopy, linalg
+from spencerlab.cli import main
 from spencerlab.complexes import (
     GradedComplex,
     build_de_rham,
@@ -24,6 +26,8 @@ from spencerlab.homotopy import (
 from spencerlab.linalg import LinearMap
 from spencerlab.modules import derivation_space
 from spencerlab.rings import parse_polynomial, scene
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def test_euler_on_cusp(cusp):
@@ -192,6 +196,23 @@ def test_each_operator_is_built_once_per_call(monkeypatch, cusp, a2, r):
             built.clear()
             run(xi, cx, 8)
             assert built and len(built) == len(set(built)), run.__name__
+
+
+def test_euler_certify_induces_each_interior_product_once(monkeypatch, capsys):
+    # cartan_check and acyclicity_certificate read the same interior products
+    built = []
+    induce = homotopy.interior_product_matrix
+
+    def spy(xi, cx, i, d):
+        built.append((cx.name, i, d))
+        return induce(xi, cx, i, d)
+
+    monkeypatch.setattr(homotopy, "interior_product_matrix", spy)
+    argv = ["euler-certify", str(SCENES / "quadric_cone.scene"),
+            "--complex", "derham", "--degree-bound", "9"]
+    assert main(argv) == 0
+    assert '"passed": true' in capsys.readouterr().out
+    assert len(built) == len(set(built)) == 18
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])  # jet order 0 is the de Rham complex

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spencerlab import linalg
+from spencerlab.complexes import homology_table
+from spencerlab.diffops import filtered_spencer
 from spencerlab.errors import InternalInvariantError
 from spencerlab.linalg import (
     GradedPiece,
@@ -14,6 +16,7 @@ from spencerlab.linalg import (
     rank_kernel_image,
     rref,
 )
+from spencerlab.rings import WeightedRing
 
 F = Fraction
 
@@ -330,6 +333,80 @@ def test_kernel_is_canonical_rref_null_space(matrix):
         assert [vec.get(c, 0) for c in piv] == [-row[f] for row in rr]
         # sparse: zeros dropped, positions in ascending order
         assert all(vec.values()) and list(vec) == sorted(vec)
+
+
+def _whole_matrix_rank_kernel(m):
+    """Rank and kernel of a map from one ``rref`` of its whole dense matrix.
+
+    The whole-matrix route that :func:`rank_kernel_image` replaced with
+    connected blocks, kept as its oracle.
+    """
+    ncols = len(m.source_basis)
+    rows = [[0] * ncols for _ in m.target_basis]
+    for j, col in enumerate(m.int_columns):
+        for i, a in col.items():
+            rows[i][j] = a
+    rr, pivots = rref(rows)
+    pivot_set = set(pivots)
+    kernel = []
+    for f in range(ncols):
+        if f not in pivot_set:
+            vec = {c: -row[f] for row, c in zip(rr, pivots) if row[f]}
+            vec[f] = F(1)
+            kernel.append(vec)
+    return len(pivots), kernel
+
+
+@st.composite
+def _block_maps(draw):
+    """A map whose rows and columns, once sorted, are blocks along the diagonal.
+
+    Blocks are dense draws (so they may split further); some have one column
+    or no rows, and zero rows and columns are added.  Rows and columns are
+    then shuffled, so blocks interleave.
+    """
+    cells, nrows, ncols = [], 0, 0
+    for _ in range(draw(st.integers(0, 5))):
+        rows, cols = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+        block = draw(_sparse_dense(rows, cols, draw(st.sampled_from([0.3, 1.0]))))
+        cells += [(nrows + i, ncols + j, v)
+                  for i, row in enumerate(block) for j, v in enumerate(row) if v]
+        nrows, ncols = nrows + rows, ncols + cols
+    nrows += draw(st.integers(0, 2))
+    ncols += draw(st.integers(0, 2))
+    row_perm = draw(st.permutations(range(nrows)))
+    col_perm = draw(st.permutations(range(ncols)))
+    columns = [{} for _ in range(ncols)]
+    for i, j, v in cells:
+        columns[col_perm[j]][row_perm[i]] = v
+    return LinearMap(range(ncols), range(nrows), columns)
+
+
+@given(st.one_of(_block_maps(), _sparse_matrices(8, 12, 0.15).map(
+    lambda matrix: _dense_map(range(len(matrix[0])), range(len(matrix)), matrix))))
+def test_block_route_matches_whole_matrix_oracle(m):
+    rank, kernel = rank_kernel_image(m)
+    want_rank, want_kernel = _whole_matrix_rank_kernel(m)
+    assert rank == want_rank
+    # the same Fractions, with keys in the same order
+    assert [list(v.items()) for v in kernel] == [list(v.items()) for v in want_kernel]
+    assert all(type(x) is Fraction for v in kernel for x in v.values())
+
+
+def test_rref_sees_only_connected_blocks(monkeypatch):
+    # the filtered Spencer differentials of affine 3-space send each label to
+    # a signed sum over distinct labels, so no block is larger than 2 x 2
+    shapes = []
+    whole = linalg.rref
+
+    def spy(rows):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return whole(rows)
+
+    monkeypatch.setattr(linalg, "rref", spy)
+    table = homology_table(filtered_spencer(WeightedRing(("x", "y", "z"), (1, 1, 1)), 2), 3)
+    assert table.nonzero() == {}
+    assert shapes and max(r for r, _c in shapes) <= 2 and max(c for _r, c in shapes) <= 2
 
 
 def _sparse(vec):
