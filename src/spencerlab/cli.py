@@ -31,7 +31,7 @@ from .diffops import filtered_spencer, kashiwara_quotient, pushforward_point
 from .errors import BudgetExceeded, InternalInvariantError, SpencerlabError
 from .homotopy import acyclicity_certificate, cartan_check, euler_derivation
 from .invariants import jacobian_smoothness, milnor_tjurina, spencer_h0
-from .rings import AffineScene, Ideal, WeightedRing, parse_polynomial
+from .rings import AffineScene, WeightedRing, parse_polynomial
 from .scenes import load_scene, scene_json
 
 BUDGET_ENV = "SPENCERLAB_BUDGET"
@@ -48,10 +48,6 @@ def _pair_budget() -> int:
     if budget < 0:
         raise SpencerlabError(f"{BUDGET_ENV} must be a non-negative integer, got {raw!r}")
     return budget
-
-
-def _ambient(scene: AffineScene) -> AffineScene:
-    return AffineScene(scene.ring, Ideal(()))
 
 
 def _render(payload: dict, fmt: str) -> str:
@@ -149,7 +145,7 @@ def cmd_complete(scene, args):
         if scene.ideal.is_trivial:
             raise SpencerlabError("complete --along self needs a nonempty ideal")
         ideal = scene.ideal
-        base = _ambient(scene)
+        base = scene.ambient()
     else:
         other = load_scene(args.along)
         if other.ring != scene.ring:
@@ -164,7 +160,7 @@ def cmd_complete(scene, args):
 def cmd_derived_complete(scene, args):
     if scene.ideal.is_trivial:
         raise SpencerlabError("derived-complete needs a scene with a nonempty ideal")
-    base = _ambient(scene) if args.module == "O" else scene
+    base = scene.ambient() if args.module == "O" else scene
     _tower, report = derived_completion(
         base, scene.ideal, args.r_max, args.degree_bound
     )

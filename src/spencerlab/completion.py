@@ -388,7 +388,7 @@ def completed_koszul_h0(
     """
     _require_completable(scene.ideal)
     ring = scene.ring
-    ambient = AffineScene(ring, Ideal(()))
+    ambient = scene.ambient()
     report = CompletedKoszulReport()
     for r in range(1, depth + 1):
         powers = tuple(g ** r for g in scene.ideal.generators)
@@ -494,9 +494,6 @@ def embedding_independence(
         weight_hi=bound,
     )
 
-    def ambient_scene(s):
-        return AffineScene(s.ring, Ideal(()))
-
     def compare(cx_small, cx_big, mismatches):
         lim_s = tower_limit(completed_complex(cx_small, small.ideal, depth), bound)
         lim_b = tower_limit(completed_complex(cx_big, big.ideal, depth), bound)
@@ -512,8 +509,8 @@ def embedding_independence(
         return not mismatches
 
     report.derham_equal = compare(
-        build_de_rham(ambient_scene(small)),
-        build_de_rham(ambient_scene(big)),
+        build_de_rham(small.ambient()),
+        build_de_rham(big.ambient()),
         report.derham_mismatches,
     )
     if spencer_order is not None:

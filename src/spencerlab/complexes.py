@@ -14,11 +14,11 @@ smallest subcomplex containing I·C, so every quotient is a complex: for
 de Rham and jets the commutators are the dg-wedges, for Koszul, filtered
 Spencer and modules they vanish.  So the same complex carrying another
 ideal, :meth:`GradedComplex.with_ideal`, is the complex over another
-subscheme; completion stages are built that way.  The ideal reaches a
-differential only through its pieces, so siblings share one object per
-distinct piece, the one cache key: a differential, its rank and kernel, a
-d∘d check and a tower transition are computed once per distinct pair or
-triple of pieces.
+subscheme; completion stages are built that way.  The ideal reaches an
+operator only through its pieces, so siblings share one object per
+distinct piece, the one cache key: an induced map (memoized by operator in
+:meth:`GradedComplex.induced`), a rank and kernel, a d∘d check and a tower
+transition are computed once per distinct pair or triple of pieces.
 :func:`induced_map` is the one routine that descends an operator on
 ambient labels to a matrix between quotient pieces; every
 differential, Lie derivative, contraction and tower transition goes
@@ -182,7 +182,7 @@ def induced_map(src: GradedPiece, tgt: GradedPiece, fn, error: str) -> LinearMap
 
 
 class GradedComplex:
-    """Finite family of graded pieces with exact induced differentials."""
+    """Finite family of graded pieces with exact induced maps, memoized by piece."""
 
     def __init__(
         self,
@@ -210,29 +210,29 @@ class GradedComplex:
         self.weight_floor = weight_floor
         self.ideal = tuple(ideal)
         self.meta = dict(meta or {})
-        # this complex's own: (i, d) -> piece; (derivation, i, d) -> interior
-        # product, which both Cartan checks of homotopy read
+        # this complex's own: (i, d) -> piece
         self._pieces: dict = {}
-        self._interior_products: dict = {}
         # shared by every ideal this complex carries: (i, d) -> ambient labels;
         # (generator, source index, label tail) -> [d, g] on the label with its
-        # monomial set to 1; (i, d) -> the distinct pieces built there; and
-        # (src, tgt) pieces -> cell, (src, mid, tgt) -> True once d∘d = 0
+        # monomial set to 1; (i, d) -> the distinct pieces built there;
+        # (operator, src, tgt) pieces -> induced map; (src, tgt) -> rank and
+        # kernel of the differential; the (src, mid, tgt) triples with d∘d = 0
         self._ambient: dict = {}
         self._commutators: dict = {}
         self._interned: dict = {}
-        self._cells: dict = {}
+        self._maps: dict = {}
+        self._eliminations: dict = {}
+        self._dd_checked: set = set()
 
     def with_ideal(self, ideal: tuple, name: str) -> GradedComplex:
         """The same complex carrying another ideal.
 
         It shares the ambient labels and commutators, which do not depend on
-        the ideal, and the cells: the ideal reaches a differential, its rank,
-        kernel and d∘d check only through the pieces, which key the cells.
+        the ideal, and every memo keyed by pieces: the ideal reaches an induced
+        map, a rank, a kernel and a d∘d check only through the pieces.
         """
         other = copy.copy(self)
-        other.name, other.ideal = name, tuple(ideal)
-        other._pieces, other._interior_products = {}, {}
+        other.name, other.ideal, other._pieces = name, tuple(ideal), {}
         return other
 
     def ambient(self, i: int, d: int) -> tuple:
@@ -302,50 +302,39 @@ class GradedComplex:
             self._commutators[key] = {lbl: c for lbl, c in out.items() if c}
         return self._commutators[key]
 
-    def induced(self, src_pos, tgt_pos, fn, what):
+    def induced(self, op, src_pos, tgt_pos, fn, what):
         """Matrix of an ambient-level operator between two pieces of this complex.
 
         ``fn(label) -> dict over target ambient labels``; see :func:`induced_map`.
+        Induced once per ``op`` and pair of pieces, for every ideal this complex
+        carries.  A piece belongs to one (i, d), so the pair fixes the positions
+        ``fn`` may read; ``op`` tells apart operators between the same pieces.
         """
-        return induced_map(
-            self.piece(*src_pos),
-            self.piece(*tgt_pos),
-            fn,
-            f"{self.name}: {what} not well defined on the quotient "
-            f"at (i={src_pos[0]}, d={src_pos[1]})",
-        )
-
-    def _cell(self, i: int, d: int) -> list:
-        """[differential, rank or None, kernel or None] at (i, d), keyed by its pieces."""
-        src, tgt = self.piece(i, d), self.piece(i + self.direction, d)
-        cell = self._cells.get((src, tgt))
-        if cell is None:
-            if i + self.direction not in self.indices or i not in self.indices:
-                m = LinearMap.zero(src.basis, tgt.basis)
-            else:
-                m = self.induced(
-                    (i, d),
-                    (i + self.direction, d),
-                    lambda lbl: self.diff_fn(i, lbl),
-                    what="differential",
-                )
-            cell = self._cells[src, tgt] = [m, None, None]
-        return cell
+        src, tgt = self.piece(*src_pos), self.piece(*tgt_pos)
+        key = (op, src, tgt)
+        if key not in self._maps:
+            error = (f"{self.name}: {what} not well defined on the quotient "
+                     f"at (i={src_pos[0]}, d={src_pos[1]})")
+            self._maps[key] = induced_map(src, tgt, fn, error)
+        return self._maps[key]
 
     def differential(self, i: int, d: int) -> LinearMap:
         """Induced map piece(i, d) -> piece(i + direction, d)."""
-        return self._cell(i, d)[0]
+        j = i + self.direction
+        if i not in self.indices or j not in self.indices:
+            return LinearMap.zero(self.piece(i, d).basis, self.piece(j, d).basis)
+        return self.induced("d", (i, d), (j, d), lambda lbl: self.diff_fn(i, lbl), "differential")
 
-    def _eliminated(self, i: int, d: int) -> list:
-        """The cell at (i, d) with its rank and sparse kernel, eliminated once."""
-        cell = self._cell(i, d)
-        if cell[1] is None:
-            cell[1], cell[2] = rank_kernel_image(cell[0])
-        # kept where homology is zero too: a sibling sharing the cell may read it
-        return cell
+    def _eliminated(self, i: int, d: int) -> tuple:
+        """Rank and sparse kernel of the differential at (i, d), once per piece pair."""
+        key = (self.piece(i, d), self.piece(i + self.direction, d))
+        if key not in self._eliminations:
+            # kept where homology is zero too: a sibling sharing the pair may read it
+            self._eliminations[key] = rank_kernel_image(self.differential(i, d))
+        return self._eliminations[key]
 
     def rank(self, i: int, d: int) -> int:
-        return self._eliminated(i, d)[1]
+        return self._eliminated(i, d)[0]
 
     def homology_cycles(self, i: int, d: int) -> list:
         """Cycles to draw homology representatives from at (i, d).
@@ -353,19 +342,19 @@ class GradedComplex:
         The canonical sparse kernel basis of the differential; d∘d = 0 into
         the cell is not checked here, :meth:`homology_dim` checks it.
         """
-        return self._eliminated(i, d)[2]
+        return self._eliminated(i, d)[1]
 
     def check_dd_zero(self, i: int, d: int):
         """Raise unless d∘d = 0 from (i, d); composed once per distinct piece triple."""
         key = tuple(self.piece(i + k * self.direction, d) for k in range(3))
-        if key not in self._cells:
+        if key not in self._dd_checked:
             first = self.differential(i, d)
             second = self.differential(i + self.direction, d)
             if not second.compose(first).is_zero():
                 raise InternalInvariantError(
                     f"{self.name}: d∘d != 0 at (i={i}, d={d})"
                 )
-            self._cells[key] = True
+            self._dd_checked.add(key)
 
     def homology_dim(self, i: int, d: int) -> int:
         """dim H at (i, d), after d∘d = 0 into (i, d) is checked."""

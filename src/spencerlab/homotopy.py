@@ -22,7 +22,7 @@ Which flavor certified each piece is recorded in the certificate.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import partial
 
 from .complexes import (
     GradedComplex,
@@ -198,16 +198,12 @@ def lie_derivative_matrix(xi: Derivation, cx: GradedComplex, i: int, d: int) -> 
     For the Euler field this is multiplication by d on every piece.
     """
     if cx.kind == "derham":
-        return cx.induced((i, d), (i, d + xi.weight),
-                          lambda lbl: _form_lie(xi, lbl), what="Lie derivative")
-    if cx.kind == "jet":
-        r = cx.meta["r"]
-        return cx.induced(
-            (i, d), (i, d + xi.weight),
-            lambda lbl: _jet_lie_diag(xi, lbl, r - i),
-            what="Lie derivative",
-        )
-    raise SceneError(f"Lie derivative unsupported on kind {cx.kind!r}")
+        fn = partial(_form_lie, xi)
+    elif cx.kind == "jet":
+        fn = partial(_jet_lie_diag, xi, jet_order=cx.meta["r"] - i)
+    else:
+        raise SceneError(f"Lie derivative unsupported on kind {cx.kind!r}")
+    return cx.induced(("lie", xi), (i, d), (i, d + xi.weight), fn, what="Lie derivative")
 
 
 def interior_product_matrix(
@@ -219,22 +215,10 @@ def interior_product_matrix(
     if cx.kind not in ("derham", "jet"):
         raise SceneError(f"interior product unsupported on kind {cx.kind!r}")
     return cx.induced(
-        (i, d), (i - 1, d + xi.weight),
+        ("iota", xi), (i, d), (i - 1, d + xi.weight),
         lambda lbl: contraction(xi.coefficients, lbl),
         what="interior product",
     )
-
-
-def _interior_product(xi: Derivation, cx: GradedComplex, i: int, d: int) -> LinearMap:
-    """:func:`interior_product_matrix`, induced once per derivation, complex and (i, d).
-
-    :func:`cartan_check` and :func:`acyclicity_certificate` both read it, so
-    ``euler-certify`` induces each interior product once.
-    """
-    maps, key = cx._interior_products, (xi, i, d)
-    if key not in maps:
-        maps[key] = interior_product_matrix(xi, cx, i, d)
-    return maps[key]
 
 
 def jet_contraction_matrix(cx: GradedComplex, i: int, d: int) -> LinearMap:
@@ -242,7 +226,9 @@ def jet_contraction_matrix(cx: GradedComplex, i: int, d: int) -> LinearMap:
         raise SceneError("jet contraction only applies to jet complexes of order >= 1")
     if i < 1:
         raise SceneError("jet contraction needs form degree >= 1")
-    return cx.induced((i, d), (i - 1, d), _jet_contraction, what="jet contraction")
+    return cx.induced(
+        "jet contraction", (i, d), (i - 1, d), _jet_contraction, what="jet contraction"
+    )
 
 
 def _cartan_operator(cx: GradedComplex, op, i: int, d: int, shift: int = 0) -> LinearMap:
@@ -301,7 +287,7 @@ def cartan_check(xi: Derivation, cx: GradedComplex, bound: int) -> CartanReport:
     """
     if cx.kind == "derham":
         report = CartanReport(cx.name, str(xi), bound, "L = d∘iota + iota∘d")
-        iota = partial(_interior_product, xi, cx)
+        iota = partial(interior_product_matrix, xi, cx)
         for d in range(cx.weight_floor, bound + 1):
             for i in cx.indices:
                 if cx.piece(i, d).dim == 0:
@@ -398,10 +384,10 @@ def acyclicity_certificate(
         if xi.weight != 0:
             raise SceneError("acyclicity certificates need a weight-zero derivation")
         flavor = "euler-contraction"
-        iota = partial(_interior_product, xi, cx)
+        iota = partial(interior_product_matrix, xi, cx)
     elif cx.kind == "jet":
         flavor = "jet-contraction"
-        iota = cache(lambda i, d: jet_contraction_matrix(cx, i, d))
+        iota = partial(jet_contraction_matrix, cx)
     else:
         raise SceneError(f"certificates unsupported on kind {cx.kind!r}")
 

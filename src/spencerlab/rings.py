@@ -480,6 +480,10 @@ class AffineScene(_Value):
                 )
         super().__init__(ring, ideal)
 
+    def ambient(self) -> AffineScene:
+        """The smooth ambient scene: the same ring with the zero ideal."""
+        return AffineScene(self.ring, Ideal(()))
+
 
 def scene(variables, weights, generators=()) -> AffineScene:
     """Convenience constructor used all over the tests."""

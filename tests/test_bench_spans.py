@@ -66,7 +66,7 @@ def test_traced_run_reports_every_span():
     assert space["hits"] + space["misses"] == space["calls"] > 0
 
 
-@pytest.mark.parametrize("workload", ["resolution", "towers"])
+@pytest.mark.parametrize("workload", ["resolution", "quotient", "towers"])
 def test_every_mapped_span_fires_on_its_workload(workload):
     # the tracer lists a span that never ran with 0 calls, so comparing names
     # alone would miss one that stops firing; a traced bench run of the

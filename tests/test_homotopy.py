@@ -5,22 +5,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spencerlab import homotopy, linalg
+from spencerlab import complexes, linalg
 from spencerlab.cli import main
 from spencerlab.complexes import (
-    GradedComplex,
     build_de_rham,
     build_jet_complex,
+    contraction,
     homology_table,
+    induced_map,
 )
 from spencerlab.errors import SceneError
 from spencerlab.homotopy import (
     Derivation,
     _form_lie,
+    _jet_contraction,
     acyclicity_certificate,
     cartan_check,
     euler_derivation,
     interior_product_matrix,
+    jet_contraction_matrix,
     lie_derivative_matrix,
 )
 from spencerlab.linalg import LinearMap
@@ -181,14 +184,14 @@ def test_form_lie_sign_matches_inversion_count(data):
 
 @pytest.mark.parametrize("r", [0, 1, 2])  # jet order 0 is the de Rham complex
 def test_each_operator_is_built_once_per_call(monkeypatch, cusp, a2, r):
-    built = []
-    induced = GradedComplex.induced
+    built = []  # holding the pieces keeps every id unique
+    induced_map = complexes.induced_map
 
-    def spy(self, src_pos, tgt_pos, fn, what="map"):
-        built.append((src_pos, tgt_pos, what))
-        return induced(self, src_pos, tgt_pos, fn, what)
+    def spy(src, tgt, fn, error):
+        built.append((src, tgt, error))
+        return induced_map(src, tgt, fn, error)
 
-    monkeypatch.setattr(GradedComplex, "induced", spy)
+    monkeypatch.setattr(complexes, "induced_map", spy)
     for s in (cusp, a2):
         cx = build_jet_complex(s, r)
         xi = euler_derivation(s)
@@ -201,18 +204,60 @@ def test_each_operator_is_built_once_per_call(monkeypatch, cusp, a2, r):
 def test_euler_certify_induces_each_interior_product_once(monkeypatch, capsys):
     # cartan_check and acyclicity_certificate read the same interior products
     built = []
-    induce = homotopy.interior_product_matrix
+    induced_map = complexes.induced_map
 
-    def spy(xi, cx, i, d):
-        built.append((cx.name, i, d))
-        return induce(xi, cx, i, d)
+    def spy(src, tgt, fn, error):
+        if "interior product" in error:  # names the complex and (i, d)
+            built.append(error)
+        return induced_map(src, tgt, fn, error)
 
-    monkeypatch.setattr(homotopy, "interior_product_matrix", spy)
+    monkeypatch.setattr(complexes, "induced_map", spy)
     argv = ["euler-certify", str(SCENES / "quadric_cone.scene"),
             "--complex", "derham", "--degree-bound", "9"]
     assert main(argv) == 0
     assert '"passed": true' in capsys.readouterr().out
     assert len(built) == len(set(built)) == 18
+
+
+@pytest.mark.parametrize("iota_first", [True, False])
+def test_operators_between_the_same_pieces_are_memoized_apart(cusp, iota_first):
+    # for a weight-zero field the jet iota_xi and the jet contraction both map
+    # the piece (1, d) to the piece (0, d)
+    cx, xi, d = build_jet_complex(cusp, 1), euler_derivation(cusp), 6
+    src, tgt = cx.piece(1, d), cx.piece(0, d)
+    fresh = {
+        "iota": induced_map(src, tgt, lambda lbl: contraction(xi.coefficients, lbl), "iota"),
+        "jet": induced_map(src, tgt, _jet_contraction, "jet contraction"),
+    }
+    assert fresh["iota"] != fresh["jet"]
+    calls = {
+        "iota": lambda: interior_product_matrix(xi, cx, 1, d),
+        "jet": lambda: jet_contraction_matrix(cx, 1, d),
+    }
+    for op in ("iota", "jet") if iota_first else ("jet", "iota"):
+        assert calls[op]() == fresh[op]
+    for op in calls:
+        assert calls[op]() == fresh[op]
+
+
+def test_siblings_with_equal_pieces_induce_an_interior_product_once(monkeypatch, cusp):
+    # below weight 12 neither (f^2) nor (f^3) has a relation, so the two stages
+    # hold the same pieces there
+    f = cusp.ideal.generators[0]
+    cx = build_de_rham(cusp.ambient())
+    stages = [cx.with_ideal((f ** r,), f"stage {r}") for r in (2, 3)]
+    assert stages[0].piece(1, 8) is stages[1].piece(1, 8)
+    built = []
+    induced_map = complexes.induced_map
+
+    def spy(*args):
+        built.append(args)
+        return induced_map(*args)
+
+    monkeypatch.setattr(complexes, "induced_map", spy)
+    xi = euler_derivation(cusp)
+    first, second = (interior_product_matrix(xi, stage, 1, 8) for stage in stages)
+    assert first is second and len(built) == 1
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])  # jet order 0 is the de Rham complex
