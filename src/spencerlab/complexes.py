@@ -54,7 +54,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .errors import InternalInvariantError, SceneError
+from .errors import InternalInvariantError, NotWellDefinedError, SceneError
 from .linalg import (
     GradedPiece,
     LinearMap,
@@ -160,11 +160,35 @@ def induced_map(src: GradedPiece, tgt: GradedPiece, fn, error: str) -> LinearMap
     and evaluated once per ambient label of ``src``: each one is a pivot of
     a relation row or a basis label.  Each image is cleared once to an
     integer row over its denominator, which the target's normal form takes.
-    Raises ``InternalInvariantError(error)`` unless the operator maps every
+    Raises ``NotWellDefinedError(error)`` unless the operator maps every
     relation row of ``src`` into the relation span of ``tgt``; the rows span
     the source relations, so this is exactly well-definedness on the
     quotients.
+
+    Between relation-free pieces, where every basis position is an ambient
+    index and there is nothing to check, an image of int coefficients is
+    its column: each target label is looked up in ``tgt._index`` and zeros
+    are dropped, with no clearing and no normal form.  An image holding a
+    ``Fraction`` sends the whole map down the general path.
     """
+    if not (src._sparse_rows or tgt._sparse_rows):
+        index, cols = tgt._index, []
+        for lbl in src.ambient:
+            col: dict = {}
+            for t, c in fn(lbl).items():
+                if type(c) is not int:
+                    break
+                if c:
+                    try:
+                        col[index[t]] = c
+                    except KeyError:
+                        raise InternalInvariantError(f"label {t!r} outside ambient basis")
+            else:
+                cols.append(col)
+                continue
+            break  # a Fraction coefficient: the general path clears it
+        else:
+            return LinearMap._from_int_columns(src.basis, tgt.basis, cols)
     image = {lbl: _integer_row(fn(lbl)) for lbl in src.ambient}
     if src.dim < len(src.ambient):  # the source has relation rows
         # scale does not change whether a combination is a relation, so the
@@ -176,7 +200,7 @@ def induced_map(src: GradedPiece, tgt: GradedPiece, fn, error: str) -> LinearMap
                 for lbl, v in cleared[label].items():
                     out[lbl] = out.get(lbl, 0) + c * v
             if tgt.int_coords(out)[0]:
-                raise InternalInvariantError(error)
+                raise NotWellDefinedError(error)
     cols, den = common_denominator(tgt.int_coords(*image[lbl]) for lbl in src.basis)
     return LinearMap(src.basis, tgt.basis, cols, den)
 
@@ -325,9 +349,13 @@ class GradedComplex:
             return LinearMap.zero(self.piece(i, d).basis, self.piece(j, d).basis)
         return self.induced("d", (i, d), (j, d), lambda lbl: self.diff_fn(i, lbl), "differential")
 
-    def _eliminated(self, i: int, d: int) -> tuple:
-        """Rank and sparse kernel of the differential at (i, d), once per piece pair."""
-        key = (self.piece(i, d), self.piece(i + self.direction, d))
+    def _eliminated(self, i: int, d: int, pair: tuple = ()) -> tuple:
+        """Rank and sparse kernel of the differential at (i, d), once per piece pair.
+
+        ``pair`` is ``(piece(i, d), piece(i + direction, d))`` where the caller
+        already holds them.
+        """
+        key = pair or (self.piece(i, d), self.piece(i + self.direction, d))
         if key not in self._eliminations:
             # kept where homology is zero too: a sibling sharing the pair may read it
             self._eliminations[key] = rank_kernel_image(self.differential(i, d))
@@ -344,9 +372,13 @@ class GradedComplex:
         """
         return self._eliminated(i, d)[1]
 
-    def check_dd_zero(self, i: int, d: int):
-        """Raise unless d∘d = 0 from (i, d); composed once per distinct piece triple."""
-        key = tuple(self.piece(i + k * self.direction, d) for k in range(3))
+    def check_dd_zero(self, i: int, d: int, pieces: tuple = ()):
+        """Raise unless d∘d = 0 from (i, d); composed once per distinct piece triple.
+
+        ``pieces`` are the pieces at i, i + direction and i + 2·direction
+        where the caller already holds them.
+        """
+        key = pieces or tuple(self.piece(i + k * self.direction, d) for k in range(3))
         if key not in self._dd_checked:
             first = self.differential(i, d)
             second = self.differential(i + self.direction, d)
@@ -358,9 +390,12 @@ class GradedComplex:
 
     def homology_dim(self, i: int, d: int) -> int:
         """dim H at (i, d), after d∘d = 0 into (i, d) is checked."""
-        if i - self.direction in self.indices:
-            self.check_dd_zero(i - self.direction, d)
-        h = self.piece(i, d).dim - self.rank(i, d) - self.rank(i - self.direction, d)
+        k = self.direction
+        below, here, above = (self.piece(i + s * k, d) for s in (-1, 0, 1))
+        if i - k in self.indices:
+            self.check_dd_zero(i - k, d, (below, here, above))
+        h = (here.dim - self._eliminated(i, d, (here, above))[0]
+             - self._eliminated(i - k, d, (below, here))[0])
         if h < 0:
             raise InternalInvariantError(
                 f"{self.name}: negative homology dimension at (i={i}, d={d})"

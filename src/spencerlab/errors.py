@@ -27,3 +27,15 @@ class BudgetExceeded(SpencerlabError):
 
 class InternalInvariantError(AssertionError):
     """An exact structural identity failed; indicates a construction bug."""
+
+
+class NotWellDefinedError(InternalInvariantError):
+    """An operator does not send the source relations into the target's.
+
+    For a differential this is a construction bug; an acyclicity certificate
+    reads it, from its contraction alone, as a refusal.
+    """
+
+
+class SingularMapError(InternalInvariantError):
+    """``LinearMap.inverse`` of a square map with a nonzero kernel."""

@@ -32,7 +32,7 @@ from .complexes import (
     insert_sign,
     remove_sign,
 )
-from .errors import InternalInvariantError, SceneError
+from .errors import InternalInvariantError, NotWellDefinedError, SceneError, SingularMapError
 from .linalg import LinearMap
 from .modules import o_piece
 from .rings import INHOMOGENEOUS, AffineScene, Polynomial, _Value, mono_mul
@@ -378,7 +378,11 @@ def acyclicity_certificate(
     contraction; no Lie derivative is built here (:func:`cartan_check`
     ties L to it).  Every certified piece records three exact matrix
     facts: L is bijective there, d∘h + h∘d is the identity, and the
-    independently computed homology dimension is zero.
+    independently computed homology dimension is zero.  A piece is refused
+    only by a named test: the contraction does not descend to it, L is not
+    weight·id (Euler), L is singular, or d∘h + h∘d is not the identity.  The
+    complex's own differentials and d∘d = 0 are checked outside every
+    refusal, so a broken complex raises.
     """
     if cx.kind == "derham":
         if xi.weight != 0:
@@ -401,9 +405,12 @@ def acyclicity_certificate(
             piece = cx.piece(i, d)
             if piece.dim == 0:
                 continue
+            # the differentials L reads, checked outside the try: a complex
+            # that is not one raises, it is never refused
+            cx.check_dd_zero(i - 1, d)
             try:
                 L = _cartan_operator(cx, iota, i, d)
-            except InternalInvariantError:
+            except NotWellDefinedError:
                 # The contraction does not descend to this quotient piece
                 # (jets of order >= 2 on singular scenes); refuse honestly.
                 cert.refused.append(
@@ -415,8 +422,7 @@ def acyclicity_certificate(
                 continue
             try:
                 L_inv[i] = L.inverse()
-            except InternalInvariantError:
-                # L is square (the piece to itself), so it fails only when singular
+            except SingularMapError:
                 cert.refused.append(((i, d), "L singular"))
         h = {i: iota(i, d).compose(inv) for i, inv in L_inv.items()}
         for i in positive:

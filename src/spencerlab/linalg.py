@@ -24,12 +24,16 @@ or out is sparse, ``{position: coefficient}`` with zeros dropped.
 denominator, in a canonical form, so composition, sums, comparisons and
 the ``d∘d = 0`` and chain-map checks cost O(nonzeros) integer operations
 and build no ``Fraction``, nor does ``inverse``; the ``columns`` view is
-where rationals leave it.  ``rank_kernel_image`` splits the map into
-connected blocks, columns linked by shared rows (the differentials here
-are close to signed partial permutations, so blocks are small), and
-eliminates each block's dense integer rows through ``rref``, the
-dense-in/dense-out adapter of the kernel, because the benchmark tracer
-reads the ``rref`` span; its kernel comes back sparse.
+where rationals leave it.  Its constructor takes any exact columns;
+``compose`` and ``induced_map`` hand it columns that are already integer
+and zero-free, so they skip the scan and the clearing.
+``rank_kernel_image`` splits the map into connected blocks, columns linked
+by shared rows (the differentials here are close to signed partial
+permutations, so blocks are small).  A block of one row has rank 1 and a
+closed-form kernel, the singleton pivot of structured Gaussian
+elimination; every other block's dense integer rows go through ``rref``,
+the dense-in/dense-out adapter of the kernel, because the benchmark tracer
+reads the ``rref`` span.  The kernel comes back sparse.
 
 :class:`GradedPiece` is the quotient-space workhorse used by every graded
 construction: an ambient labeled basis, a relation span kept as the
@@ -46,7 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, SingularMapError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -197,14 +201,28 @@ class LinearMap:
         Zeros are dropped, denominators cleared into ``den`` and the result
         divided by its content.
         """
-        self.source_basis = tuple(source_basis)
-        self.target_basis = tuple(target_basis)
         cols = [{i: a for i, a in col.items() if a} for col in columns]
-        if len(cols) != len(self.source_basis):
-            raise InternalInvariantError("column count must match source basis")
         if any(type(a) is not int for col in cols for a in col.values()):
             cols, q = common_denominator(map(_integer_row, cols))
             den *= q
+        self._store(source_basis, target_basis, cols, den)
+
+    @classmethod
+    def _from_int_columns(cls, source_basis, target_basis, cols, den=1) -> LinearMap:
+        """The map of integer columns that hold no zero, divided by ``den``.
+
+        The caller vouches for both; only the content is divided out.
+        """
+        m = cls.__new__(cls)
+        m._store(source_basis, target_basis, cols, den)
+        return m
+
+    def _store(self, source_basis, target_basis, cols, den) -> None:
+        """Set the slots from integer columns that hold no zero, dividing out the content."""
+        self.source_basis = tuple(source_basis)
+        self.target_basis = tuple(target_basis)
+        if len(cols) != len(self.source_basis):
+            raise InternalInvariantError("column count must match source basis")
         if den != 1:
             g = den
             for col in cols:
@@ -267,8 +285,12 @@ class LinearMap:
             for k, b in fcol.items():
                 for i, a in outer[k].items():
                     acc[i] = acc.get(i, 0) + a * b
+            if 0 in acc.values():
+                acc = {i: v for i, v in acc.items() if v}
             cols.append(acc)
-        return LinearMap(first.source_basis, self.target_basis, cols, self.den * first.den)
+        return LinearMap._from_int_columns(
+            first.source_basis, self.target_basis, cols, self.den * first.den
+        )
 
     def add(self, other: LinearMap) -> LinearMap:
         bases = (self.source_basis, self.target_basis)
@@ -317,7 +339,7 @@ class LinearMap:
                 rows[i][j] = a
         solved = _gauss_jordan(rows)
         if any(p >= n for p in solved):
-            raise InternalInvariantError("map is singular")
+            raise SingularMapError("map is singular")
         lead = lcm(*(row[p] for p, row in solved.items()))
         cols = [
             {p: self.den * (lead // row[p]) * row[t] for p, row in solved.items() if t in row}
@@ -369,10 +391,14 @@ def rank_kernel_image(m: LinearMap):
     one block.  Pivots, free columns and kernel vectors are therefore the
     whole matrix's, the same Fractions in the same order.  A zero column is
     free with the unit kernel vector; a block of one nonzero column is its
-    own pivot.  Every other block's dense integer rows, rows and columns in
-    ascending order, go through ``rref``, whose span the benchmark tracer
-    reads; they are ``den`` times the matrix, and an RREF does not change
-    under scaling, so rank and kernel are the map's own.
+    own pivot.  A block of one row ``(a, b_1, ..., b_k)`` has the RREF row
+    ``(1, b_1/a, ..., b_k/a)``, so it adds 1 to the rank with its first
+    column as pivot, and each later column f the kernel vector
+    ``{first: -b_f/a, f: 1}``.  Every other block's dense integer rows,
+    rows and columns in ascending order, go through ``rref``, whose span
+    the benchmark tracer reads; they are ``den`` times the matrix, and an
+    RREF does not change under scaling, so rank and kernel are the map's
+    own.
     """
     cols = m.int_columns
     rank = 0
@@ -384,6 +410,14 @@ def rank_kernel_image(m: LinearMap):
                 rank += 1
             else:
                 kernel.append((j, {j: _ONE}))
+            continue
+        if all(len(cols[j]) == 1 for j in block):
+            # connected, so every column holds the one row: rank 1, pivot block[0]
+            j0 = block[0]
+            ((i, a),) = cols[j0].items()
+            rank += 1
+            for f in block[1:]:
+                kernel.append((f, {j0: Fraction(-cols[f][i], a), f: _ONE}))
             continue
         row_pos = {i: k for k, i in enumerate(sorted({i for j in block for i in cols[j]}))}
         rows = [[0] * len(block) for _ in row_pos]

@@ -121,9 +121,9 @@ def test_euler_certify_checks_dd_zero(monkeypatch, capsys, complex_, scene):
     calls = []
     check = GradedComplex.check_dd_zero
 
-    def spy(self, i, d):
+    def spy(self, i, d, *pieces):
         calls.append((i, d))
-        return check(self, i, d)
+        return check(self, i, d, *pieces)
 
     monkeypatch.setattr(GradedComplex, "check_dd_zero", spy)
     code, _out = run_cli(

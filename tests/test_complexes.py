@@ -1,9 +1,11 @@
 import os
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 import pytest
 
+from spencerlab import complexes
 from spencerlab.errors import InternalInvariantError, SceneError
 from spencerlab.complexes import (
     GradedComplex,
@@ -12,10 +14,11 @@ from spencerlab.complexes import (
     build_koszul,
     build_spencer_of_module,
     homology_table,
+    induced_map,
 )
 from spencerlab.completion import completed_complex
 from spencerlab.diffops import filtered_spencer
-from spencerlab.linalg import GradedPiece
+from spencerlab.linalg import GradedPiece, LinearMap
 from spencerlab.modules import free_module, module_as_complex
 from spencerlab.rings import AffineScene, Ideal, mono_mul, parse_polynomial, scene
 from spencerlab.scenes import load_scene
@@ -168,6 +171,72 @@ def test_tables_invariant_under_variable_relabeling():
     t1 = homology_table(build_de_rham(s1), 10)
     t2 = homology_table(build_de_rham(s2), 10)
     assert t1.nonzero() == t2.nonzero()
+
+
+# -- induced maps between relation-free pieces -----------------------------------
+
+def _constructor_oracle(src, tgt, fn):
+    """The induced map between relation-free pieces through the public constructor."""
+    return LinearMap(src.basis, tgt.basis, [tgt._indexed(fn(lbl)) for lbl in src.basis])
+
+
+def _cancelling(lbl):
+    # the two terms on "u" cancel, and "c" has no image left at all
+    out = {"u": 2, "v": -3} if lbl == "a" else {"w": 4}
+    out["u"] = out.get("u", 0) - 2
+    return {} if lbl == "c" else out
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        _cancelling,
+        lambda lbl: {"u": 3, "w": -6} if lbl != "b" else {"v": 9},
+        # a Fraction in one image sends the whole map down the general path
+        lambda lbl: {"u": 1, "v": Fraction(3, 4) if lbl == "c" else 2},
+        lambda lbl: {"w": Fraction(-2, 3), "u": 0},
+    ],
+)
+def test_relation_free_induced_map_matches_the_constructor(fn):
+    src, tgt = GradedPiece(("a", "b", "c"), []), GradedPiece(("u", "v", "w"), [])
+    got = induced_map(src, tgt, fn, "unused")
+    assert got == _constructor_oracle(src, tgt, fn)
+    assert all(all(col.values()) for col in got.int_columns)
+
+
+def test_relation_free_complexes_match_the_constructor(a3):
+    half = [parse_polynomial(t, a3.ring) for t in ("1/2*x^2", "y^2 - z^2", "x*y")]
+    for cx in (filtered_spencer(a3.ring, 2), build_koszul(a3, half)):
+        for d in range(cx.weight_floor, 4):
+            for i in cx.indices:
+                j = i + cx.direction
+                if j not in cx.indices:
+                    continue
+                src, tgt = cx.piece(i, d), cx.piece(j, d)
+                fn = lambda lbl: cx.diff_fn(i, lbl)
+                assert induced_map(src, tgt, fn, "unused") == _constructor_oracle(src, tgt, fn)
+
+
+def test_relation_free_induced_map_refuses_a_label_outside_the_target():
+    src, tgt = GradedPiece(("a", "b"), []), GradedPiece(("u",), [])
+    with pytest.raises(InternalInvariantError, match="label 'z' outside ambient basis"):
+        induced_map(src, tgt, lambda lbl: {"u": 1, "z": 2}, "unused")
+
+
+def test_relation_free_differentials_skip_the_quotient_plumbing(monkeypatch, a3):
+    calls = []
+    integer_row, int_coords = complexes._integer_row, GradedPiece.int_coords
+    monkeypatch.setattr(
+        complexes, "_integer_row", lambda vec: calls.append("_integer_row") or integer_row(vec)
+    )
+    monkeypatch.setattr(
+        GradedPiece, "int_coords",
+        lambda self, *args: calls.append("int_coords") or int_coords(self, *args),
+    )
+    fs = filtered_spencer(a3.ring, 2)
+    assert homology_table(fs, 3).nonzero() == {}
+    assert calls == []
+    assert any(not m.is_zero() for m in fs._maps.values())
 
 
 # -- the closure rule: commutator rows ------------------------------------------

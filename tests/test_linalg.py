@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spencerlab import linalg
-from spencerlab.complexes import homology_table
+from spencerlab.complexes import build_koszul, homology_table
 from spencerlab.diffops import filtered_spencer
 from spencerlab.errors import InternalInvariantError
 from spencerlab.linalg import (
@@ -16,7 +16,7 @@ from spencerlab.linalg import (
     rank_kernel_image,
     rref,
 )
-from spencerlab.rings import WeightedRing
+from spencerlab.rings import WeightedRing, parse_polynomial, scene
 
 F = Fraction
 
@@ -362,13 +362,20 @@ def _block_maps(draw):
     """A map whose rows and columns, once sorted, are blocks along the diagonal.
 
     Blocks are dense draws (so they may split further); some have one column
-    or no rows, and zero rows and columns are added.  Rows and columns are
-    then shuffled, so blocks interleave.
+    or no rows, some are one row with every entry set, and zero rows and
+    columns are added.  Rows and columns are then shuffled, so blocks
+    interleave.
     """
     cells, nrows, ncols = [], 0, 0
     for _ in range(draw(st.integers(0, 5))):
-        rows, cols = draw(st.integers(0, 3)), draw(st.integers(1, 3))
-        block = draw(_sparse_dense(rows, cols, draw(st.sampled_from([0.3, 1.0]))))
+        if draw(st.booleans()):
+            # one row, every entry set: leads may be negative or non-unit
+            rows, cols = 1, draw(st.integers(2, 4))
+            nonzero = st.integers(-12, 12).filter(bool).map(F)
+            block = [draw(st.lists(nonzero, min_size=cols, max_size=cols))]
+        else:
+            rows, cols = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+            block = draw(_sparse_dense(rows, cols, draw(st.sampled_from([0.3, 1.0]))))
         cells += [(nrows + i, ncols + j, v)
                   for i, row in enumerate(block) for j, v in enumerate(row) if v]
         nrows, ncols = nrows + rows, ncols + cols
@@ -395,18 +402,26 @@ def test_block_route_matches_whole_matrix_oracle(m):
 
 def test_rref_sees_only_connected_blocks(monkeypatch):
     # the filtered Spencer differentials of affine 3-space send each label to
-    # a signed sum over distinct labels, so no block is larger than 2 x 2
-    shapes = []
+    # a signed sum over distinct labels: every block is one row or one column
+    inputs = []
     whole = linalg.rref
 
     def spy(rows):
-        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        inputs.append(rows)
         return whole(rows)
 
     monkeypatch.setattr(linalg, "rref", spy)
     table = homology_table(filtered_spencer(WeightedRing(("x", "y", "z"), (1, 1, 1)), 2), 3)
     assert table.nonzero() == {}
-    assert shapes and max(r for r, _c in shapes) <= 2 and max(c for _r, c in shapes) <= 2
+    assert inputs == []
+    # the Koszul differentials of three quadrics share rows across columns
+    a3 = scene(["x", "y", "z"], [1, 1, 1])
+    elements = [parse_polynomial(e, a3.ring) for e in ("x^2 + 2*y^2", "y^2 + 3*z^2", "z^2 + 5*x^2")]
+    homology_table(build_koszul(a3, elements), 10)
+    assert inputs
+    for rows in inputs:
+        columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))]
+        assert len(rows) >= 2 and len(linalg._column_blocks(columns)) == 1
 
 
 def _sparse(vec):

@@ -119,6 +119,12 @@ MUTANTS = [
         id="commutator-rows-dropped",
     ),
     pytest.param(
+        _drop_commutator_rows,
+        lambda: acyclicity_certificate(euler_derivation(_cusp()), build_de_rham(_cusp()), 8),
+        "de-rham: differential not well defined on the quotient at (i=0, d=6)",
+        id="commutator-rows-dropped-certificate",
+    ),
+    pytest.param(
         _drop_stage_2_commutator_rows,
         lambda: _cusp_de_rham_tower(12),
         "de-rham over V(J + I^2): differential not well defined on the quotient "
