@@ -147,7 +147,7 @@ class Tower:
         mod_b = self.homology_space(r, i, d)._cycles_mod_b
         tmat = self.transition_matrix(r, i, d)
         images = tmat.compose(LinearMap(range(len(reps)), tmat.source_basis, reps))
-        reduced = [mod_b.int_coords(col)[0] for col in images.int_columns]
+        reduced = [mod_b.coords(col)[0] for col in images.int_columns]
         return mod_b.dim - GradedPiece(range(mod_b.dim), reduced).dim
 
 

@@ -52,16 +52,10 @@ from __future__ import annotations
 import copy
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 from .errors import InternalInvariantError, NotWellDefinedError, SceneError
-from .linalg import (
-    GradedPiece,
-    LinearMap,
-    _integer_row,
-    common_denominator,
-    rank_kernel_image,
-)
+from .linalg import GradedPiece, LinearMap, common_denominator, rank_kernel_image
 from .rings import INHOMOGENEOUS, AffineScene, Polynomial, mono_mul
 
 
@@ -158,51 +152,31 @@ def induced_map(src: GradedPiece, tgt: GradedPiece, fn, error: str) -> LinearMap
 
     ``fn(label) -> dict over target ambient labels`` is extended linearly
     and evaluated once per ambient label of ``src``: each one is a pivot of
-    a relation row or a basis label.  Each image is cleared once to an
-    integer row over its denominator, which the target's normal form takes.
-    Raises ``NotWellDefinedError(error)`` unless the operator maps every
-    relation row of ``src`` into the relation span of ``tgt``; the rows span
-    the source relations, so this is exactly well-definedness on the
-    quotients.
-
-    Between relation-free pieces, where every basis position is an ambient
-    index and there is nothing to check, an image of int coefficients is
-    its column: each target label is looked up in ``tgt._index`` and zeros
-    are dropped, with no clearing and no normal form.  An image holding a
-    ``Fraction`` sends the whole map down the general path.
+    a relation row or a basis label.  ``tgt.coords`` reduces each image
+    once, and the basis labels' images over one common denominator are the
+    columns.  Raises ``NotWellDefinedError(error)`` unless the operator maps
+    every relation row of ``src`` into the relation span of ``tgt``; the
+    rows span the source relations, so this is exactly well-definedness on
+    the quotients.  The normal form is linear, NF(Σ c·img) = Σ c·NF(img),
+    so the check sums the reduced images over one common denominator and
+    tests the sum for zero, with no second reduction.
     """
-    if not (src._sparse_rows or tgt._sparse_rows):
-        index, cols = tgt._index, []
-        for lbl in src.ambient:
-            col: dict = {}
-            for t, c in fn(lbl).items():
-                if type(c) is not int:
-                    break
-                if c:
-                    try:
-                        col[index[t]] = c
-                    except KeyError:
-                        raise InternalInvariantError(f"label {t!r} outside ambient basis")
-            else:
-                cols.append(col)
-                continue
-            break  # a Fraction coefficient: the general path clears it
-        else:
-            return LinearMap._from_int_columns(src.basis, tgt.basis, cols)
-    image = {lbl: _integer_row(fn(lbl)) for lbl in src.ambient}
+    pairs = [tgt.coords(fn(lbl)) for lbl in src.ambient]
     if src.dim < len(src.ambient):  # the source has relation rows
-        # scale does not change whether a combination is a relation, so the
-        # check combines the images over one common denominator
-        cleared = dict(zip(image, common_denominator(image.values())[0]))
+        image = dict(zip(src.ambient, pairs))
         for row in src.relation_rows():
+            q = lcm(*(image[lbl][1] for lbl in row))
             out: dict = {}
-            for label, c in row.items():
-                for lbl, v in cleared[label].items():
-                    out[lbl] = out.get(lbl, 0) + c * v
-            if tgt.int_coords(out)[0]:
+            for lbl, c in row.items():
+                vec, d = image[lbl]
+                c *= q // d
+                for k, v in vec.items():
+                    out[k] = out.get(k, 0) + c * v
+            if any(out.values()):
                 raise NotWellDefinedError(error)
-    cols, den = common_denominator(tgt.int_coords(*image[lbl]) for lbl in src.basis)
-    return LinearMap(src.basis, tgt.basis, cols, den)
+        pairs = [image[lbl] for lbl in src.basis]
+    cols, den = common_denominator(pairs)
+    return LinearMap._from_int_columns(src.basis, tgt.basis, cols, den)
 
 
 class GradedComplex:

@@ -25,8 +25,8 @@ denominator, in a canonical form, so composition, sums, comparisons and
 the ``d∘d = 0`` and chain-map checks cost O(nonzeros) integer operations
 and build no ``Fraction``, nor does ``inverse``; the ``columns`` view is
 where rationals leave it.  Its constructor takes any exact columns;
-``compose`` and ``induced_map`` hand it columns that are already integer
-and zero-free, so they skip the scan and the clearing.
+``compose`` and ``induced_map`` build columns that are already integer and
+zero-free, so they skip the scan and the clearing.
 ``rank_kernel_image`` splits the map into connected blocks, columns linked
 by shared rows (the differentials here are close to signed partial
 permutations, so blocks are small).  A block of one row has rank 1 and a
@@ -38,11 +38,12 @@ reads the ``rref`` span.  The kernel comes back sparse.
 :class:`GradedPiece` is the quotient-space workhorse used by every graded
 construction: an ambient labeled basis, a relation span kept as the
 kernel's primitive integer pivot rows, and one normal form onto the
-non-pivot labels.  The normal form runs on integers with one common
-denominator: ``int_coords`` takes an already cleared integer row and hands
-the normal form out by basis position as integers over that denominator;
-``is_relation`` takes a rational vector, clears it once and builds no
-``Fraction``.
+non-pivot labels.  ``coords`` is the one way in: it takes any exact
+ambient vector, indexes it, clears its denominators only when some entry
+is not an ``int``, reduces it only when the piece has relation rows, and
+hands the normal form out by basis position as integers over one
+denominator, building no ``Fraction``; ``is_relation`` asks whether that
+normal form is zero.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ def common_denominator(pairs) -> tuple:
     """
     pairs = list(pairs)
     den = lcm(*(d for _row, d in pairs))
+    if den == 1:
+        return [row for row, _d in pairs], 1
     rows = [
         row if d == den else {j: v * (den // d) for j, v in row.items()}
         for row, d in pairs
@@ -208,7 +211,7 @@ class LinearMap:
         self._store(source_basis, target_basis, cols, den)
 
     @classmethod
-    def _from_int_columns(cls, source_basis, target_basis, cols, den=1) -> LinearMap:
+    def _from_int_columns(cls, source_basis, target_basis, cols, den) -> LinearMap:
         """The map of integer columns that hold no zero, divided by ``den``.
 
         The caller vouches for both; only the content is divided out.
@@ -439,8 +442,8 @@ def rank_kernel_image(m: LinearMap):
 class GradedPiece:
     """One graded component: ambient labels modulo a relation span.
 
-    ``basis`` is the non-pivot subset of ``ambient``; ``int_coords`` is
-    the normal form modulo the relation row space, in ``basis`` positions.
+    ``basis`` is the non-pivot subset of ``ambient``; ``coords`` is the
+    normal form modulo the relation row space, in ``basis`` positions.
     The relations go into the elimination kernel as sparse rows and the
     piece keeps the kernel's primitive integer pivot rows; relation
     matrices in this package rarely have more than a few entries per row.
@@ -449,8 +452,9 @@ class GradedPiece:
     def __init__(self, ambient, relations):
         self.ambient = tuple(ambient)
         self._index = {lbl: i for i, lbl in enumerate(self.ambient)}
+        self._sparse_rows = {}  # none yet: ``coords`` hands out ambient-indexed rows
         self._sparse_rows = _gauss_jordan(  # pivot col -> {col: int}
-            row for row in map(self._indexed, relations) if row
+            row for row, _den in map(self.coords, relations) if row
         )
         self._pivots = sorted(self._sparse_rows)
         self._basis_pos = {}  # ambient index -> basis position
@@ -459,37 +463,41 @@ class GradedPiece:
                 self._basis_pos[i] = len(self._basis_pos)
         self.basis = tuple(self.ambient[i] for i in self._basis_pos)
 
-    def _indexed(self, vec: dict) -> dict:
-        """An ambient vector as ``{ambient index: coefficient}``, zeros dropped."""
-        out: dict = {}
-        for lbl, c in vec.items():
-            if not c:
-                continue
-            try:
-                out[self._index[lbl]] = c
-            except KeyError:
-                raise InternalInvariantError(f"label {lbl!r} outside ambient basis")
-        return out
-
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def int_coords(self, row: dict, den: int = 1) -> tuple:
-        """Normal form of the integer row ``row / den`` as ``(coords, den)``.
+    def coords(self, vec: dict) -> tuple:
+        """Normal form of the ambient vector ``vec`` as ``(coords, den)``.
 
-        ``row`` is ``{ambient label: int}``, an already cleared vector;
-        ``coords`` is ``{basis position: int}`` over the returned ``den``.
+        ``vec`` is ``{ambient label: int or Fraction}``, zeros allowed;
+        ``coords`` is ``{basis position: int}``, zeros dropped, and
+        ``coords / den`` is the normal form.  Denominators are cleared only
+        when some entry is not an ``int``, and only a piece with pivot rows
+        reduces.
         """
-        acc = self._indexed(row)
-        if not self._sparse_rows:  # its own normal form; positions are ambient indices
-            return acc, den
-        den *= _eliminate(acc, self._sparse_rows)
-        pos = self._basis_pos
-        return {pos[j]: v for j, v in acc.items()}, den
+        index = self._index
+        acc: dict = {}
+        integral = True
+        for lbl, c in vec.items():
+            if c:
+                try:
+                    acc[index[lbl]] = c
+                except KeyError:
+                    raise InternalInvariantError(f"label {lbl!r} outside ambient basis")
+                if type(c) is not int:
+                    integral = False
+        den = 1
+        if not integral:
+            acc, den = _integer_row(acc)
+        if self._sparse_rows:
+            den *= _eliminate(acc, self._sparse_rows)
+            pos = self._basis_pos
+            acc = {pos[j]: v for j, v in acc.items()}
+        return acc, den
 
     def is_relation(self, vec: dict) -> bool:
-        return not self.int_coords(_integer_row(vec)[0])[0]
+        return not self.coords(vec)[0]
 
     def relation_rows(self):
         """Primitive integer rows, as ambient vectors, that span the relations.

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .complexes import GradedComplex, ideal_multiples
 from .errors import SceneError
-from .linalg import GradedPiece, LinearMap, _integer_row, common_denominator, rank_kernel_image
+from .linalg import GradedPiece, LinearMap, common_denominator, rank_kernel_image
 from .rings import INHOMOGENEOUS, AffineScene, _Value, mono_mul
 
 
@@ -128,9 +128,7 @@ class DerivationSpace(_Value):
 
 def _stacked_coords(polys, pieces) -> tuple:
     """Integer coordinates of polys[k] in pieces[k], stacked in order, as ``(row, den)``."""
-    rows, den = common_denominator(
-        piece.int_coords(*_integer_row(p.terms)) for p, piece in zip(polys, pieces)
-    )
+    rows, den = common_denominator(piece.coords(p.terms) for p, piece in zip(polys, pieces))
     out: dict = {}
     base = 0
     for row, piece in zip(rows, pieces):

@@ -4,9 +4,11 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from spencerlab import complexes
-from spencerlab.errors import InternalInvariantError, SceneError
+from spencerlab import linalg
+from spencerlab.errors import InternalInvariantError, NotWellDefinedError, SceneError
 from spencerlab.complexes import (
     GradedComplex,
     build_de_rham,
@@ -177,7 +179,10 @@ def test_tables_invariant_under_variable_relabeling():
 
 def _constructor_oracle(src, tgt, fn):
     """The induced map between relation-free pieces through the public constructor."""
-    return LinearMap(src.basis, tgt.basis, [tgt._indexed(fn(lbl)) for lbl in src.basis])
+    index = tgt.ambient.index
+    return LinearMap(
+        src.basis, tgt.basis, [{index(t): c for t, c in fn(lbl).items()} for lbl in src.basis]
+    )
 
 
 def _cancelling(lbl):
@@ -192,7 +197,7 @@ def _cancelling(lbl):
     [
         _cancelling,
         lambda lbl: {"u": 3, "w": -6} if lbl != "b" else {"v": 9},
-        # a Fraction in one image sends the whole map down the general path
+        # a Fraction in one image is cleared into the common denominator
         lambda lbl: {"u": 1, "v": Fraction(3, 4) if lbl == "c" else 2},
         lambda lbl: {"w": Fraction(-2, 3), "u": 0},
     ],
@@ -223,16 +228,79 @@ def test_relation_free_induced_map_refuses_a_label_outside_the_target():
         induced_map(src, tgt, lambda lbl: {"u": 1, "z": 2}, "unused")
 
 
+# -- the well-definedness check runs on reduced images ---------------------------
+
+_COEFFS = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+
+
+def _image(op, row):
+    """The ambient image of the source vector ``row`` under the operator table ``op``."""
+    out: dict = {}
+    for lbl, c in row.items():
+        for t, v in op[lbl].items():
+            out[t] = out.get(t, 0) + c * v
+    return out
+
+
+@st.composite
+def _quotient_maps(draw):
+    """Two quotient pieces and an operator table.
+
+    The target relations include the images of a drawn number of the source
+    relations, so the operator descends when that number is all of them and
+    may fail to when the target also has relations of its own.
+    """
+    src_amb = tuple(f"a{j}" for j in range(draw(st.integers(1, 4))))
+    tgt_amb = tuple(f"u{j}" for j in range(draw(st.integers(1, 6))))
+
+    def vectors(labels):
+        return st.lists(_COEFFS, min_size=len(labels), max_size=len(labels)).map(
+            lambda cs: dict(zip(labels, cs))
+        )
+
+    src_rels = draw(st.lists(vectors(src_amb), max_size=3))
+    op = {lbl: draw(vectors(tgt_amb)) for lbl in src_amb}
+    tgt_rels = draw(st.lists(vectors(tgt_amb), max_size=2))
+    tgt_rels += [_image(op, row) for row in src_rels[: draw(st.integers(0, len(src_rels)))]]
+    return GradedPiece(src_amb, src_rels), GradedPiece(tgt_amb, tgt_rels), op
+
+
+# the relation row 2·a0 − a1 maps to 0, through images over denominators 2 and 1
+@example((
+    GradedPiece(("a0", "a1"), [{"a0": 2, "a1": -1}]),
+    GradedPiece(("u0",), []),
+    {"a0": {"u0": Fraction(1, 2)}, "a1": {"u0": 1}},
+))
+@given(_quotient_maps())
+def test_induced_map_matches_the_ambient_image_oracle(case):
+    src, tgt, op = case
+    if any(not tgt.is_relation(_image(op, row)) for row in src.relation_rows()):
+        with pytest.raises(NotWellDefinedError, match="drawn"):
+            induced_map(src, tgt, op.__getitem__, "drawn")
+        return
+    cols = []
+    for b in src.basis:
+        coords, den = tgt.coords(op[b])
+        cols.append({k: Fraction(v, den) for k, v in coords.items()})
+    assert induced_map(src, tgt, op.__getitem__, "unused") == LinearMap(src.basis, tgt.basis, cols)
+
+
+@pytest.mark.parametrize("coeff", [1, Fraction(3, 2)])
+def test_a_pivot_image_outside_the_target_raises(coeff):
+    # "a" is the pivot of the one relation row; "b" is the basis label
+    src, tgt = GradedPiece(("a", "b"), [{"a": 2}]), GradedPiece(("u",), [])
+    images = {"a": {"z": coeff}, "b": {"u": 1}}
+    with pytest.raises(InternalInvariantError, match="label 'z' outside ambient basis"):
+        induced_map(src, tgt, images.__getitem__, "unused")
+
+
 def test_relation_free_differentials_skip_the_quotient_plumbing(monkeypatch, a3):
     calls = []
-    integer_row, int_coords = complexes._integer_row, GradedPiece.int_coords
-    monkeypatch.setattr(
-        complexes, "_integer_row", lambda vec: calls.append("_integer_row") or integer_row(vec)
-    )
-    monkeypatch.setattr(
-        GradedPiece, "int_coords",
-        lambda self, *args: calls.append("int_coords") or int_coords(self, *args),
-    )
+    for name in ("_integer_row", "_eliminate"):
+        spied = getattr(linalg, name)
+        monkeypatch.setattr(
+            linalg, name, lambda *args, n=name, f=spied: calls.append(n) or f(*args)
+        )
     fs = filtered_spencer(a3.ring, 2)
     assert homology_table(fs, 3).nonzero() == {}
     assert calls == []

@@ -1,5 +1,6 @@
 """No name is imported without being referenced, no private helper of the
-package is left without a caller, and no defaulted parameter of the
+package is left without a caller, no module of the package but ``linalg``
+imports a private name of ``linalg``, and no defaulted parameter of the
 package is left unset by every call or passed by every call (AST checks;
 no linter needed).
 
@@ -137,6 +138,41 @@ def test_no_unreferenced_private_helpers():
             with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
                 sources[name] = fh.read()
     assert unreferenced_private_helpers(sources) == []
+
+
+def private_linalg_imports(source: str) -> list:
+    """``(line, name)`` of each ``_name`` imported from the package's ``linalg``.
+
+    ``linalg`` is the one module that clears, indexes and eliminates; the
+    other modules reach it through its public names.
+    """
+    return sorted(
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module, node.level) in (("linalg", 1), ("spencerlab.linalg", 0))
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_the_check_sees_a_private_linalg_import():
+    source = (
+        "from .linalg import GradedPiece, _integer_row\n"
+        "from spencerlab.linalg import _eliminate as eliminate\n"
+        "from .rings import _private\n"
+        "from . import linalg\n"
+        "from ..linalg import _elsewhere\n"
+    )
+    assert private_linalg_imports(source) == [(1, "_integer_row"), (2, "_eliminate")]
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py") and n != "linalg.py")
+)
+def test_no_private_linalg_imports(name):
+    with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+        assert private_linalg_imports(fh.read()) == []
 
 
 def test_cold_cli_import_loads_no_dataclasses_or_inspect():

@@ -12,7 +12,6 @@ from spencerlab.errors import InternalInvariantError
 from spencerlab.linalg import (
     GradedPiece,
     LinearMap,
-    _integer_row,
     rank_kernel_image,
     rref,
 )
@@ -298,7 +297,7 @@ def test_graded_piece_matches_bareiss_normal_form(matrix, drawn, coeffs):
     for vec in vectors:
         nf = _bareiss_normal_form(rr, piv, vec)
         ambient_vec = dict(zip(ambient, vec))
-        coords, den = piece.int_coords(*_integer_row(ambient_vec))
+        coords, den = piece.coords(ambient_vec)
         assert all(type(v) is int for v in coords.values())
         assert {j: F(v, den) for j, v in coords.items()} == \
             {basis_pos[j]: v for j, v in enumerate(nf) if v}
@@ -443,27 +442,38 @@ def test_graded_piece_reduce():
     assert piece.dim == 2
     assert piece.basis == ("b", "c")
     # a == b modulo the relation, so 3a reduces onto b, basis position 0
-    assert piece.int_coords(*_integer_row({"a": F(3)})) == ({0: 3}, 1)
+    assert piece.coords({"a": F(3)}) == ({0: 3}, 1)
     assert piece.is_relation({"a": F(2), "b": F(-2)})
     assert not piece.is_relation({"c": F(1)})
 
 
-def test_relation_free_int_coords_skip_elimination(monkeypatch):
+def test_relation_free_coords_skip_elimination(monkeypatch):
     ambient = ("a", "b", "c", "d", "e")
     free = GradedPiece(ambient, [])
-    # the same quotient with one more label, killed by a relation: its int_coords
+    # the same quotient with one more label, killed by a relation: its coords
     # eliminates, and its basis is ``ambient`` in the same positions
     killed = GradedPiece(ambient + ("z",), [{"z": F(1)}])
     assert killed.basis == free.basis == ambient
-    cases = [({}, 1), ({"a": 3}, 1), ({"b": -2, "e": 7}, 4), ({"a": 1, "c": 5, "d": -6}, 6)]
-    want = [killed.int_coords(row, den) for row, den in cases]
+    cases = [
+        {},
+        {"a": 3, "b": 0},
+        {"b": F(-1, 2), "e": F(7, 4), "c": F(0)},
+        {"a": F(1, 6), "c": F(5, 6), "d": -1},
+        {"d": F(4)},
+    ]
+    want = [killed.coords(vec) for vec in cases]
+    assert want[2] == ({1: -2, 4: 7}, 4) and want[4] == ({3: 4}, 1)
     calls = []
-    eliminate = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
-    assert [free.int_coords(row, den) for row, den in cases] == want
-    assert calls == []
+    for name in ("_eliminate", "_integer_row"):
+        spied = getattr(linalg, name)
+        monkeypatch.setattr(
+            linalg, name, lambda *args, n=name, f=spied: calls.append(n) or f(*args)
+        )
+    assert [free.coords(vec) for vec in cases] == want
+    # only the vectors holding a Fraction are cleared, and nothing eliminates
+    assert calls == ["_integer_row"] * 3
     with pytest.raises(InternalInvariantError, match="outside ambient"):
-        free.int_coords({"z": 1})
+        free.coords({"z": 1})
 
 
 @given(_sparse_matrices(6, 8, 0.4))
@@ -477,8 +487,8 @@ def test_relation_rows_rebuild_the_same_piece(matrix):
     assert rebuilt.basis == piece.basis
     # the normal form is linear, so agreeing on every unit vector is agreeing everywhere
     for lbl in ambient:
-        unit = _integer_row({lbl: F(1)})
-        assert rebuilt.int_coords(*unit) == piece.int_coords(*unit)
+        unit = {lbl: F(1)}
+        assert rebuilt.coords(unit) == piece.coords(unit)
     for rel in relations:
         assert rebuilt.is_relation(rel)
 

@@ -1,7 +1,6 @@
 from fractions import Fraction as F
 
 from spencerlab.complexes import build_de_rham
-from spencerlab.linalg import _integer_row
 from spencerlab.modules import (
     PresentedModule,
     _stacked_coords,
@@ -86,7 +85,7 @@ def test_stacked_coords_build_no_fraction(count_fractions):
     for p, (row, den) in zip(polys, cols):
         base, want = 0, {}
         for poly, piece in zip(p, pieces):
-            coords, d = piece.int_coords(*_integer_row(poly.terms))
+            coords, d = piece.coords(poly.terms)
             want.update({base + k: F(c, d) for k, c in coords.items()})
             base += piece.dim
         assert {k: F(v, den) for k, v in row.items()} == want
