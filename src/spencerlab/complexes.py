@@ -176,7 +176,7 @@ def induced_map(src: GradedPiece, tgt: GradedPiece, fn, error: str) -> LinearMap
                 raise NotWellDefinedError(error)
         pairs = [image[lbl] for lbl in src.basis]
     cols, den = common_denominator(pairs)
-    return LinearMap._from_int_columns(src.basis, tgt.basis, cols, den)
+    return LinearMap(src.basis, tgt.basis, cols, den)
 
 
 class GradedComplex:
@@ -335,14 +335,12 @@ class GradedComplex:
             self._eliminations[key] = rank_kernel_image(self.differential(i, d))
         return self._eliminations[key]
 
-    def rank(self, i: int, d: int) -> int:
-        return self._eliminated(i, d)[0]
-
     def homology_cycles(self, i: int, d: int) -> list:
         """Cycles to draw homology representatives from at (i, d).
 
-        The canonical sparse kernel basis of the differential; d∘d = 0 into
-        the cell is not checked here, :meth:`homology_dim` checks it.
+        The canonical sparse kernel basis of the differential, as primitive
+        integer vectors; d∘d = 0 into the cell is not checked here,
+        :meth:`homology_dim` checks it.
         """
         return self._eliminated(i, d)[1]
 

@@ -1,39 +1,41 @@
 """Exact rational linear algebra on labeled bases.
 
-The one elimination kernel, ``_gauss_jordan``, is an incremental sparse
-Gauss–Jordan that never builds a ``Fraction``, after Bareiss's
-fraction-free elimination.  Each incoming row has its denominators
-cleared into an ``{column: int}`` dict (a row's scale does not change its
-span), and no work is spent on zero entries.  A row is reduced against the
-pivot rows found so far by ``a·acc − c·row``, with ``a`` and ``c`` divided
-by their gcd; what is left becomes a new pivot row, and its pivot column
-is cleared from the earlier pivot rows the same way.  Every pivot row is
-kept primitive (its entries have gcd 1) with a positive lead, and holds no
-entry in any other pivot column.  Such a row is its RREF row times its
-lead, and a row space has exactly one RREF, so the result does not depend
-on the order of the rows.  ``LinearMap.inverse`` eliminates
-``[columns | identity]`` once and reads its integer columns off the pivot
-rows over the lcm of their leads.
+Every vector inside this module has one form: ``{position: int}`` with no
+zero entry, over one denominator where one is needed.
 
-``Fraction`` appears only at the exit: ``rref`` divides each entry it
-hands out by its row's lead, so every result is the same exact rational
-as an elimination over ``Fraction`` would give.  Every vector handed in
-or out is sparse, ``{position: coefficient}`` with zeros dropped.
+The one elimination kernel, ``_gauss_jordan``, is an incremental sparse
+Gauss–Jordan on such integer rows that never builds a ``Fraction``, after
+Bareiss's fraction-free elimination; no work is spent on zero entries.  A
+row is reduced against the pivot rows found so far by ``a·acc − c·row``,
+with ``a`` and ``c`` divided by their gcd; what is left becomes a new
+pivot row, and its pivot column is cleared from the earlier pivot rows the
+same way.  Every pivot row is kept primitive (its entries have gcd 1) with
+a positive lead, and holds no entry in any other pivot column.  Such a row
+is its RREF row times its lead, and a row space has exactly one RREF, so
+the result does not depend on the order of the rows.
+``LinearMap.inverse`` eliminates ``[columns | identity]`` once and reads
+its integer columns off the pivot rows over the lcm of their leads.
+
+``Fraction`` enters and leaves only at the edges: ``rref`` clears its
+dense rational rows on the way in and divides each entry it hands out by
+its row's lead, so every result is the same exact rational as an
+elimination over ``Fraction`` would give; the ``columns`` view divides a
+map's integers by its denominator; ``GradedPiece.coords`` clears an
+ambient vector that holds a ``Fraction``.
 
 :class:`LinearMap` stores primitive integer sparse columns over one
 denominator, in a canonical form, so composition, sums, comparisons and
 the ``d∘d = 0`` and chain-map checks cost O(nonzeros) integer operations
-and build no ``Fraction``, nor does ``inverse``; the ``columns`` view is
-where rationals leave it.  Its constructor takes any exact columns;
-``compose`` and ``induced_map`` build columns that are already integer and
-zero-free, so they skip the scan and the clearing.
+and build no ``Fraction``, nor does ``inverse``.  It has one constructor:
+it takes columns in the form above and divides out only their content.
 ``rank_kernel_image`` splits the map into connected blocks, columns linked
 by shared rows (the differentials here are close to signed partial
 permutations, so blocks are small).  A block of one row has rank 1 and a
 closed-form kernel, the singleton pivot of structured Gaussian
 elimination; every other block's dense integer rows go through ``rref``,
 the dense-in/dense-out adapter of the kernel, because the benchmark tracer
-reads the ``rref`` span.  The kernel comes back sparse.
+reads the ``rref`` span.  The kernel comes back sparse and integer: each
+vector is the primitive integer multiple of the canonical RREF one.
 
 :class:`GradedPiece` is the quotient-space workhorse used by every graded
 construction: an ambient labeled basis, a relation span kept as the
@@ -54,7 +56,6 @@ from math import gcd, lcm
 from .errors import InternalInvariantError, SingularMapError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _integer_row(vec: dict):
@@ -137,16 +138,16 @@ def _eliminate(acc: dict, pivot_rows: dict) -> int:
 
 
 def _gauss_jordan(rows) -> dict:
-    """Fraction-free sparse RREF of rational rows; the one elimination kernel.
+    """Fraction-free sparse RREF of integer rows; the one elimination kernel.
 
-    ``rows`` are ``{column: int or Fraction}`` dicts holding nonzero entries
-    only.  Returns ``{pivot column: primitive integer row}``; each row
+    ``rows`` are ``{column: int}`` dicts holding nonzero entries only; each
+    is copied, not changed.  Returns ``{pivot column: primitive integer row}``; each row
     includes its positive lead at the pivot column, and divided by that
     lead it is the RREF row.
     """
     pivot_rows: dict = {}
     for row in rows:
-        acc = _integer_row(row)[0]
+        acc = dict(row)
         _eliminate(acc, pivot_rows)
         if not acc:
             continue
@@ -172,7 +173,9 @@ def rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
     nonzero RREF rows come back dense, in pivot order, as Fractions.
     """
     ncols = len(rows[0]) if rows else 0
-    pivot_rows = _gauss_jordan({j: v for j, v in enumerate(row) if v} for row in rows)
+    pivot_rows = _gauss_jordan(
+        _integer_row({j: v for j, v in enumerate(row) if v})[0] for row in rows
+    )
     pivots = sorted(pivot_rows)
     out = []
     for p in pivots:
@@ -198,32 +201,15 @@ class LinearMap:
 
     __slots__ = ("source_basis", "target_basis", "int_columns", "den")
 
-    def __init__(self, source_basis, target_basis, columns, den=1):
-        """Build from ``{target position: int or Fraction}`` columns divided by ``den``.
+    def __init__(self, source_basis, target_basis, cols, den=1):
+        """Build from ``{target position: nonzero int}`` columns divided by ``den``.
 
-        Zeros are dropped, denominators cleared into ``den`` and the result
-        divided by its content.
+        Only the content is divided out; the columns must hold no zero and no
+        ``Fraction``.
         """
-        cols = [{i: a for i, a in col.items() if a} for col in columns]
-        if any(type(a) is not int for col in cols for a in col.values()):
-            cols, q = common_denominator(map(_integer_row, cols))
-            den *= q
-        self._store(source_basis, target_basis, cols, den)
-
-    @classmethod
-    def _from_int_columns(cls, source_basis, target_basis, cols, den) -> LinearMap:
-        """The map of integer columns that hold no zero, divided by ``den``.
-
-        The caller vouches for both; only the content is divided out.
-        """
-        m = cls.__new__(cls)
-        m._store(source_basis, target_basis, cols, den)
-        return m
-
-    def _store(self, source_basis, target_basis, cols, den) -> None:
-        """Set the slots from integer columns that hold no zero, dividing out the content."""
         self.source_basis = tuple(source_basis)
         self.target_basis = tuple(target_basis)
+        cols = tuple(cols)
         if len(cols) != len(self.source_basis):
             raise InternalInvariantError("column count must match source basis")
         if den != 1:
@@ -234,9 +220,9 @@ class LinearMap:
                     if g == 1:
                         break
             if g != 1:
-                cols = [{i: a // g for i, a in col.items()} for col in cols]
+                cols = tuple({i: a // g for i, a in col.items()} for col in cols)
                 den //= g
-        self.int_columns = tuple(cols)
+        self.int_columns = cols
         self.den = den
 
     @classmethod
@@ -291,9 +277,7 @@ class LinearMap:
             if 0 in acc.values():
                 acc = {i: v for i, v in acc.items() if v}
             cols.append(acc)
-        return LinearMap._from_int_columns(
-            first.source_basis, self.target_basis, cols, self.den * first.den
-        )
+        return LinearMap(first.source_basis, self.target_basis, cols, self.den * first.den)
 
     def add(self, other: LinearMap) -> LinearMap:
         bases = (self.source_basis, self.target_basis)
@@ -306,12 +290,16 @@ class LinearMap:
             acc = {i: sa * a for i, a in ca.items()}
             for i, b in cb.items():
                 acc[i] = acc.get(i, 0) + sb * b
+            if 0 in acc.values():
+                acc = {i: v for i, v in acc.items() if v}
             cols.append(acc)
         return LinearMap(self.source_basis, self.target_basis, cols, den)
 
     def scale(self, c) -> LinearMap:
         """c times the map, for an int or Fraction c."""
         p = c.numerator
+        if not p:
+            return LinearMap.zero(self.source_basis, self.target_basis)
         cols = ({i: p * a for i, a in col.items()} for col in self.int_columns)
         return LinearMap(self.source_basis, self.target_basis, cols, self.den * c.denominator)
 
@@ -380,11 +368,12 @@ def _column_blocks(columns) -> list:
 
 
 def rank_kernel_image(m: LinearMap):
-    """Rank and canonical sparse kernel basis (source coordinates) of a map.
+    """Rank and canonical sparse integer kernel basis (source coordinates) of a map.
 
-    The kernel has one vector per free column f of the RREF: 1 at f, 0 at
-    the other free columns and minus the RREF entry of column f at each
-    pivot column.  An RREF row is zero left of its pivot, so each vector's
+    The kernel has one vector per free column f of the RREF: the primitive
+    integer multiple, positive at f, of the vector that is 1 at f, 0 at the
+    other free columns and minus the RREF entry of column f at each pivot
+    column.  An RREF row is zero left of its pivot, so each vector's
     positions come out in ascending order, and the vectors are listed by
     ascending free column.
 
@@ -392,16 +381,17 @@ def rank_kernel_image(m: LinearMap):
     share no row, so after a permutation the matrix is block diagonal, and
     its RREF rows are those of the blocks' RREFs: each has its support in
     one block.  Pivots, free columns and kernel vectors are therefore the
-    whole matrix's, the same Fractions in the same order.  A zero column is
+    whole matrix's, the same vectors in the same order.  A zero column is
     free with the unit kernel vector; a block of one nonzero column is its
     own pivot.  A block of one row ``(a, b_1, ..., b_k)`` has the RREF row
     ``(1, b_1/a, ..., b_k/a)``, so it adds 1 to the rank with its first
     column as pivot, and each later column f the kernel vector
-    ``{first: -b_f/a, f: 1}``.  Every other block's dense integer rows,
-    rows and columns in ascending order, go through ``rref``, whose span
-    the benchmark tracer reads; they are ``den`` times the matrix, and an
-    RREF does not change under scaling, so rank and kernel are the map's
-    own.
+    ``{first: -b_f/g, f: a/g}``, with ``g = gcd(a, b_f)`` signed as ``a``.
+    Every other block's dense integer rows, rows and columns in ascending
+    order, go through ``rref``, whose span the benchmark tracer reads, and
+    each kernel vector read off it is cleared once; the rows are ``den``
+    times the matrix, and an RREF does not change under scaling, so rank
+    and kernel are the map's own.
     """
     cols = m.int_columns
     rank = 0
@@ -412,7 +402,7 @@ def rank_kernel_image(m: LinearMap):
             if cols[j]:
                 rank += 1
             else:
-                kernel.append((j, {j: _ONE}))
+                kernel.append((j, {j: 1}))
             continue
         if all(len(cols[j]) == 1 for j in block):
             # connected, so every column holds the one row: rank 1, pivot block[0]
@@ -420,7 +410,9 @@ def rank_kernel_image(m: LinearMap):
             ((i, a),) = cols[j0].items()
             rank += 1
             for f in block[1:]:
-                kernel.append((f, {j0: Fraction(-cols[f][i], a), f: _ONE}))
+                b = cols[f][i]
+                g = gcd(a, b) if a > 0 else -gcd(a, b)
+                kernel.append((f, {j0: -b // g, f: a // g}))
             continue
         row_pos = {i: k for k, i in enumerate(sorted({i for j in block for i in cols[j]}))}
         rows = [[0] * len(block) for _ in row_pos]
@@ -432,9 +424,10 @@ def rank_kernel_image(m: LinearMap):
         pivot_set = set(pivots)
         for f in range(len(block)):
             if f not in pivot_set:
-                vec = {block[c]: -row[f] for row, c in zip(rr, pivots) if row[f]}
-                vec[block[f]] = _ONE
-                kernel.append((block[f], vec))
+                # cleared before it is negated, so only ints are negated
+                vec = {block[c]: row[f] for row, c in zip(rr, pivots) if row[f]}
+                vec[block[f]] = -1
+                kernel.append((block[f], {j: -v for j, v in _integer_row(vec)[0].items()}))
     kernel.sort(key=lambda fv: fv[0])
     return rank, [vec for _f, vec in kernel]
 

@@ -139,7 +139,7 @@ def _stacked_coords(polys, pieces) -> tuple:
 
 
 def derivation_space(scene: AffineScene, t: int) -> DerivationSpace:
-    """Weight-t derivations; the basis is the canonical kernel as eliminated, unscaled."""
+    """Weight-t derivations; the basis is the canonical integer kernel of the tangency map."""
     ring = scene.ring
     n = ring.nvars
     source = []

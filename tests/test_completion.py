@@ -496,7 +496,8 @@ def test_homology_transition_is_the_rank_of_images_modulo_boundaries():
                         cycles = upper.homology_cycles(i, d)
                         images = t.compose(LinearMap(range(len(cycles)), t.source_basis, cycles))
                         b = lower.differential(i - lower.direction, d)
-                        cols = [*images.columns, *b.columns]
+                        # a column's positive scale leaves the rank as it is
+                        cols = [*images.int_columns, *b.int_columns]
                         both = LinearMap(range(len(cols)), t.target_basis, cols)
                         want = rank_kernel_image(both)[0] - rank_kernel_image(b)[0]
                         got = tower.homology_transition(r, i, d)

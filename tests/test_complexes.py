@@ -1,7 +1,7 @@
 import os
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given
@@ -178,11 +178,16 @@ def test_tables_invariant_under_variable_relabeling():
 # -- induced maps between relation-free pieces -----------------------------------
 
 def _constructor_oracle(src, tgt, fn):
-    """The induced map between relation-free pieces through the public constructor."""
+    """The induced map between relation-free pieces through the public constructor.
+
+    The constructor takes integer columns over one denominator, so the images'
+    zeros are dropped and their denominators cleared here.
+    """
     index = tgt.ambient.index
-    return LinearMap(
-        src.basis, tgt.basis, [{index(t): c for t, c in fn(lbl).items()} for lbl in src.basis]
-    )
+    images = [{index(t): Fraction(c) for t, c in fn(lbl).items() if c} for lbl in src.basis]
+    den = lcm(*(c.denominator for col in images for c in col.values()))
+    cols = [{i: int(c * den) for i, c in col.items()} for col in images]
+    return LinearMap(src.basis, tgt.basis, cols, den)
 
 
 def _cancelling(lbl):
@@ -278,11 +283,11 @@ def test_induced_map_matches_the_ambient_image_oracle(case):
         with pytest.raises(NotWellDefinedError, match="drawn"):
             induced_map(src, tgt, op.__getitem__, "drawn")
         return
-    cols = []
-    for b in src.basis:
-        coords, den = tgt.coords(op[b])
-        cols.append({k: Fraction(v, den) for k, v in coords.items()})
-    assert induced_map(src, tgt, op.__getitem__, "unused") == LinearMap(src.basis, tgt.basis, cols)
+    # each basis label's normal form, over the lcm of their denominators
+    pairs = [tgt.coords(op[b]) for b in src.basis]
+    den = lcm(*(d for _coords, d in pairs))
+    cols = [{k: v * (den // d) for k, v in coords.items()} for coords, d in pairs]
+    assert induced_map(src, tgt, op.__getitem__, "unused") == LinearMap(src.basis, tgt.basis, cols, den)
 
 
 @pytest.mark.parametrize("coeff", [1, Fraction(3, 2)])

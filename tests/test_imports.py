@@ -1,6 +1,7 @@
 """No name is imported without being referenced, no private helper of the
 package is left without a caller, no module of the package but ``linalg``
-imports a private name of ``linalg``, and no defaulted parameter of the
+imports a private name of ``linalg`` or names a private member of
+``LinearMap``, and no defaulted parameter of the
 package is left unset by every call or passed by every call (AST checks;
 no linter needed).
 
@@ -173,6 +174,41 @@ def test_the_check_sees_a_private_linalg_import():
 def test_no_private_linalg_imports(name):
     with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
         assert private_linalg_imports(fh.read()) == []
+
+
+def private_linear_map_members(source: str) -> list:
+    """``(line, name)`` of each ``LinearMap._name`` (or ``linalg.LinearMap._name``).
+
+    ``LinearMap`` has one constructor; a private member named outside
+    ``linalg`` would be a second way in.
+    """
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and (
+            (isinstance(node.value, ast.Name) and node.value.id == "LinearMap")
+            or (isinstance(node.value, ast.Attribute) and node.value.attr == "LinearMap")
+        )
+    )
+
+
+def test_the_check_sees_a_private_linear_map_member():
+    source = (
+        "m = LinearMap._from_int_columns(s, t, cols, den)\n"
+        "n = linalg.LinearMap.__new__(linalg.LinearMap)\n"
+        "z = LinearMap.zero(s, t)._store\n"
+        "w = OtherMap._hidden\n"
+    )
+    assert private_linear_map_members(source) == [(1, "_from_int_columns"), (2, "__new__")]
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py") and n != "linalg.py")
+)
+def test_no_private_linear_map_members(name):
+    with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+        assert private_linear_map_members(fh.read()) == []
 
 
 def test_cold_cli_import_loads_no_dataclasses_or_inspect():

@@ -1,14 +1,17 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from spencerlab import linalg
-from spencerlab.complexes import build_koszul, homology_table
+from spencerlab.completion import completed_complex, tower_limit
+from spencerlab.complexes import build_de_rham, build_jet_complex, build_koszul, homology_table
 from spencerlab.diffops import filtered_spencer
 from spencerlab.errors import InternalInvariantError
+from spencerlab.homotopy import acyclicity_certificate, euler_derivation
+from spencerlab.invariants import spencer_h0
 from spencerlab.linalg import (
     GradedPiece,
     LinearMap,
@@ -29,7 +32,7 @@ def test_identity_map():
 def test_zero_map():
     m = LinearMap.zero(("a", "b"), ("u", "v"))
     rank, kernel = rank_kernel_image(m)
-    assert rank == 0 and kernel == [{0: F(1)}, {1: F(1)}]
+    assert rank == 0 and kernel == [{0: 1}, {1: 1}]
 
 
 def test_proportional_rows():
@@ -108,14 +111,23 @@ def test_bareiss_rref_matches_plain_gauss(matrix):
 def _dense_map(source_basis, target_basis, rows):
     """A map from dense rows: rows[i][j] is target i's coefficient in the image of j.
 
-    Kept as a dense oracle for the sparse-column :class:`LinearMap`.
+    Kept as a dense oracle for the sparse-column :class:`LinearMap`.  The
+    entries may be rationals: :func:`_rational_map` clears them, since the
+    constructor takes integer columns over one denominator.
     """
     assert len(rows) == len(target_basis)
     assert all(len(row) == len(source_basis) for row in rows)
     columns = [
         {i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(source_basis))
     ]
-    return LinearMap(source_basis, target_basis, columns)
+    return _rational_map(source_basis, target_basis, columns)
+
+
+def _rational_map(source_basis, target_basis, columns):
+    """The map of sparse rational columns holding no zero, cleared to one denominator."""
+    den = lcm(*(F(v).denominator for col in columns for v in col.values()))
+    cols = [{i: int(v * den) for i, v in col.items()} for col in columns]
+    return LinearMap(source_basis, target_basis, cols, den)
 
 
 def _dense(m):
@@ -325,20 +337,39 @@ def test_kernel_is_canonical_rref_null_space(matrix):
     rr, piv = _bareiss_rref(matrix)
     free = [c for c in range(ncols) if c not in piv]
     assert rank == len(piv) and len(kernel) == len(free)
-    # one vector per free column: 1 there, 0 at the other free columns, and
-    # minus the RREF entries of that column at the pivot columns
+    # one vector per free column: the primitive integer multiple, positive at
+    # the free column, of the vector that is 1 there, 0 at the other free
+    # columns and minus the RREF entries of that column at the pivot columns
     for f, vec in zip(free, kernel):
-        assert [vec.get(g, 0) for g in free] == [F(int(g == f)) for g in free]
-        assert [vec.get(c, 0) for c in piv] == [-row[f] for row in rr]
+        _assert_primitive_at(vec, f)
+        s = vec[f]
+        assert [vec.get(g, 0) for g in free] == [s * int(g == f) for g in free]
+        assert [vec.get(c, 0) for c in piv] == [-s * row[f] for row in rr]
         # sparse: zeros dropped, positions in ascending order
         assert all(vec.values()) and list(vec) == sorted(vec)
+
+
+def _assert_primitive_at(vec, f):
+    """``vec`` is an integer vector with gcd 1 and a positive entry at ``f``."""
+    assert all(type(x) is int for x in vec.values())
+    assert vec[f] > 0 and gcd(*vec.values()) == 1
+
+
+def _primitive(vec):
+    """The rational vector ``vec`` times the positive scalar that makes it a
+    primitive integer vector, keys in the same order."""
+    den = lcm(*(v.denominator for v in vec.values()))
+    ints = {j: int(v * den) for j, v in vec.items()}
+    g = gcd(*ints.values())
+    return {j: v // g for j, v in ints.items()}
 
 
 def _whole_matrix_rank_kernel(m):
     """Rank and kernel of a map from one ``rref`` of its whole dense matrix.
 
     The whole-matrix route that :func:`rank_kernel_image` replaced with
-    connected blocks, kept as its oracle.
+    connected blocks, kept as its oracle; its kernel vectors are the RREF's
+    rational ones, 1 at their free column.
     """
     ncols = len(m.source_basis)
     rows = [[0] * ncols for _ in m.target_basis]
@@ -385,7 +416,7 @@ def _block_maps(draw):
     columns = [{} for _ in range(ncols)]
     for i, j, v in cells:
         columns[col_perm[j]][row_perm[i]] = v
-    return LinearMap(range(ncols), range(nrows), columns)
+    return _rational_map(range(ncols), range(nrows), columns)
 
 
 @given(st.one_of(_block_maps(), _sparse_matrices(8, 12, 0.15).map(
@@ -394,9 +425,11 @@ def test_block_route_matches_whole_matrix_oracle(m):
     rank, kernel = rank_kernel_image(m)
     want_rank, want_kernel = _whole_matrix_rank_kernel(m)
     assert rank == want_rank
-    # the same Fractions, with keys in the same order
-    assert [list(v.items()) for v in kernel] == [list(v.items()) for v in want_kernel]
-    assert all(type(x) is Fraction for v in kernel for x in v.values())
+    # the oracle's vectors in primitive integer form, with keys in the same order
+    want = [_primitive(v) for v in want_kernel]
+    assert [list(v.items()) for v in kernel] == [list(v.items()) for v in want]
+    for v, w in zip(kernel, want_kernel):
+        _assert_primitive_at(v, max(w))  # the free column comes last
 
 
 def test_rref_sees_only_connected_blocks(monkeypatch):
@@ -493,11 +526,53 @@ def test_relation_rows_rebuild_the_same_piece(matrix):
         assert rebuilt.is_relation(rel)
 
 
-def test_constructor_drops_zeros_and_checks_the_column_count():
-    m = LinearMap(("a", "b"), ("u",), [{0: F(0)}, {0: F(2)}])
-    assert m.columns == ({}, {0: F(2)})
+def test_constructor_divides_out_the_content_and_checks_the_column_count():
+    m = LinearMap(("a", "b"), ("u",), [{}, {0: 4}], 6)
+    assert m.int_columns == ({}, {0: 2}) and m.den == 3
+    assert m.columns == ({}, {0: F(2, 3)})
     with pytest.raises(InternalInvariantError, match="column count"):
-        LinearMap(("a", "b"), ("u",), [{0: F(1)}])
+        LinearMap(("a", "b"), ("u",), [{0: 1}])
+
+
+def test_every_library_map_is_built_from_integer_columns(monkeypatch):
+    # the constructor does not scan its columns, so every caller must hand it
+    # nonzero int entries at int positions over a positive int denominator
+    built = []
+    init = LinearMap.__init__
+
+    def spy(self, source_basis, target_basis, cols, den=1):
+        cols = list(cols)
+        built.append((cols, den))
+        init(self, source_basis, target_basis, cols, den)
+
+    monkeypatch.setattr(LinearMap, "__init__", spy)
+    whitney = scene(["x", "y", "z"], [1, 2, 2], ["x^2*y - z^2"])
+    cusp = scene(["x", "y"], [2, 3], ["x^3 - y^2"])
+    a3 = scene(["x", "y", "z"], [1, 1, 1])
+    half = [parse_polynomial(t, a3.ring) for t in ("1/2*x^2", "y^2 - z^2", "x*y")]
+    for cx in (build_de_rham(whitney), build_jet_complex(whitney, 2), build_koszul(a3, half)):
+        homology_table(cx, 5)
+    ambient = scene(["x", "y"], [2, 3])
+    tower = completed_complex(build_de_rham(ambient), cusp.ideal, 3)
+    assert tower_limit(tower, 6).entries
+    assert acyclicity_certificate(euler_derivation(cusp), build_jet_complex(cusp, 1), 6).valid
+    spencer_h0(whitney, 4)
+    assert built
+    for cols, den in built:
+        assert type(den) is int and den > 0
+        for col in cols:
+            assert all(type(i) is int and type(a) is int and a for i, a in col.items())
+
+
+def test_one_row_and_one_column_blocks_build_no_fraction(count_fractions):
+    # every filtered Spencer differential on affine 3-space is ranked without
+    # ``rref``: each of its blocks is one row or one column
+    fs = filtered_spencer(WeightedRing(("x", "y", "z"), (1, 1, 1)), 2)
+    maps = [fs.differential(i, d) for i in fs.indices for d in range(4)]
+    built = count_fractions()
+    kernels = [rank_kernel_image(m)[1] for m in maps]
+    assert built == [0]
+    assert any(len(v) > 1 for kernel in kernels for v in kernel)
 
 
 def test_compose_and_add_check_the_bases():
@@ -635,10 +710,8 @@ def test_sparse_maps_match_dense_oracle(family):
     assert S.is_identity() == _dense_is_identity(sq, k)
     assert (A == C) == (_dense(A) == _dense(C))
     assert (A.add(C) == C.add(A)) and hash(A.add(C)) == hash(C.add(A))
-    # the sparse-column constructor, handed zeros too, agrees with the dense oracle
-    sparse = [{i: row[j] for i, row in enumerate(a)} for j in range(k)]
-    assert LinearMap(mid, tgt, sparse) == A
-    assert all(0 not in col.values() for col in A.compose(B).columns)
+    for M in (A.compose(B), A.add(C), A.add(A.scale(-1)), A.scale(scalar)):
+        assert all(0 not in col.values() for col in M.int_columns)
     # the stored form: primitive integer columns over one positive denominator
     for M in (A, A.compose(B), A.add(C), A.scale(scalar), S):
         entries = [v for col in M.int_columns for v in col.values()]
