@@ -354,7 +354,6 @@ def derived_completion(
     modules and ideal-torsion phenomena live in the negative range (where
     the limit must vanish exactly when torsion is absent).
     """
-    _require_completable(ideal)
     tower = koszul_power_tower(module_scene, ideal, depth)
     report = tower_limit(tower, bound)
     report.indices = tuple(sorted(-i for i in report.indices))

@@ -254,11 +254,7 @@ class GradedComplex:
                 rels += ideal_multiples(self.ideal, d, lambda w: self.ambient(i, w), label_mul)
                 rels += self._commutator_rows(i, d)
                 piece = GradedPiece(self.ambient(i, d), rels)
-            built = self._interned.setdefault(key, [])
-            piece = next((p for p in built if p._sparse_rows == piece._sparse_rows), piece)
-            if piece not in built:
-                built.append(piece)
-            self._pieces[key] = piece
+            self._pieces[key] = piece.interned(self._interned.setdefault(key, []))
         return self._pieces[key]
 
     def _commutator_rows(self, i: int, d: int) -> list:

@@ -379,10 +379,13 @@ def acyclicity_certificate(
     ties L to it).  Every certified piece records three exact matrix
     facts: L is bijective there, d∘h + h∘d is the identity, and the
     independently computed homology dimension is zero.  A piece is refused
-    only by a named test: the contraction does not descend to it, L is not
-    weight·id (Euler), L is singular, or d∘h + h∘d is not the identity.  The
-    complex's own differentials and d∘d = 0 are checked outside every
-    refusal, so a broken complex raises.
+    only by a named test: the contraction does not descend to it, or L is
+    singular there or at the next form degree.  The complex's own
+    differentials and d∘d = 0 are checked outside every refusal, so a
+    broken complex raises.  So does a broken identity: once d∘d = 0, L
+    commutes with d, so where L is invertible d∘h + h∘d = (d∘ι + ι∘d)∘L⁻¹
+    is the identity, and the Euler field's L is weight·id on every weight
+    piece; either failing raises ``InternalInvariantError``.
     """
     if cx.kind == "derham":
         if xi.weight != 0:
@@ -418,8 +421,9 @@ def acyclicity_certificate(
                 )
                 continue
             if euler and L != LinearMap.identity(piece.basis).scale(d):
-                cert.refused.append(((i, d), "Euler Lie action is not weight·id"))
-                continue
+                raise InternalInvariantError(
+                    f"{cx.name}: Euler Lie action is not weight·id at (i={i}, d={d})"
+                )
             try:
                 L_inv[i] = L.inverse()
             except SingularMapError:
@@ -435,8 +439,7 @@ def acyclicity_certificate(
                 cert.refused.append(((i, d), f"L singular at form degree {i + 1}"))
                 continue
             if not _cartan_operator(cx, lambda j, _e: h[j], i, d).is_identity():
-                cert.refused.append(((i, d), "d∘h + h∘d != id"))
-                continue
+                raise InternalInvariantError(f"{cx.name}: d∘h + h∘d != id at (i={i}, d={d})")
             hdim = cx.homology_dim(i, d)
             if hdim != 0:
                 raise InternalInvariantError(

@@ -162,7 +162,7 @@ def spencer_h0(scene: AffineScene, bound: int) -> SpencerH0Report:
     alpha_gens: list = []
     seen = set()
     for t in range(-max(ring.weights), bound + 1):
-        for coeffs in derivation_space(scene, t).basis:
+        for coeffs in derivation_space(scene, t):
             for c in coeffs:
                 if c.is_zero():
                     continue

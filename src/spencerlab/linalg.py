@@ -489,6 +489,14 @@ class GradedPiece:
             acc = {pos[j]: v for j, v in acc.items()}
         return acc, den
 
+    def interned(self, pool: list) -> GradedPiece:
+        """The piece of ``pool``, over one ambient, with equal pivot rows, else self, appended."""
+        for piece in pool:
+            if piece._sparse_rows == self._sparse_rows:
+                return piece
+        pool.append(self)
+        return self
+
     def is_relation(self, vec: dict) -> bool:
         return not self.coords(vec)[0]
 

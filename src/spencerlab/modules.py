@@ -7,16 +7,17 @@ components the same way.  No global Groebner data is needed here; the
 quotients are plain exact linear algebra on labeled bases.  The scene
 ideal's multiples g·label come from :func:`~.complexes.ideal_multiples`,
 so a module's own relations hold only its genuinely module-level part; a
-presented module's pieces are those of :func:`module_as_complex`.
+presented module's pieces are those of :func:`module_as_complex`.  The
+derivations are the kernel of a tangency map from :func:`~.complexes.induced_map`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .complexes import GradedComplex, ideal_multiples
+from .complexes import GradedComplex, ideal_multiples, induced_map
 from .errors import SceneError
-from .linalg import GradedPiece, LinearMap, common_denominator, rank_kernel_image
+from .linalg import GradedPiece, rank_kernel_image
 from .rings import INHOMOGENEOUS, AffineScene, _Value, mono_mul
 
 
@@ -117,45 +118,38 @@ def free_module(scene: AffineScene, labels_weights, name="free") -> PresentedMod
 
 # -- derivation modules ------------------------------------------------------
 
-class DerivationSpace(_Value):
-    """Weight-t derivations of O_Y: kernel of the tangency evaluation map."""
+def derivation_space(scene: AffineScene, t: int) -> tuple:
+    """Weight-t derivations of O_Y: the canonical integer kernel of the tangency map.
 
-    _fields = ("scene", "weight", "basis")  # basis: a tuple of coefficient tuples
-
-    def __init__(self, scene: AffineScene, weight: int, basis: tuple):
-        super().__init__(scene, weight, basis)
-
-
-def _stacked_coords(polys, pieces) -> tuple:
-    """Integer coordinates of polys[k] in pieces[k], stacked in order, as ``(row, den)``."""
-    rows, den = common_denominator(piece.coords(p.terms) for p, piece in zip(polys, pieces))
-    out: dict = {}
-    base = 0
-    for row, piece in zip(rows, pieces):
-        for k, c in row.items():
-            out[base + k] = c
-        base += piece.dim
-    return out, den
-
-
-def derivation_space(scene: AffineScene, t: int) -> DerivationSpace:
-    """Weight-t derivations; the basis is the canonical integer kernel of the tangency map."""
+    The map sends the free label (i, m), x^m ∂_i for a class m of O_Y, to
+    (x^m ∂_i g_j)_j in the generators' ``o_piece``s stacked as labels (j, m),
+    whose cached relation rows are already in RREF.  Each kernel vector
+    comes back as a tuple of coefficients (c_0, ..., c_{n-1}).
+    """
     ring = scene.ring
     n = ring.nvars
-    source = []
-    for i in range(n):
-        for m in o_piece(scene, t + ring.weights[i]).basis:
-            source.append((i, m))
+    source = [(i, m) for i in range(n) for m in o_piece(scene, t + ring.weights[i]).basis]
     if not source:
-        return DerivationSpace(scene, t, ())
+        return ()
     gens = scene.ideal.generators
     pieces = [o_piece(scene, t + g.weighted_degree()) for g in gens]
-    target = [(j, m) for j, piece in enumerate(pieces) for m in piece.basis]
-    cols, den = common_denominator(
-        _stacked_coords([g.partial_derivative(i).mul_mono(m) for g in gens], pieces)
-        for (i, m) in source
+    target = GradedPiece(
+        ((j, m) for j, piece in enumerate(pieces) for m in piece.ambient),
+        [
+            {(j, m): c for m, c in row.items()}
+            for j, piece in enumerate(pieces) for row in piece.relation_rows()
+        ],
     )
-    _rank, kernel = rank_kernel_image(LinearMap(source, target, cols, den))
+    partials = [[g.partial_derivative(i) for g in gens] for i in range(n)]
+    tangency = induced_map(
+        GradedPiece(source, []), target,
+        lambda lbl: {
+            (j, mm): c
+            for j, dg in enumerate(partials[lbl[0]]) for mm, c in dg.mul_mono(lbl[1]).terms.items()
+        },
+        "tangency map not well defined",
+    )
+    _rank, kernel = rank_kernel_image(tangency)
     basis = []
     for vec in kernel:
         coeffs = [ring.zero()] * n
@@ -163,5 +157,4 @@ def derivation_space(scene: AffineScene, t: int) -> DerivationSpace:
             i, m = source[k]
             coeffs[i] = coeffs[i] + ring.monomial(m, c)
         basis.append(tuple(coeffs))
-    return DerivationSpace(scene, t, tuple(basis))
-
+    return tuple(basis)

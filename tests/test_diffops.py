@@ -56,7 +56,7 @@ def test_kashiwara_point_in_line():
         assert kq.total_dimension == p + 1
         weights = sorted(d for d, basis in kq.pieces.items() if basis)
         assert weights == list(range(-p, 1))
-        assert kq.support_verified
+        assert kq.to_json()["support_verified"] is True
 
 
 def test_kashiwara_quotient_keeps_its_scene_and_order():

@@ -62,7 +62,7 @@ def test_tangency_names_the_failing_generator(cusp):
 
 
 def test_tangency_accepts_a_non_euler_derivation(cusp):
-    (coeffs,) = derivation_space(cusp, 1).basis
+    (coeffs,) = derivation_space(cusp, 1)
     xi = Derivation(cusp, coeffs)
     assert xi.weight == 1 and not xi.is_euler()
 

@@ -1,9 +1,9 @@
 """No name is imported without being referenced, no private helper of the
 package is left without a caller, no module of the package but ``linalg``
-imports a private name of ``linalg`` or names a private member of
-``LinearMap``, and no defaulted parameter of the
-package is left unset by every call or passed by every call (AST checks;
-no linter needed).
+imports a private name of ``linalg``, names a private member of
+``LinearMap`` or names the pivot-row storage of ``GradedPiece``, and no
+defaulted parameter of the package is left unset by every call or passed
+by every call (AST checks; no linter needed).
 
 The import check covers every module of the package except
 ``__init__.py``, whose imports are the public re-exports, and every test
@@ -209,6 +209,43 @@ def test_the_check_sees_a_private_linear_map_member():
 def test_no_private_linear_map_members(name):
     with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
         assert private_linear_map_members(fh.read()) == []
+
+
+PIECE_STORAGE = ("_sparse_rows", "_pivots", "_basis_pos")
+
+
+def piece_storage_names(source: str) -> list:
+    """``(line, name)`` of each attribute that names how a ``GradedPiece`` stores its relations.
+
+    Only ``linalg`` reads a piece's pivot rows; other modules compare,
+    reduce and re-present pieces through its public methods.
+    """
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in PIECE_STORAGE
+    )
+
+
+def test_the_check_sees_a_piece_storage_name():
+    source = (
+        "same = a._sparse_rows == b._sparse_rows\n"
+        "pivots = piece._pivots\n"
+        "pos = self.piece(i, d)._basis_pos[j]\n"
+        "rows = piece.relation_rows()\n"
+        "index = piece._index\n"
+    )
+    assert piece_storage_names(source) == [
+        (1, "_sparse_rows"), (1, "_sparse_rows"), (2, "_pivots"), (3, "_basis_pos")
+    ]
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py") and n != "linalg.py")
+)
+def test_no_piece_storage_names(name):
+    with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+        assert piece_storage_names(fh.read()) == []
 
 
 def test_cold_cli_import_loads_no_dataclasses_or_inspect():

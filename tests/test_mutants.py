@@ -11,12 +11,13 @@ import re
 
 import pytest
 
-from spencerlab import complexes, invariants
+from spencerlab import complexes, homotopy, invariants
 from spencerlab.completion import Tower, completed_complex, derived_completion, tower_limit
 from spencerlab.complexes import GradedComplex, build_de_rham, homology_table
 from spencerlab.errors import InternalInvariantError
 from spencerlab.homotopy import Derivation, acyclicity_certificate, euler_derivation
 from spencerlab.invariants import milnor_tjurina
+from spencerlab.linalg import LinearMap
 from spencerlab.rings import AffineScene, Ideal, WeightedRing, parse_polynomial, scene
 
 
@@ -59,6 +60,28 @@ def _flip_dx0_sign(monkeypatch):
 def _double_derivations(monkeypatch):
     apply = Derivation.apply
     monkeypatch.setattr(Derivation, "apply", lambda self, p: apply(self, p).scale(2))
+
+
+def _double_inverse(monkeypatch):
+    # h = iota∘(2·L^-1) gives d∘h + h∘d = 2·id
+    inverse = LinearMap.inverse
+    monkeypatch.setattr(LinearMap, "inverse", lambda self: inverse(self).scale(2))
+
+
+def _double_interior_product(monkeypatch):
+    # the Cartan operator of 2·iota_Xi is 2·weight·id on the cusp's forms
+    contraction = homotopy.contraction
+    monkeypatch.setattr(
+        homotopy,
+        "contraction",
+        lambda coefficients, label: {
+            k: 2 * v for k, v in contraction(coefficients, label).items()
+        },
+    )
+
+
+def _cusp_certificate():
+    return acyclicity_certificate(euler_derivation(_cusp()), build_de_rham(_cusp()), 8)
 
 
 def _node_derived_completion():
@@ -120,7 +143,7 @@ MUTANTS = [
     ),
     pytest.param(
         _drop_commutator_rows,
-        lambda: acyclicity_certificate(euler_derivation(_cusp()), build_de_rham(_cusp()), 8),
+        _cusp_certificate,
         "de-rham: differential not well defined on the quotient at (i=0, d=6)",
         id="commutator-rows-dropped-certificate",
     ),
@@ -157,9 +180,21 @@ MUTANTS = [
     ),
     pytest.param(
         _shift_ranks(-1),
-        lambda: acyclicity_certificate(euler_derivation(_cusp()), build_de_rham(_cusp()), 8),
+        _cusp_certificate,
         "certified piece (i=1, d=2) has homology 1",
         id="rank-minus-one",
+    ),
+    pytest.param(
+        _double_inverse,
+        _cusp_certificate,
+        "de-rham: d∘h + h∘d != id at (i=1, d=2)",
+        id="homotopy-inverse-doubled",
+    ),
+    pytest.param(
+        _double_interior_product,
+        _cusp_certificate,
+        "de-rham: Euler Lie action is not weight·id at (i=1, d=2)",
+        id="interior-product-doubled",
     ),
     pytest.param(
         _drop_first_tjurina_generator,

@@ -1,6 +1,6 @@
 """Value semantics of the package's immutable records.
 
-The seven value types compare and hash by their declared fields, refuse
+The six value types compare and hash by their declared fields, refuse
 assignment, and print like ``Name(field=value, ...)``.  Scenes are
 ``lru_cache`` keys (``o_piece``, which ``derivation_space`` and
 ``spencer_h0`` read), so two separately built equal values must
@@ -15,7 +15,7 @@ from spencerlab.diffops import kashiwara_quotient
 from spencerlab.errors import SceneError
 from spencerlab.groebner import GroebnerBasis, buchberger
 from spencerlab.homotopy import Derivation, euler_derivation
-from spencerlab.modules import DerivationSpace, PresentedModule, derivation_space, o_piece
+from spencerlab.modules import PresentedModule, o_piece
 from spencerlab.rings import AffineScene, Ideal, WeightedRing, parse_polynomial, scene
 from spencerlab.scenes import load_scene
 
@@ -54,11 +54,6 @@ VALUE_TYPES = {
         lambda: PresentedModule(cusp(), (("1", 0),), (), "free"),
         lambda: PresentedModule(cusp(), (("1", 0),), (), "other"),
         "name",
-    ),
-    "DerivationSpace": (
-        lambda: DerivationSpace(cusp(), 0, derivation_space(cusp(), 0).basis),
-        lambda: DerivationSpace(cusp(), 1, derivation_space(cusp(), 1).basis),
-        "weight",
     ),
 }
 
@@ -135,5 +130,4 @@ def test_constructors_check_their_arguments_and_take_keywords():
     with pytest.raises(SceneError, match="order bound"):
         kashiwara_quotient(cusp(), -1, 4)
     assert GroebnerBasis(generators=(), ring=R) == GroebnerBasis((), R)
-    assert DerivationSpace(scene=cusp(), weight=0, basis=()).weight == 0
     assert PresentedModule(cusp(), (("1", 0),), relations=(), name="m").relations == ()
