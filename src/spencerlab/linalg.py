@@ -490,7 +490,10 @@ class GradedPiece:
         return acc, den
 
     def interned(self, pool: list) -> GradedPiece:
-        """The piece of ``pool``, over one ambient, with equal pivot rows, else self, appended."""
+        """The piece of ``pool`` with the same pivot rows, else this piece, appended to ``pool``.
+
+        Every piece of ``pool`` is over this piece's ambient labels.
+        """
         for piece in pool:
             if piece._sparse_rows == self._sparse_rows:
                 return piece

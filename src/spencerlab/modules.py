@@ -141,15 +141,18 @@ def derivation_space(scene: AffineScene, t: int) -> tuple:
         ],
     )
     partials = [[g.partial_derivative(i) for g in gens] for i in range(n)]
-    tangency = induced_map(
-        GradedPiece(source, []), target,
-        lambda lbl: {
-            (j, mm): c
-            for j, dg in enumerate(partials[lbl[0]]) for mm, c in dg.mul_mono(lbl[1]).terms.items()
-        },
-        "tangency map not well defined",
+
+    def tangency(label):
+        i, m = label
+        return {
+            (j, k): c
+            for j, dg in enumerate(partials[i]) for k, c in dg.mul_mono(m).terms.items()
+        }
+
+    tangency_map = induced_map(
+        GradedPiece(source, []), target, tangency, "tangency map not well defined"
     )
-    _rank, kernel = rank_kernel_image(tangency)
+    _rank, kernel = rank_kernel_image(tangency_map)
     basis = []
     for vec in kernel:
         coeffs = [ring.zero()] * n
