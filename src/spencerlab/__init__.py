@@ -24,7 +24,7 @@ from .rings import (
 )
 from .modules import PresentedModule, free_module, o_piece
 from .linalg import GradedPiece, LinearMap, rank_kernel_image
-from .groebner import buchberger, normal_form, quotient_dimension
+from .groebner import buchberger, quotient_dimension
 from .complexes import (
     GradedComplex,
     HomologyTable,

@@ -1,7 +1,7 @@
 """Batch command line: scene files in, JSON (or plain tables) out.
 
 Exit codes: 0 success, 1 input error (usage errors too), 2 resource budget
-exceeded (the Groebner pair budget or memory), 3 internal invariant violation
+exceeded (the Groebner piece budget or memory), 3 internal invariant violation
 (a bug: d∘d != 0 or similar) or any other unexpected exception, reported in
 one line without a traceback.
 Identical inputs produce byte-identical JSON (sorted keys throughout).
@@ -37,10 +37,10 @@ from .scenes import load_scene, scene_json
 BUDGET_ENV = "SPENCERLAB_BUDGET"
 
 
-def _pair_budget() -> int:
+def _piece_budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
-        return groebner.DEFAULT_PAIR_BUDGET
+        return groebner.DEFAULT_PIECE_BUDGET
     try:
         budget = int(raw)
     except ValueError:
@@ -128,12 +128,12 @@ def cmd_euler_certify(scene, args):
 def cmd_milnor(scene, args):
     if len(scene.ideal.generators) != 1:
         raise SpencerlabError("milnor needs a hypersurface scene (one generator)")
-    mt = milnor_tjurina(scene.ideal.generators[0], pair_budget=_pair_budget())
+    mt = milnor_tjurina(scene.ideal.generators[0], piece_budget=_piece_budget())
     return mt.to_json(scene.ring)
 
 
 def cmd_smooth(scene, args):
-    return jacobian_smoothness(scene, pair_budget=_pair_budget()).to_json()
+    return jacobian_smoothness(scene, piece_budget=_piece_budget()).to_json()
 
 
 def cmd_spencer_h0(scene, args):

@@ -22,7 +22,7 @@ class SceneError(SpencerlabError):
 
 
 class BudgetExceeded(SpencerlabError):
-    """The Groebner pair budget ran out."""
+    """The Groebner piece budget ran out: too many weights eliminated."""
 
 
 class InternalInvariantError(AssertionError):

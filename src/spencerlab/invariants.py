@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InternalInvariantError, SceneError
-from .groebner import DEFAULT_PAIR_BUDGET, buchberger, quotient_dimension
+from .groebner import DEFAULT_PIECE_BUDGET, buchberger, quotient_dimension
 from .modules import derivation_space, o_piece
 from .rings import AffineScene, Ideal, Polynomial
 
@@ -55,13 +55,13 @@ def _det(mat) -> Polynomial:
 
 
 def jacobian_smoothness(
-    scene: AffineScene, pair_budget: int = DEFAULT_PAIR_BUDGET
+    scene: AffineScene, piece_budget: int = DEFAULT_PIECE_BUDGET
 ) -> SmoothnessReport:
     """Smooth iff (generators, maximal Jacobian minors) is the unit ideal."""
     if scene.ideal.is_trivial:
         return SmoothnessReport(True)
     sing = Ideal(tuple(scene.ideal.generators) + tuple(_jacobian_minors(scene)))
-    gb = buchberger(sing, pair_budget=pair_budget)
+    gb = buchberger(sing, piece_budget=piece_budget)
     if gb.is_unit_ideal():
         return SmoothnessReport(True)
     return SmoothnessReport(False, gb.generators)
@@ -82,7 +82,7 @@ class MilnorTjurina:
 
 
 def milnor_tjurina(
-    f: Polynomial, pair_budget: int = DEFAULT_PAIR_BUDGET
+    f: Polynomial, piece_budget: int = DEFAULT_PIECE_BUDGET
 ) -> MilnorTjurina:
     """mu and tau of a weighted-homogeneous hypersurface germ at the origin.
 
@@ -101,8 +101,8 @@ def milnor_tjurina(
     )
     if not partials:
         return MilnorTjurina(None, None)
-    jac = quotient_dimension(Ideal(partials), pair_budget=pair_budget)
-    tjur = quotient_dimension(Ideal(partials + (f,)), pair_budget=pair_budget)
+    jac = quotient_dimension(Ideal(partials), piece_budget=piece_budget)
+    tjur = quotient_dimension(Ideal(partials + (f,)), piece_budget=piece_budget)
     mu, mu_basis = jac if jac is not None else (None, ())
     tau, _ = tjur if tjur is not None else (None, ())
     if mu is not None and tau is not None and mu != tau:

@@ -3,10 +3,10 @@ from itertools import product
 
 import pytest
 
+from groebner_oracle import standard_monomial_counter
 from spencerlab.complexes import homology_table
 from spencerlab.diffops import filtered_spencer, kashiwara_quotient, pushforward_point
 from spencerlab.errors import SceneError
-from spencerlab.groebner import buchberger
 from spencerlab.rings import AffineScene, Ideal, WeightedRing, parse_polynomial
 from spencerlab.scenes import load_scene
 
@@ -102,16 +102,10 @@ CORPUS_WITH_IDEAL = [
 def test_kashiwara_dims_match_groebner_standard_monomials(name):
     # independent oracle: F^p D / I·F^p D is the sum over |b| <= p of O_Y
     # shifted by w(b), and dim (O_Y)_e counts the weight-e monomials outside
-    # the leading ideal of a Groebner basis
+    # the leading ideal of the reference Buchberger's basis
     sc = load_scene(os.path.join(SCENES, name))
     ring = sc.ring
-    lms = buchberger(sc.ideal).leading_monomials()
-
-    def standard(e):
-        return sum(
-            1 for m in ring.monomials_of_weight(e)
-            if not any(all(a >= b for a, b in zip(m, lm)) for lm in lms)
-        )
+    standard = standard_monomial_counter(sc.ideal.generators, ring)
 
     for p in (1, 2, 3):
         orders = [b for b in product(range(p + 1), repeat=ring.nvars) if sum(b) <= p]

@@ -1,5 +1,6 @@
 import os
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 
@@ -139,22 +140,36 @@ def test_spencer_h0_hyperplane_zero():
     assert spencer_h0(s, 6).is_zero()
 
 
-def _brieskorn_pham():
-    """x^a + y^b for a, b in 2..6 and x^a + y^b + z^c for a, b, c in 2..4."""
-    yield from product(range(2, 7), repeat=2)
-    yield from product(range(2, 5), repeat=3)
+def _isolated_germs():
+    """(f, weights, weighted degree d) of isolated weighted-homogeneous germs.
+
+    First the Brieskorn–Pham germs x^a + y^b for a, b in 2..6 and
+    x^a + y^b + z^c for a, b, c in 2..4, then germs whose Jacobian ideals
+    have leading ideals not generated by pure powers.
+    """
+    for exps in (*product(range(2, 7), repeat=2), *product(range(2, 5), repeat=3)):
+        d = lcm(*exps)
+        f = " + ".join(f"{v}^{a}" for v, a in zip("xyz", exps))
+        yield f, tuple(d // a for a in exps), d
+    yield "x^3 - x*y^2", (1, 1), 3
+    yield "x^3 + x*y^3", (3, 2), 9  # E7
+    yield "x^2*y + y^4", (3, 2), 8  # D5
+    yield "x^2*y + y^5", (2, 1), 5  # D6
+    yield "x^2*y + y^2*z + z^2*x", (1, 1, 1), 3
+    yield "x^2*y + y^3 + z^3", (1, 1, 1), 3
 
 
-@pytest.mark.parametrize("exps", list(_brieskorn_pham()))
-def test_brieskorn_pham_milnor_orlik_and_saito(exps):
-    names = ["x", "y", "z"][: len(exps)]
-    d = lcm(*exps)
-    weights = [d // a for a in exps]
-    f = " + ".join(f"{v}^{a}" for v, a in zip(names, exps))
-    sc = scene(names, weights, [f])
+GERMS = list(_isolated_germs())
+
+
+# the ids stay those of the Brieskorn–Pham exponent tuples the cases began with
+@pytest.mark.parametrize("germ", GERMS, ids=[f"exps{i}" for i in range(len(GERMS))])
+def test_brieskorn_pham_milnor_orlik_and_saito(germ):
+    f, weights, d = germ
+    sc = scene(["x", "y", "z"][: len(weights)], weights, [f])
     mt = milnor_tjurina(sc.ideal.generators[0])
     # Milnor–Orlik: mu = prod(d / w_i - 1); tau = mu for a weighted-homogeneous f
-    mu = prod(d // w - 1 for w in weights)
+    mu = prod(Fraction(d, w) - 1 for w in weights)
     assert (mt.mu, mt.tau) == (mu, mu)
     # Saito: the basis weights have generating function
     # prod (1 - t^(d - w_i)) / (1 - t^w_i), expanded here as a power series
